@@ -241,7 +241,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument(
         "--override", action="append", default=[], metavar="KEY=VALUE"
     )
-    sweep_p.add_argument("--jobs", type=int, default=1, help="parallel output writers")
+    sweep_p.add_argument(
+        "--jobs", type=int, default=1, help="worker processes running the sweep's scenarios"
+    )
     sweep_p.add_argument(
         "--long-run",
         action="store_true",

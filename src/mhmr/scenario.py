@@ -123,8 +123,11 @@ class ScenarioScript:
     def build_topology(self) -> TeamTopology:
         return build_topology(self.topology)
 
-    def validate(self) -> None:
-        """Cross-check events against the topology; raise naming offenders."""
+    def validate(self) -> TeamTopology:
+        """Cross-check events against the topology; raise naming offenders.
+
+        Returns the topology it checked, so callers need not build it again.
+        """
         topology = self.build_topology()
         robots = set(topology.robot_ids)
         operators = set(topology.operator_ids)
@@ -155,6 +158,7 @@ class ScenarioScript:
             raise ConfigurationError(
                 f"{len(self.placement)} explicit positions for {topology.m} robots"
             )
+        return topology
 
     # -- serialization ------------------------------------------------------
 
@@ -453,9 +457,8 @@ class ScenarioRunner:
     """
 
     def __init__(self, script: ScenarioScript, base_dir: Optional[Path] = None):
-        script.validate()
+        self.topology = script.validate()
         self.script = script
-        self.topology = script.build_topology()
         self.workspace = script.workspace
         self.params = script.params
         self.transition_params = TransitionParams(K=script.params.K, tau=script.params.tau)

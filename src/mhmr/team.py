@@ -32,6 +32,10 @@ class TeamTopology:
     robot_ids: tuple[int, ...]
     operator_ids: tuple[int, ...]
     edges: frozenset[tuple[int, int]]
+    # robot id -> sorted operator ids, for human-operated robots only.
+    _operators: dict[int, tuple[int, ...]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if len(set(self.robot_ids)) != len(self.robot_ids):
@@ -40,16 +44,16 @@ class TeamTopology:
             raise ConfigurationError("duplicate operator ids")
         robots = set(self.robot_ids)
         operators = set(self.operator_ids)
-        if robots & operators:
-            # Ids live in separate namespaces but sharing numbers is fine;
-            # only identical node objects would break bipartiteness, which
-            # the (robot, operator) pair encoding rules out.
-            pass
+        adjacency: dict[int, tuple[int, ...]] = {}
         for r, o in self.edges:
             if r not in robots:
                 raise ConfigurationError(f"edge references unknown robot {r}")
             if o not in operators:
                 raise ConfigurationError(f"edge references unknown operator {o}")
+            # Most robots have one operator: no list, no sort for them.
+            ops = adjacency.get(r)
+            adjacency[r] = (o,) if ops is None else tuple(sorted(ops + (o,)))
+        object.__setattr__(self, "_operators", adjacency)
 
     @staticmethod
     def build(
@@ -72,19 +76,19 @@ class TeamTopology:
         return len(self.operator_ids)
 
     def operators_of(self, robot_id: int) -> tuple[int, ...]:
-        """Sorted operator ids connected to ``robot_id`` (empty if autonomous)."""
-        return tuple(sorted(o for r, o in self.edges if r == robot_id))
+        """Sorted operator ids of ``robot_id``; empty if autonomous or unknown."""
+        return self._operators.get(robot_id, ())
 
     def is_autonomous(self, robot_id: int) -> bool:
-        return not any(r == robot_id for r, _ in self.edges)
+        return robot_id not in self._operators
 
     @property
     def autonomous_ids(self) -> tuple[int, ...]:
-        return tuple(r for r in self.robot_ids if self.is_autonomous(r))
+        return tuple(r for r in self.robot_ids if r not in self._operators)
 
     @property
     def human_operated_ids(self) -> tuple[int, ...]:
-        return tuple(r for r in self.robot_ids if not self.is_autonomous(r))
+        return tuple(r for r in self.robot_ids if r in self._operators)
 
     def index_of(self, robot_id: int) -> int:
         return self.robot_ids.index(robot_id)
