@@ -8,7 +8,7 @@ s4: the same team with one robot dead from the start (share exactly zero)
 
 from dataclasses import replace
 
-from mhmr.scenario import builtin_script, run_scenario, sweep, sweep_summary_rows
+from mhmr.scenario import builtin_script, run_scenario, sweep_scripts, sweep_summary_rows
 
 
 def main():
@@ -35,7 +35,8 @@ def main():
 
     print("\nK sweep on s3 (larger K converges faster):")
     values = [1.0, 3.0, 5.0, 10.0]
-    rows = sweep_summary_rows("K", values, sweep(builtin_script("s3"), "K", values))
+    records = [run_scenario(s) for s in sweep_scripts(builtin_script("s3"), "K", values)]
+    rows = sweep_summary_rows("K", values, records)
     for row in rows:
         print(f"    K={row['K']:<4} convergence={row['convergence_time_s']} s")
 

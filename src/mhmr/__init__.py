@@ -33,7 +33,6 @@ from .metrics import (
     stress_to_condition,
 )
 from .patrol import (
-    PatrolParams,
     RobotKinematicState,
     able_velocity,
     commanded_velocity,
@@ -49,7 +48,6 @@ from .scenario import (
     TopologyEdit,
     builtin_script,
     run_scenario,
-    sweep,
 )
 from .team import ConditionSnapshot, TeamTopology, WorkloadVector
 from .transition import (

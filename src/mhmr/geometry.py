@@ -118,6 +118,13 @@ class GlobalWorkspace:
     safety_gap: float = 0.0
 
     def __post_init__(self):
+        if len(self.origin) != 2 or not all(
+            math.isfinite(v) for v in (*self.origin, self.width, self.height, self.safety_gap)
+        ):
+            raise ConfigurationError(
+                "workspace origin must be an (x, y) pair, and origin, width, height "
+                "and safety_gap must be finite"
+            )
         if self.width <= 0 or self.height <= 0:
             raise ConfigurationError("workspace must have positive extent")
         if self.safety_gap < 0:

@@ -26,25 +26,6 @@ REGION_CHANGE_TOL = 1e-6
 ON_PERIMETER_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class PatrolParams:
-    """Velocity model parameters: top speed, lap-time threshold with its
-    tolerance band, and the integration step."""
-
-    v_max: float
-    tau_star: float
-    lap_tolerance: float = 10.0
-    sim_dt: float = 0.05
-
-    def __post_init__(self):
-        if self.v_max <= 0:
-            raise ConfigurationError("v_max must be positive")
-        if self.tau_star <= 0:
-            raise ConfigurationError("lap-time threshold must be positive")
-        if self.sim_dt <= 0:
-            raise ConfigurationError("integration step must be positive")
-
-
 def able_velocity(
     snapshot: ConditionSnapshot,
     topology: TeamTopology,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Optional, Sequence
@@ -23,7 +24,6 @@ from .errors import ConfigurationError, NoCapableAgentError
 from .geometry import GlobalWorkspace, partition_from_workload
 from .metrics import ScriptedTrace, StressTrace, load_stress_trace, stress_to_condition
 from .patrol import (
-    PatrolParams,
     RobotKinematicState,
     able_velocity,
     assign_region,
@@ -33,12 +33,7 @@ from .patrol import (
     system_patrol_time,
 )
 from .team import ConditionSnapshot, TeamTopology, WorkloadVector
-from .transition import (
-    TransitionParams,
-    compute_q_f,
-    step_transition,
-    transition_coefficient,
-)
+from .transition import TransitionParams, allocation_cycle
 
 SCHEMA_VERSION = 1
 
@@ -46,8 +41,8 @@ SCHEMA_VERSION = 1
 CONVERGENCE_EPS = 1e-3
 #: Number of consecutive converged cycles required.
 CONVERGENCE_STREAK = 5
-#: A share this small with a zero proposal snaps to exactly zero.
-ZERO_SNAP = 1e-12
+#: How far ``tau / sim_dt`` may sit from a whole number of steps.
+TAU_STEP_TOL = 1e-9
 
 VALID_METRICS = ("operator_condition", "robot_condition", "performance")
 VALID_MODES = ("full-sim", "allocation-only")
@@ -88,14 +83,35 @@ class Event:
 
 @dataclass(frozen=True)
 class ScenarioParams:
+    """Script parameters; the only place where they are checked."""
+
     K: float = 0.5
     tau: float = 0.5
     tau_star: float = 65.0
     v_max: float = 0.8
-    psi: float = 0.1
     window: int = 30
     sim_dt: float = 0.05
-    lap_tolerance: float = 10.0
+
+    def __post_init__(self):
+        for name in ("K", "tau", "tau_star", "v_max", "sim_dt"):
+            value = getattr(self, name)
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Real)
+                or not (math.isfinite(value) and value > 0)
+            ):
+                raise ConfigurationError(
+                    f"params.{name} must be a finite number > 0, got {value!r}"
+                )
+        window = self.window
+        if isinstance(window, bool) or not isinstance(window, numbers.Integral) or window < 1:
+            raise ConfigurationError(f"params.window must be an integer >= 1, got {window!r}")
+        steps = self.tau / self.sim_dt
+        if round(steps) < 1 or abs(steps - round(steps)) > TAU_STEP_TOL:
+            raise ConfigurationError(
+                f"params.tau = {self.tau!r} must be a whole multiple of "
+                f"params.sim_dt = {self.sim_dt!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -117,8 +133,10 @@ class ScenarioScript:
     def __post_init__(self):
         if self.mode not in VALID_MODES:
             raise ConfigurationError(f"unknown mode {self.mode!r}")
-        if self.duration_s <= 0:
-            raise ConfigurationError("duration must be positive")
+        if not (math.isfinite(self.duration_s) and self.duration_s > 0):
+            raise ConfigurationError(
+                f"duration_s must be finite and positive, got {self.duration_s!r}"
+            )
 
     def build_topology(self) -> TeamTopology:
         return build_topology(self.topology)
@@ -178,10 +196,8 @@ class ScenarioScript:
                 "tau": self.params.tau,
                 "tau_star": self.params.tau_star,
                 "v_max": self.params.v_max,
-                "psi": self.params.psi,
                 "window": self.params.window,
                 "sim_dt": self.params.sim_dt,
-                "lap_tolerance": self.params.lap_tolerance,
             },
             "placement": copy.deepcopy(self.placement),
             "events": [
@@ -462,12 +478,6 @@ class ScenarioRunner:
         self.workspace = script.workspace
         self.params = script.params
         self.transition_params = TransitionParams(K=script.params.K, tau=script.params.tau)
-        self.patrol_params = PatrolParams(
-            v_max=script.params.v_max,
-            tau_star=script.params.tau_star,
-            lap_tolerance=script.params.lap_tolerance,
-            sim_dt=script.params.sim_dt,
-        )
         self._timelines: dict[tuple[str, int, str], _Timeline] = {}
         grouped: dict[tuple[str, int, str], list[Event]] = {}
         for ev in script.events:
@@ -481,7 +491,7 @@ class ScenarioRunner:
         self.step_index = 0
         self.dt = script.params.sim_dt
         self.n_steps = int(round(script.duration_s / self.dt))
-        self.cycle_every = max(1, int(round(script.params.tau / self.dt)))
+        self.cycle_every = int(round(script.params.tau / self.dt))
         self.forced_failed: set[int] = set()
         self.disconnected: set[int] = set()
 
@@ -574,26 +584,20 @@ class ScenarioRunner:
         if self.script.allocation_enabled:
             try:
                 proposed = propose_allocation(self.topology, snapshot)
-                self.sigma_proposed = np.asarray(proposed.shares).copy()
+                self.sigma_proposed = proposed.shares
                 if self._initial_error is None:
                     self._initial_error = float(
                         math.fsum(np.abs(self.sigma - self.sigma_proposed).tolist())
                     )
-                preview = partition_from_workload(self.workspace, proposed)
-                failed = {
-                    i for i, s in enumerate(self.sigma_proposed) if s == 0.0
-                }
-                q_f = compute_q_f(self._current_positions(), preview, failed)
-                K_e = transition_coefficient(q_f, self.params.K)
-                updated = step_transition(self._sigma_vector(), proposed, K_e)
-                sigma = np.asarray(updated.shares).copy()
-                # A vanishing share of a fully failed robot snaps to exact
-                # zero; survivors are renormalized to keep the total at one.
-                snap = (self.sigma_proposed == 0.0) & (sigma < ZERO_SNAP) & (sigma > 0.0)
-                if np.any(snap):
-                    sigma[snap] = 0.0
-                    sigma /= math.fsum(sigma.tolist())
-                self.sigma = sigma
+                state = allocation_cycle(
+                    proposed,
+                    self._current_positions(),
+                    self._sigma_vector(),
+                    self.transition_params,
+                    self.workspace,
+                )
+                self.sigma = state.sigma.shares
+                q_f, K_e = state.q_f, state.K_e
             except NoCapableAgentError as exc:
                 note = str(exc)
                 self._allocation_errors += 1
@@ -809,8 +813,6 @@ def sweep_scripts(
     scripts = []
     for value in values:
         if axis == "K":
-            if value <= 0:
-                raise ConfigurationError(f"K must be positive, got {value}")
             scripts.append(
                 replace(
                     base,
@@ -830,13 +832,6 @@ def sweep_scripts(
             topology["m"] = m
             scripts.append(replace(base, name=f"{base.name}_m{m}", topology=topology))
     return scripts
-
-
-def sweep(
-    base: ScenarioScript, axis: str, values: Sequence[float]
-) -> list[RunRecord]:
-    """One run per value along the given axis, everything else shared."""
-    return [run_scenario(script) for script in sweep_scripts(base, axis, values)]
 
 
 def sweep_summary_rows(axis: str, values: Sequence[float], records: Sequence[RunRecord]):

@@ -154,10 +154,11 @@ class WorkloadVector:
         object.__setattr__(self, "shares", arr)
         if arr.ndim != 1:
             raise ConfigurationError("workload shares must be a flat vector")
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
+        # Written so that NaN fails both checks.
+        if not np.all((arr >= 0.0) & (arr <= 1.0)):
             raise ConfigurationError("workload shares outside [0, 1]")
         total = math.fsum(arr.tolist())
-        if abs(total - 1.0) > SUM_TOL:
+        if not abs(total - 1.0) <= SUM_TOL:
             raise ConfigurationError(
                 f"workload shares sum to {total!r}, expected 1 within {SUM_TOL}"
             )

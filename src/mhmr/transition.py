@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .allocation import propose_allocation
 from .errors import ConfigurationError, NoActiveAgentsError
 from .geometry import (
     GlobalWorkspace,
@@ -22,7 +21,10 @@ from .geometry import (
     boundary_distance,
     partition_from_workload,
 )
-from .team import ConditionSnapshot, TeamTopology, WorkloadVector
+from .team import WorkloadVector
+
+#: A share this small with a zero proposal snaps to exactly zero.
+ZERO_SNAP = 1e-12
 
 
 @dataclass(frozen=True)
@@ -53,7 +55,6 @@ class TransitionState:
     """One cycle's transition outcome with intermediates kept for logging."""
 
     sigma: WorkloadVector
-    sigma_proposed: WorkloadVector
     q_f: float
     K_e: float
 
@@ -110,24 +111,30 @@ def step_transition(
 
 
 def allocation_cycle(
-    topology: TeamTopology,
-    snapshot: ConditionSnapshot,
+    proposed: WorkloadVector,
     positions: Sequence[Sequence[float]],
     current: WorkloadVector,
     params: TransitionParams,
     workspace: GlobalWorkspace,
 ) -> TransitionState:
-    """One full allocation cycle.
+    """One smoothed transition step toward the proposed shares.
 
-    Proposes new shares from the snapshot, previews the proposed partition,
-    measures the worst-affected robot's boundary distance, and applies one
-    smoothed transition step.  Raises :class:`NoCapableAgentError` with the
-    current workload untouched when the whole team is incapacitated.
+    Previews the proposed partition, measures the worst-affected robot's
+    boundary distance, and moves ``current`` toward ``proposed`` by
+    ``K_e``.  A share that vanishes below :data:`ZERO_SNAP` where the
+    proposal is zero snaps to exactly 0.0, and the other shares are
+    renormalized so the total stays at one.
     """
-    proposed = propose_allocation(topology, snapshot)
+    shares = proposed.shares
     preview = partition_from_workload(workspace, proposed)
-    failed = {i for i, share in enumerate(proposed.shares) if share == 0.0}
+    failed = {i for i, share in enumerate(shares) if share == 0.0}
     q_f = compute_q_f(positions, preview, failed)
     K_e = transition_coefficient(q_f, params.K)
-    sigma_next = step_transition(current, proposed, K_e)
-    return TransitionState(sigma=sigma_next, sigma_proposed=proposed, q_f=q_f, K_e=K_e)
+    sigma = step_transition(current, proposed, K_e)
+    snap = (shares == 0.0) & (sigma.shares < ZERO_SNAP) & (sigma.shares > 0.0)
+    if np.any(snap):
+        snapped = sigma.shares.copy()
+        snapped[snap] = 0.0
+        snapped /= math.fsum(snapped.tolist())
+        sigma = WorkloadVector(snapped, timestamp=sigma.timestamp)
+    return TransitionState(sigma=sigma, q_f=q_f, K_e=K_e)

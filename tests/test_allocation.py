@@ -243,5 +243,10 @@ class TestWorkloadVector:
         with pytest.raises(ConfigurationError):
             WorkloadVector(np.array([1.1, -0.1]))
 
+    @pytest.mark.parametrize("shares", [[math.nan, 1.0], [0.5, 0.5, math.nan], [math.nan]])
+    def test_rejects_nan(self, shares):
+        with pytest.raises(ConfigurationError):
+            WorkloadVector(np.array(shares))
+
     def test_uniform(self):
         assert WorkloadVector.uniform(4).shares.tolist() == [0.25] * 4

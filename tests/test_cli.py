@@ -87,6 +87,55 @@ class TestRun:
         assert main(["run", "--script", str(s3_script), "--override", "params.K"]) == 1
 
 
+def write_script(tmp_path, data, name="script.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return path
+
+
+class TestParamsCheckedAtLoad:
+    @pytest.mark.parametrize(
+        "params, name",
+        [({"K": 0}, "K"), ({"tau": 0.01, "sim_dt": 0.05}, "tau"), ({"window": 2.5}, "window")],
+    )
+    def test_validate_rejects_bad_params(self, tmp_path, capsys, params, name):
+        data = builtin_script("s3").to_dict()
+        data["params"].update(params)
+        path = write_script(tmp_path, data)
+        assert main(["validate", "--script", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "valid=true" not in captured.out
+        assert captured.err.startswith(f"error: params.{name} ")
+
+    def test_removed_param_override_rejected(self, s3_script, capsys):
+        assert main(["run", "--script", str(s3_script), "--override", "params.psi=0.2"]) == 1
+        assert "params.psi" in capsys.readouterr().err
+
+    def test_stress_trace_run_with_fractional_window(self, tmp_path, capsys):
+        rows = ["time_s,stress"] + [f"{i},{i % 2}" for i in range(60)]
+        (tmp_path / "op.csv").write_text("\n".join(rows) + "\n")
+        data = {
+            "name": "stress",
+            "topology": {"m": 2, "h": 1, "edges": [[1, 1]]},
+            "workspace": {"origin": [0.0, 0.0], "width": 20.0, "height": 5.0},
+            "params": {"K": 5.0, "tau": 0.5, "window": 2.5},
+            "mode": "allocation-only",
+            "duration_s": 10.0,
+            "events": [
+                {
+                    "time_s": 0.0,
+                    "target": "operator:1",
+                    "metric": "operator_condition",
+                    "profile": {"type": "stress_trace", "path": "op.csv"},
+                }
+            ],
+        }
+        path = write_script(tmp_path, data)
+        assert main(["run", "--script", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error: params.window ")
+        assert not (tmp_path / "out").exists()
+
+
 class TestSweep:
     def test_k_sweep_writes_summary(self, s3_script, tmp_path, capsys):
         out = tmp_path / "sweep"

@@ -6,7 +6,6 @@ import pytest
 from mhmr.errors import ConfigurationError
 from mhmr.geometry import Rect, boundary_distance, perimeter
 from mhmr.patrol import (
-    PatrolParams,
     RobotKinematicState,
     able_velocity,
     assign_region,
@@ -171,13 +170,3 @@ class TestSystemPatrolTime:
 
     def test_no_active_robots_returns_none(self):
         assert system_patrol_time(0, [[60.0]], [False]) is None
-
-
-class TestParams:
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            PatrolParams(v_max=0.0, tau_star=65.0)
-        with pytest.raises(ConfigurationError):
-            PatrolParams(v_max=0.8, tau_star=0.0)
-        with pytest.raises(ConfigurationError):
-            PatrolParams(v_max=0.8, tau_star=65.0, sim_dt=0.0)

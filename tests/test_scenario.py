@@ -9,13 +9,13 @@ from mhmr.errors import ConfigurationError
 from mhmr.scenario import (
     BUILTIN_SCRIPT_NAMES,
     Event,
+    ScenarioParams,
     ScenarioRunner,
     ScenarioScript,
     TopologyEdit,
     build_topology,
     builtin_script,
     run_scenario,
-    sweep,
     sweep_scripts,
     sweep_summary_rows,
 )
@@ -121,6 +121,84 @@ class TestSerialization:
     def test_unknown_builtin(self):
         with pytest.raises(ConfigurationError):
             builtin_script("s9")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0, 0.0])
+    def test_bad_duration_rejected(self, value):
+        data = builtin_script("s3").to_dict()
+        data["duration_s"] = value
+        with pytest.raises(ConfigurationError, match="duration_s"):
+            ScenarioScript.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("width", math.nan),
+            ("width", math.inf),
+            ("height", math.inf),
+            ("safety_gap", math.nan),
+            ("origin", [math.nan, 0.0]),
+            ("origin", [0.0, -math.inf]),
+            ("origin", [0.0]),
+        ],
+    )
+    def test_bad_workspace_rejected(self, key, value):
+        data = builtin_script("s3").to_dict()
+        data["workspace"][key] = value
+        with pytest.raises(ConfigurationError, match="workspace"):
+            ScenarioScript.from_dict(data)
+
+
+class TestScenarioParams:
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("v_max", 0.0),
+            ("tau_star", 0.0),
+            ("sim_dt", 0.0),
+            ("K", 0.0),
+            ("K", -1.0),
+            ("K", math.nan),
+            ("K", "abc"),
+            ("K", True),
+            ("tau", 0.0),
+            ("tau_star", math.inf),
+            ("v_max", math.nan),
+            ("sim_dt", -0.05),
+            ("window", 0),
+            ("window", 2.5),
+            ("window", True),
+            ("window", "30"),
+        ],
+    )
+    def test_rejects_bad_value(self, name, value):
+        with pytest.raises(ConfigurationError, match=rf"params\.{name}\b"):
+            ScenarioParams(**{name: value})
+
+    @pytest.mark.parametrize("tau, sim_dt", [(0.01, 0.05), (0.12, 0.05), (0.5, 0.3)])
+    def test_tau_must_be_whole_multiple_of_sim_dt(self, tau, sim_dt):
+        with pytest.raises(ConfigurationError, match=r"params\.tau\b"):
+            ScenarioParams(tau=tau, sim_dt=sim_dt)
+
+    @pytest.mark.parametrize("tau, sim_dt", [(0.05, 0.05), (0.3, 0.05), (0.5, 0.05), (1.0, 0.1)])
+    def test_accepts_whole_multiples(self, tau, sim_dt):
+        assert ScenarioParams(tau=tau, sim_dt=sim_dt).tau == tau
+
+    @pytest.mark.parametrize("name", ["psi", "lap_tolerance"])
+    def test_removed_knobs_are_unknown_fields(self, name):
+        data = builtin_script("s3").to_dict()
+        data["params"][name] = 0.1
+        with pytest.raises(ConfigurationError, match=name):
+            ScenarioScript.from_dict(data)
+
+    def test_to_dict_writes_every_field(self):
+        params = builtin_script("s3").to_dict()["params"]
+        assert params == {
+            "K": 5.0, "tau": 0.5, "tau_star": 65.0, "v_max": 0.8, "window": 30, "sim_dt": 0.05
+        }
+
+    def test_sweep_rejects_nonpositive_k(self):
+        with pytest.raises(ConfigurationError, match=r"params\.K\b"):
+            sweep_scripts(builtin_script("s3"), "K", [1.0, 0.0])
 
 
 class TestRunBasics:
@@ -333,7 +411,7 @@ class TestTimelines:
 class TestSweeps:
     def test_singleton_sweep_matches_run(self):
         base = builtin_script("s3")
-        [record] = sweep(base, "K", [5.0])
+        [record] = [run_scenario(s) for s in sweep_scripts(base, "K", [5.0])]
         direct = run_scenario(base)
         assert record.summary["final_sigma"] == direct.summary["final_sigma"]
         assert record.summary["convergence_time_s"] == direct.summary["convergence_time_s"]
@@ -357,7 +435,7 @@ class TestSweeps:
 
     def test_summary_rows(self):
         base = builtin_script("s3")
-        records = sweep(base, "K", [1.0, 5.0])
+        records = [run_scenario(s) for s in sweep_scripts(base, "K", [1.0, 5.0])]
         rows = sweep_summary_rows("K", [1.0, 5.0], records)
         assert [r["K"] for r in rows] == [1.0, 5.0]
         assert all(r["converged"] for r in rows)

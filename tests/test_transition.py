@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mhmr.allocation import propose_allocation
 from mhmr.errors import ConfigurationError, NoActiveAgentsError
 from mhmr.geometry import GlobalWorkspace, partition_from_workload
 from mhmr.team import ConditionSnapshot, TeamTopology, WorkloadVector
 from mhmr.transition import (
+    ZERO_SNAP,
     TransitionParams,
     allocation_cycle,
     compute_q_f,
@@ -189,12 +191,13 @@ class TestAllocationCycle:
         ws = GlobalWorkspace(origin=(0.0, 0.0), width=10.0, height=4.0, safety_gap=0.0)
         current = WorkloadVector.uniform(2)
         params = TransitionParams(K=0.5, tau=0.5)
+        proposed = propose_allocation(team, snap)
         # Both robots placed 2 m inside their future strips.
-        state = allocation_cycle(team, snap, [(2.0, 2.0), (8.0, 2.0)], current, params, ws)
+        state = allocation_cycle(proposed, [(2.0, 2.0), (8.0, 2.0)], current, params, ws)
         # Proposal: scores (0.5/3*2.5, 1) -> (5/12, 1).
         s1 = 0.5 / 3 * 2.5
         total = s1 + 1.0
-        assert state.sigma_proposed.shares[0] == pytest.approx(s1 / total, abs=1e-12)
+        assert proposed.shares[0] == pytest.approx(s1 / total, abs=1e-12)
         assert state.K_e == pytest.approx(1.0 - math.exp(-params.K * state.q_f), abs=1e-15)
         expected = 0.5 + state.K_e * (s1 / total - 0.5)
         assert state.sigma.shares[0] == pytest.approx(expected, abs=1e-12)
@@ -210,13 +213,87 @@ class TestAllocationCycle:
         ws = GlobalWorkspace(origin=(0.0, 0.0), width=10.0, height=4.0, safety_gap=0.0)
         current = WorkloadVector.uniform(2)
         params = TransitionParams(K=5.0, tau=0.5)
-        proposed = allocation_cycle(
-            team, snap, [(2.0, 2.0), (8.0, 2.0)], current, params, ws
-        ).sigma_proposed
+        proposed = propose_allocation(team, snap)
         part = partition_from_workload(ws, proposed)
         boundary_x = part.regions[0].x_max
-        state = allocation_cycle(
-            team, snap, [(boundary_x, 2.0), (8.0, 2.0)], current, params, ws
-        )
+        state = allocation_cycle(proposed, [(boundary_x, 2.0), (8.0, 2.0)], current, params, ws)
         assert state.q_f == 0.0 and state.K_e == 0.0
         assert state.sigma.shares.tolist() == current.shares.tolist()
+
+    def test_vanishing_share_snaps_to_zero(self):
+        ws = GlobalWorkspace(origin=(0.0, 0.0), width=10.0, height=4.0)
+        proposed = WorkloadVector(np.array([0.0, 0.5, 0.5]))
+        current = WorkloadVector(np.array([1e-13, 0.5, 0.5 - 1e-13]))
+        params = TransitionParams(K=0.5, tau=0.5)
+        state = allocation_cycle(
+            proposed, [(1.0, 2.0), (2.5, 2.0), (7.5, 2.0)], current, params, ws
+        )
+        assert 0.0 < state.K_e < 1.0
+        assert state.sigma.shares[0] == 0.0
+        assert math.fsum(state.sigma.shares.tolist()) == pytest.approx(1.0, abs=1e-15)
+
+    def test_share_above_snap_threshold_is_kept(self):
+        ws = GlobalWorkspace(origin=(0.0, 0.0), width=10.0, height=4.0)
+        proposed = WorkloadVector(np.array([0.0, 0.5, 0.5]))
+        current = WorkloadVector(np.array([0.2, 0.4, 0.4]))
+        params = TransitionParams(K=0.5, tau=0.5)
+        state = allocation_cycle(
+            proposed, [(1.0, 2.0), (2.5, 2.0), (7.5, 2.0)], current, params, ws
+        )
+        assert state.sigma.shares[0] == pytest.approx(0.2 * (1.0 - state.K_e), abs=1e-15)
+
+
+WIDTH, HEIGHT = 20.0, 5.0
+
+
+@st.composite
+def cycle_inputs(draw):
+    """A proposal with exact zeros, a current workload with some shares
+    below ZERO_SNAP, and positions inside the workspace."""
+    m = draw(st.integers(1, 30))
+    weight = st.floats(0.01, 1.0)
+    raw = draw(st.lists(st.one_of(st.just(0.0), weight), min_size=m, max_size=m))
+    if not any(raw):
+        raw[draw(st.integers(0, m - 1))] = 1.0
+    total = math.fsum(raw)
+    proposed = WorkloadVector(np.array([w / total for w in raw]))
+    tiny = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    if all(tiny):
+        tiny[0] = False
+    tiny_shares = [draw(st.floats(0.0, ZERO_SNAP / 2)) if t else 0.0 for t in tiny]
+    rest = draw(st.lists(weight, min_size=m, max_size=m))
+    rest = [0.0 if t else w for t, w in zip(tiny, rest)]
+    scale = (1.0 - math.fsum(tiny_shares)) / math.fsum(rest)
+    current = WorkloadVector(
+        np.array([s if t else w * scale for t, s, w in zip(tiny, tiny_shares, rest)])
+    )
+    point = st.tuples(st.floats(0.0, WIDTH), st.floats(0.0, HEIGHT))
+    positions = draw(st.lists(point, min_size=m, max_size=m))
+    K = draw(st.floats(0.01, 20.0))
+    return proposed, positions, current, TransitionParams(K=K, tau=0.5)
+
+
+class TestAllocationCycleProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(cycle_inputs())
+    def test_conserves_snaps_and_repeats(self, inputs):
+        proposed, positions, current, params = inputs
+        ws = GlobalWorkspace(origin=(0.0, 0.0), width=WIDTH, height=HEIGHT, safety_gap=0.01)
+        state = allocation_cycle(proposed, positions, current, params, ws)
+        shares = state.sigma.shares
+        assert np.all((shares >= 0.0) & (shares <= 1.0))
+        assert abs(math.fsum(shares.tolist()) - 1.0) <= 1e-9
+        for i, target in enumerate(proposed.shares):
+            if target == 0.0 and current.shares[i] < ZERO_SNAP:
+                assert shares[i] == 0.0
+            if target == 0.0:
+                assert shares[i] == 0.0 or shares[i] >= ZERO_SNAP
+        again = allocation_cycle(
+            WorkloadVector(proposed.shares.copy()),
+            [tuple(p) for p in positions],
+            WorkloadVector(current.shares.copy()),
+            params,
+            ws,
+        )
+        assert again.sigma.shares.tobytes() == shares.tobytes()
+        assert (again.q_f, again.K_e) == (state.q_f, state.K_e)
