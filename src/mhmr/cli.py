@@ -21,6 +21,7 @@ from .errors import MhmrError, ConfigurationError
 from .scenario import (
     BUILTIN_SCRIPT_NAMES,
     RunRecord,
+    ScenarioRunner,
     ScenarioScript,
     builtin_script,
     run_scenario,
@@ -110,6 +111,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_validate(args) -> int:
     script = _load_script(args)
+    # Set up as ``run`` does, so that trace files are read and checked too.
+    ScenarioRunner(script, base_dir=Path(args.script).parent)
     print(f"name={script.name}")
     print("valid=true")
     return 0

@@ -164,7 +164,7 @@ def load_stress_trace(path: str | Path) -> StressTrace | ScriptedTrace:
     times: list[float] = []
     raw: list[str] = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(fh, restval="")
         if reader.fieldnames is None or "time_s" not in reader.fieldnames or "stress" not in reader.fieldnames:
             raise ConfigurationError(f"{path}: expected header 'time_s,stress'")
         for row in reader:

@@ -20,7 +20,7 @@ from typing import Any, Optional, Sequence
 import numpy as np
 
 from .allocation import propose_allocation
-from .errors import ConfigurationError, NoCapableAgentError
+from .errors import ConfigurationError, MhmrError, NoCapableAgentError
 from .geometry import GlobalWorkspace, partition_from_workload
 from .metrics import ScriptedTrace, StressTrace, load_stress_trace, stress_to_condition
 from .patrol import (
@@ -43,6 +43,10 @@ CONVERGENCE_EPS = 1e-3
 CONVERGENCE_STREAK = 5
 #: How far ``tau / sim_dt`` may sit from a whole number of steps.
 TAU_STEP_TOL = 1e-9
+#: Step velocities are recomputed from this far (s) before their condition
+#: timelines may change, so rounding in a breakpoint time can only make the
+#: recomputation early, never late.
+BREAKPOINT_TOL = 1e-9
 
 VALID_METRICS = ("operator_condition", "robot_condition", "performance")
 VALID_MODES = ("full-sim", "allocation-only")
@@ -77,8 +81,12 @@ class Event:
                 raise ConfigurationError(
                     f"event value {value} outside [0, 1] for {self.target_kind} {self.target_id}"
                 )
-        if kind == "ramp" and float(self.profile.get("duration", 0.0)) <= 0.0:
-            raise ConfigurationError("ramp profile needs a positive duration")
+        if kind == "ramp":
+            duration = float(self.profile.get("duration", 0.0))
+            if not (math.isfinite(duration) and duration > 0.0):
+                raise ConfigurationError(
+                    f"ramp profile needs a finite positive duration, got {duration!r}"
+                )
 
 
 @dataclass(frozen=True)
@@ -136,6 +144,11 @@ class ScenarioScript:
         if not (math.isfinite(self.duration_s) and self.duration_s > 0):
             raise ConfigurationError(
                 f"duration_s must be finite and positive, got {self.duration_s!r}"
+            )
+        if self.duration_s < self.params.sim_dt:
+            raise ConfigurationError(
+                f"duration_s = {self.duration_s!r} is shorter than "
+                f"params.sim_dt = {self.params.sim_dt!r}"
             )
 
     def build_topology(self) -> TeamTopology:
@@ -311,7 +324,13 @@ class _Timeline:
                 path = Path(ev.profile["path"])
                 if base_dir is not None and not path.is_absolute():
                     path = base_dir / path
-                self._traces[i] = load_stress_trace(path)
+                try:
+                    self._traces[i] = load_stress_trace(path)
+                except (OSError, ValueError, MhmrError) as exc:
+                    raise ConfigurationError(
+                        f"{kind} for {ev.target_kind} {ev.target_id} {ev.metric}: "
+                        f"cannot load {path}: {exc}"
+                    ) from exc
 
     def value_at(self, t: float) -> float:
         value = 1.0
@@ -336,6 +355,33 @@ class _Timeline:
                 else:
                     value = trace.value_at(offset)
         return value
+
+    def constant_until(self, t: float) -> float:
+        """A time before which ``value_at`` keeps returning ``value_at(t)``.
+
+        It is the next event time, or sooner the next sample of the trace
+        that sets the value, or ``t`` itself while a ramp is still moving;
+        ``inf`` when the value can no longer change.  A ramp folds in the
+        value before it, so the breakpoints of an earlier trace still count
+        after the ramp ends; a step or a trace replaces everything before it.
+        Before a trace's first sample the bound is that sample, which is
+        early for a binary stress trace (it holds its first sample) but safe.
+        """
+        until = math.inf
+        for i, ev in enumerate(self.events):
+            if t < ev.time_s:
+                return min(until, ev.time_s)
+            kind = ev.profile["type"]
+            if kind == "step":
+                until = math.inf
+            elif kind == "ramp":
+                if t - ev.time_s < float(ev.profile["duration"]):
+                    return t
+            else:
+                times = self._traces[i].times
+                end = int(np.searchsorted(times, t - ev.time_s, side="right"))
+                until = ev.time_s + float(times[end]) if end < times.size else math.inf
+        return until
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +556,10 @@ class ScenarioRunner:
         self._initial_error: Optional[float] = None
         self._allocation_errors = 0
         self._traj_every = max(1, int(round(0.5 / self.dt)))
+        # Commanded velocities of the last condition evaluation, valid for
+        # steps before ``_step_v_until``.
+        self._step_v: list[float] = []
+        self._step_v_until = -math.inf
 
     # -- helpers ------------------------------------------------------------
 
@@ -617,6 +667,8 @@ class ScenarioRunner:
             for i, state in enumerate(self.robots):
                 assign_region(state, partition.regions[i])
             velocities = self._velocities(snapshot)
+            self._step_v = velocities
+            self._step_v_until = self._conditions_until(t)
 
         self.record.cycles.append(
             CycleRow(
@@ -647,9 +699,15 @@ class ScenarioRunner:
             velocities.append(commanded_velocity(v_able, v_req))
         return velocities
 
+    def _conditions_until(self, t: float) -> float:
+        """A time before which no condition timeline changes its value."""
+        return min((tl.constant_until(t) for tl in self._timelines.values()), default=math.inf)
+
     def _step_robots(self, t: float) -> None:
-        snapshot = self.snapshot_at(t)
-        velocities = self._velocities(snapshot)
+        if t + BREAKPOINT_TOL >= self._step_v_until:
+            self._step_v = self._velocities(self.snapshot_at(t))
+            self._step_v_until = self._conditions_until(t)
+        velocities = self._step_v
         for i, state in enumerate(self.robots):
             step_robot(state, velocities[i], self.dt)
         if self.script.record_trajectory and self.step_index % self._traj_every == 0:
@@ -692,6 +750,7 @@ class ScenarioRunner:
         any operator marks that robot failed until reconnected.
         """
         t = self.topology
+        self._step_v_until = -math.inf
         if edit.kind == "add_robot":
             if edit.robot_id in t.robot_ids:
                 raise ConfigurationError(f"robot {edit.robot_id} already exists")

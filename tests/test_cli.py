@@ -136,6 +136,72 @@ class TestParamsCheckedAtLoad:
         assert not (tmp_path / "out").exists()
 
 
+def stress_trace_script(trace_name):
+    return {
+        "name": "stress",
+        "topology": {"m": 2, "h": 1, "edges": [[1, 1]]},
+        "workspace": {"origin": [0.0, 0.0], "width": 20.0, "height": 5.0},
+        "params": {"K": 5.0, "tau": 0.5},
+        "mode": "allocation-only",
+        "duration_s": 10.0,
+        "events": [
+            {
+                "time_s": 0.0,
+                "target": "operator:1",
+                "metric": "operator_condition",
+                "profile": {"type": "stress_trace", "path": trace_name},
+            }
+        ],
+    }
+
+
+class TestScriptCheckedAtLoad:
+    @pytest.mark.parametrize(
+        "name, edit",
+        [
+            ("s1", lambda d: d["events"][-1]["profile"].update(duration=float("nan"))),
+            ("s1", lambda d: d["events"][-1]["profile"].update(duration=float("inf"))),
+            ("s3", lambda d: d.update(duration_s=0.01)),
+        ],
+        ids=["ramp_nan_duration", "ramp_inf_duration", "duration_below_sim_dt"],
+    )
+    def test_validate_rejects(self, tmp_path, capsys, name, edit):
+        data = builtin_script(name).to_dict()
+        edit(data)
+        path = write_script(tmp_path, data)
+        assert main(["validate", "--script", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "valid=true" not in captured.out
+        assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize(
+        "content",
+        [None, "time,level\n0,1\n", "time_s,stress\nsoon,1\n", "time_s,stress\n0\n"],
+        ids=["missing", "bad_header", "bad_time", "short_row"],
+    )
+    def test_bad_trace_file(self, tmp_path, capsys, command, content):
+        if content is not None:
+            (tmp_path / "op.csv").write_text(content)
+        path = write_script(tmp_path, stress_trace_script("op.csv"))
+        argv = [command, "--script", str(path)]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "valid=true" not in captured.out
+        assert captured.err.startswith("error: stress_trace for operator 1 ")
+        assert "op.csv" in captured.err
+        assert not (tmp_path / "out").exists()
+
+    def test_validate_accepts_good_trace_file(self, tmp_path, capsys):
+        rows = ["time_s,stress"] + [f"{i},{i % 2}" for i in range(20)]
+        (tmp_path / "op.csv").write_text("\n".join(rows) + "\n")
+        path = write_script(tmp_path, stress_trace_script("op.csv"))
+        assert main(["validate", "--script", str(path)]) == 0
+        assert out_lines(capsys)["valid"] == "true"
+
+
 class TestSweep:
     def test_k_sweep_writes_summary(self, s3_script, tmp_path, capsys):
         out = tmp_path / "sweep"

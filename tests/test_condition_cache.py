@@ -1,0 +1,256 @@
+"""The runner evaluates conditions only at timeline breakpoints.
+
+``_Timeline.constant_until`` must never promise a value that changes before
+the promised time, and a runner that reuses step velocities between
+breakpoints must write the same bytes as one that evaluates them on every
+step (``PerStepRunner``, the reference kept here).
+"""
+
+import dataclasses
+import itertools
+import math
+import random
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from mhmr.patrol import step_robot
+from mhmr.scenario import (
+    BREAKPOINT_TOL,
+    Event,
+    ScenarioRunner,
+    ScenarioScript,
+    TopologyEdit,
+    TrajectoryRow,
+    _Timeline,
+    builtin_script,
+)
+
+SIM_DT = 0.05
+#: Grid steps checked after each event list (40 s at ``SIM_DT``).
+HORIZON_STEPS = 800
+LEVELS = ("low", "medium", "high")
+
+
+class PerStepRunner(ScenarioRunner):
+    """Reference: snapshot and velocities evaluated on every step."""
+
+    def _step_robots(self, t: float) -> None:
+        snapshot = self.snapshot_at(t)
+        velocities = self._velocities(snapshot)
+        for i, state in enumerate(self.robots):
+            step_robot(state, velocities[i], self.dt)
+        if self.script.record_trajectory and self.step_index % self._traj_every == 0:
+            for i, rid in enumerate(self.topology.robot_ids):
+                state = self.robots[i]
+                self.record.trajectory.append(
+                    TrajectoryRow(
+                        time_s=t,
+                        robot_id=rid,
+                        x=float(state.position[0]),
+                        y=float(state.position[1]),
+                        v=velocities[i],
+                    )
+                )
+
+
+# ---------------------------------------------------------------------------
+# (a) Timeline breakpoints
+
+
+event_time = st.one_of(
+    st.integers(0, 400).map(lambda k: k * SIM_DT),
+    st.floats(0.0, 20.0).map(lambda x: round(x, 3)),
+)
+step_spec = st.tuples(event_time, st.just("step"), st.floats(0.0, 1.0))
+ramp_spec = st.tuples(
+    event_time,
+    st.just("ramp"),
+    st.tuples(st.floats(0.0, 1.0), st.floats(0.05, 8.0).map(lambda x: round(x, 3))),
+)
+# (first sample time, period, samples): the first sample may lie after the
+# event, so offsets before the span are read too.
+stress_spec = st.tuples(
+    event_time,
+    st.just("stress_trace"),
+    st.tuples(
+        st.sampled_from([0.0, 0.3, 2.0]),
+        st.sampled_from([0.1, 0.25, 0.5, 1.0, 0.35]),
+        st.lists(st.sampled_from("01"), min_size=1, max_size=30),
+    ),
+)
+trace_spec = st.tuples(
+    event_time,
+    st.just("trace"),
+    st.tuples(
+        st.sampled_from([0.0, 0.3, 2.0]),
+        st.sampled_from([0.1, 0.25, 0.5, 1.0, 0.35]),
+        st.lists(st.sampled_from(LEVELS), min_size=1, max_size=30),
+    ),
+)
+event_specs = st.lists(
+    st.one_of(step_spec, ramp_spec, stress_spec, trace_spec), min_size=1, max_size=5
+)
+
+
+def build_timeline(specs, directory, window):
+    events = []
+    for n, (time_s, kind, arg) in enumerate(specs):
+        if kind == "step":
+            profile = {"type": "step", "value": arg}
+        elif kind == "ramp":
+            profile = {"type": "ramp", "value": arg[0], "duration": arg[1]}
+        else:
+            start, period, samples = arg
+            rows = [f"{start + i * period:.6g},{v}" for i, v in enumerate(samples)]
+            (directory / f"trace{n}.csv").write_text("\n".join(["time_s,stress", *rows]) + "\n")
+            profile = {"type": kind, "path": f"trace{n}.csv"}
+        events.append(Event(time_s, "operator", 1, "operator_condition", profile))
+    return _Timeline(events, directory, window)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    specs=event_specs,
+    window=st.integers(1, 6),
+    starts=st.lists(st.integers(0, HORIZON_STEPS), min_size=1, max_size=6),
+)
+@example(  # a ramp that starts after a binary trace and outlives it
+    specs=[
+        (0.0, "stress_trace", (0.0, 0.5, list("0110100111"))),
+        (1.2, "ramp", (0.3, 1.0)),
+    ],
+    window=2,
+    starts=[0, 23, 25, 44, 45, 60],
+)
+@example(  # a ramp folded into a discrete-level trace
+    specs=[
+        (0.5, "trace", (0.3, 0.35, ["low", "high", "medium", "low"])),
+        (0.7, "ramp", (0.0, 0.4)),
+    ],
+    window=1,
+    starts=[0, 10, 14, 15, 30],
+)
+def test_value_holds_until_breakpoint(tmp_path_factory, specs, window, starts):
+    timeline = build_timeline(specs, tmp_path_factory.mktemp("traces"), window)
+    for k in starts:
+        t = k * SIM_DT
+        value = timeline.value_at(t)
+        until = timeline.constant_until(t)
+        assert until >= t
+        # The runner reuses the value on every step it would not recompute.
+        for k2 in itertools.count(k):
+            t2 = k2 * SIM_DT
+            if k2 > HORIZON_STEPS or t2 + BREAKPOINT_TOL >= until:
+                break
+            assert timeline.value_at(t2) == value, (t, t2, until)
+
+
+def test_breakpoints_of_simple_timelines(tmp_path):
+    specs = [(2.0, "step", 0.5), (5.0, "ramp", (1.0, 4.0)), (12.0, "step", 0.2)]
+    timeline = build_timeline(specs, tmp_path, 1)
+    assert timeline.constant_until(0.0) == 2.0
+    assert timeline.constant_until(3.0) == 5.0
+    assert timeline.constant_until(6.0) == 6.0  # the ramp moves every step
+    assert timeline.constant_until(9.0) == 12.0
+    assert timeline.constant_until(13.0) == math.inf
+    trace = [(1.0, "stress_trace", (0.0, 0.5, list("0101")))]
+    timeline = build_timeline(trace, tmp_path, 2)
+    assert timeline.constant_until(1.2) == 1.5
+    assert timeline.constant_until(2.5) == math.inf  # past the last sample
+
+
+# ---------------------------------------------------------------------------
+# (b) Cached runner against the per-step reference
+
+
+def written_bytes(runner_cls, script, outdir, base_dir=None, edits=()):
+    runner = runner_cls(script, base_dir=base_dir)
+    for t_stop, edit in edits:
+        runner.run_until(t_stop)
+        runner.apply_topology_edit(edit)
+    runner.run().write(outdir)
+    return {path.name: path.read_bytes() for path in sorted(outdir.iterdir())}
+
+
+def assert_same_records(script, tmp_path, base_dir=None, edits=()):
+    expected = written_bytes(PerStepRunner, script, tmp_path / "per_step", base_dir, edits)
+    actual = written_bytes(ScenarioRunner, script, tmp_path / "cached", base_dir, edits)
+    assert set(actual) == set(expected)
+    for name in expected:
+        assert actual[name] == expected[name], name
+    return expected
+
+
+@pytest.mark.parametrize("name", ["s1", "s2"])
+def test_builtin_full_sim_matches_per_step(name, tmp_path):
+    script = dataclasses.replace(builtin_script(name), record_trajectory=True)
+    files = assert_same_records(script, tmp_path)
+    assert "trajectory.csv" in files
+
+
+def stress_patrol_script(m, trace_dir, period, duration_s=60.0):
+    """Full-sim patrol with every operator on a seeded binary stress trace,
+    plus a robot that degrades along a ramp."""
+    rng = random.Random(f"cache-{m}-{period}")
+    events = []
+    for o in range(1, m + 1, 2):
+        stressed = 0
+        rows = ["time_s,stress"]
+        for k in range(int(round(duration_s / period)) + 1):
+            if rng.random() < (0.2 if stressed else 0.1):
+                stressed = 1 - stressed
+            rows.append(f"{k * period:.3f},{stressed}")
+        (trace_dir / f"op{o}.csv").write_text("\n".join(rows) + "\n")
+        profile = {"type": "stress_trace", "path": f"op{o}.csv"}
+        events.append(
+            {"time_s": 0.0, "target": f"operator:{o}", "metric": "operator_condition",
+             "profile": profile}
+        )
+    events.append(
+        {"time_s": 12.3, "target": "robot:2", "metric": "robot_condition",
+         "profile": {"type": "ramp", "value": 0.4, "duration": 7.0}}
+    )
+    return ScenarioScript.from_dict(
+        {
+            "name": f"stress_m{m}",
+            "topology": {"m": m, "pattern": "alternating"},
+            "workspace": {"origin": [0.0, 0.0], "width": 1.2 * m, "height": 10.0,
+                          "safety_gap": 0.05},
+            "params": {"K": 0.5, "tau": 0.5, "tau_star": 20.0, "v_max": 0.8,
+                       "window": 6, "sim_dt": SIM_DT},
+            "placement": "perimeter",
+            "mode": "full-sim",
+            "duration_s": duration_s,
+            "record_trajectory": True,
+            "events": events,
+        }
+    )
+
+
+# 0.5 s samples fall on allocation cycles; 0.35 s samples fall between them.
+@pytest.mark.parametrize("period", [0.5, 0.35])
+def test_stress_trace_patrol_matches_per_step(period, tmp_path):
+    script = stress_patrol_script(10, tmp_path, period)
+    files = assert_same_records(script, tmp_path, base_dir=tmp_path)
+    assert files["laps.csv"].count(b"\n") > 1
+
+
+# Edits land just after an allocation cycle (or between two), so velocities
+# cached at that cycle would otherwise be reused for the following steps.
+@pytest.mark.parametrize(
+    "edits",
+    [
+        [
+            (100.0, TopologyEdit(kind="remove_robot", robot_id=3)),
+            (200.25, TopologyEdit(kind="remove_edge", robot_id=1, operator_ids=(1,))),
+            (300.0, TopologyEdit(kind="add_edge", robot_id=1, operator_ids=(1,))),
+        ],
+        [(400.5, TopologyEdit(kind="add_robot", robot_id=4, position=(1.0, 1.0)))],
+    ],
+    ids=["remove_and_reconnect", "add_robot"],
+)
+def test_topology_edits_match_per_step(edits, tmp_path):
+    script = dataclasses.replace(builtin_script("s1"), record_trajectory=True)
+    assert_same_records(script, tmp_path, edits=edits)

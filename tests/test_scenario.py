@@ -122,11 +122,20 @@ class TestSerialization:
         with pytest.raises(ConfigurationError):
             builtin_script("s9")
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0, 0.0])
+    # 0.01 is shorter than one 0.05 s step, so the run would hold one cycle.
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0, 0.0, 0.01])
     def test_bad_duration_rejected(self, value):
         data = builtin_script("s3").to_dict()
         data["duration_s"] = value
         with pytest.raises(ConfigurationError, match="duration_s"):
+            ScenarioScript.from_dict(data)
+
+    # A NaN duration would act as a step and an infinite one would never move.
+    @pytest.mark.parametrize("duration", [math.nan, math.inf, -math.inf, 0.0, -2.0])
+    def test_ramp_duration_must_be_finite_and_positive(self, duration):
+        data = builtin_script("s1").to_dict()
+        data["events"][-1]["profile"]["duration"] = duration
+        with pytest.raises(ConfigurationError, match="ramp profile needs a finite positive"):
             ScenarioScript.from_dict(data)
 
     @pytest.mark.parametrize(
