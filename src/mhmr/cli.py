@@ -118,8 +118,8 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _run_sweep_worker(data: dict) -> RunRecord:
-    return run_scenario(ScenarioScript.from_dict(data))
+def _run_sweep_worker(data: dict, base_dir: Path) -> RunRecord:
+    return run_scenario(ScenarioScript.from_dict(data), base_dir=base_dir)
 
 
 def _cmd_sweep(args) -> int:
@@ -140,14 +140,21 @@ def _cmd_sweep(args) -> int:
     outroot = Path(args.out) if args.out else _default_out(f"{script.name}_sweep_{args.axis}")
 
     scripts = sweep_scripts(script, args.axis, values)
+    base_dir = Path(args.script).parent
     jobs = max(1, args.jobs)
     if jobs > 1:
         # Runs are independent and deterministic, so parallel execution
         # gives the same records as the sequential path.
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_run_sweep_worker, [s.to_dict() for s in scripts]))
+            records = list(
+                pool.map(
+                    _run_sweep_worker,
+                    [s.to_dict() for s in scripts],
+                    [base_dir] * len(scripts),
+                )
+            )
     else:
-        records = [run_scenario(s) for s in scripts]
+        records = [run_scenario(s, base_dir=base_dir) for s in scripts]
     for record in records:
         record.write(outroot / record.summary["name"])
 

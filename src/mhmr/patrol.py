@@ -10,7 +10,6 @@ following; laps touched by a region change are marked transitional.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -99,23 +98,191 @@ def _arc_of_point(region: Rect, point: Sequence[float]) -> float:
     return 2 * w + h + (region.y_max - py)
 
 
-@dataclass
+class PatrolFleet:
+    """Patrol state of several robots, one array entry per robot.
+
+    ``robots[i]`` is a :class:`RobotKinematicState` view of robot ``i``.
+    ``arc``, ``lap_progress`` and ``time`` are columns of one ``motion``
+    array, so that one addition advances all three.  A robot that has moved
+    along its perimeter since its position was last stored is ``stale``: its
+    position is ``_arc_point(region, arc)``, computed only when read.
+    ``v_req`` is each robot's lap-time velocity cap, which the fleet's owner
+    keeps up to date on region changes.
+    """
+
+    #: Arrays with one row per robot.
+    _PER_ROBOT = (
+        "position", "motion", "lap_start_time", "perimeter", "v_req",
+        "stale", "has_region", "in_transit", "transitional",
+    )
+
+    def __init__(self, positions: Sequence[Sequence[float]] = ()):
+        n = len(positions)
+        self.position = np.array(positions, dtype=float).reshape(n, 2)
+        self.motion = np.zeros((n, 3))
+        self.lap_start_time = np.zeros(n)
+        self.perimeter = np.zeros(n)
+        self.v_req = np.zeros(n)
+        self.stale = np.zeros(n, dtype=bool)
+        self.has_region = np.zeros(n, dtype=bool)
+        self.in_transit = np.zeros(n, dtype=bool)
+        self.transitional = np.zeros(n, dtype=bool)
+        self.regions: list[Optional[Rect]] = [None] * n
+        self.lap_times: list[list[float]] = [[] for _ in range(n)]
+        self.lap_transitional: list[list[bool]] = [[] for _ in range(n)]
+        self.robots = [RobotKinematicState._view(self, i) for i in range(n)]
+        self._bind_columns()
+
+    def _bind_columns(self) -> None:
+        motion = self.motion
+        self.arc, self.lap_progress, self.time = motion[:, 0], motion[:, 1], motion[:, 2]
+        # Step masks (see _set_velocities), built on the first step.
+        self._v: Optional[np.ndarray] = None
+        self._dt = 0.0
+        self._sign_key: Optional[bytes] = None
+        self._invalidate()
+
+    def __len__(self) -> int:
+        return len(self.robots)
+
+    def add(self, position: Sequence[float]) -> "RobotKinematicState":
+        """Append a robot with no region and its clock at 0."""
+        for name in self._PER_ROBOT:
+            value = getattr(self, name)
+            row = np.zeros((1,) + value.shape[1:], value.dtype)
+            setattr(self, name, np.concatenate([value, row]))
+        self.position[-1] = position
+        self.regions.append(None)
+        self.lap_times.append([])
+        self.lap_transitional.append([])
+        self.robots.append(RobotKinematicState._view(self, len(self.robots)))
+        self._bind_columns()
+        return self.robots[-1]
+
+    def _invalidate(self) -> None:
+        """Drop the step masks; :func:`step_all` rebuilds them."""
+        self._limit: Optional[np.ndarray] = None
+
+    def _set_velocities(self, v: np.ndarray, dt: float) -> None:
+        """Make ``v * dt`` (and ``dt`` for the clock) what :func:`step_all`
+        adds to ``motion``; drop the step masks if the set of robots with
+        ``v > 0`` changed."""
+        if len(v) != len(self):
+            raise ConfigurationError(f"{len(v)} velocities for {len(self)} robots")
+        if dt <= 0:
+            raise ConfigurationError("dt must be positive")
+        sign_key = np.sign(v).tobytes()
+        if sign_key != self._sign_key:
+            if not (v >= 0).all():
+                raise ConfigurationError("velocity must be non-negative")
+            self._moving = v > 0
+            self._sign_key = sign_key
+            self._invalidate()
+        self._advance = advance = np.empty((len(v), 3))
+        np.multiply(v, dt, out=advance[:, 0])
+        advance[:, 1] = advance[:, 0]
+        advance[:, 2] = dt
+        self._v, self._dt = v, dt
+
+    def _build_step_masks(self) -> None:
+        """The lap limit and arc modulus of each robot for :func:`step_all`.
+
+        A still robot only advances its clock (it covers ``0 * dt``), and
+        neither its limit nor its modulus binds.  A moving robot in transit
+        or without a region has limit ``-inf``, so it never takes the array
+        path.
+        """
+        moving = self._moving
+        self._go = go = moving & (self.has_region > self.in_transit)
+        self._mod = np.where(go, self.perimeter, np.inf)
+        self._limit = self._mod.copy()
+        self._limit[moving > go] = -np.inf
+
+    def _refresh(self, i: int) -> None:
+        """Store robot ``i``'s position if it is stale."""
+        if self.stale[i]:
+            self.position[i] = _arc_point(self.regions[i], float(self.arc[i]))
+            self.stale[i] = False
+
+    def positions(self) -> np.ndarray:
+        """``(n, 2)`` positions of every robot, valid until the next step."""
+        stale = self.stale.nonzero()[0]
+        if stale.size:
+            arcs = self.arc[stale].tolist()
+            points = [_arc_point(self.regions[i], s) for i, s in zip(stale.tolist(), arcs)]
+            self.position[stale] = points
+            self.stale.fill(False)
+        return self.position
+
+
+def _array_field(name: str, invalidates: bool = False) -> property:
+    def get(self):
+        return getattr(self.fleet, name).item(self.index)
+
+    def set(self, value):
+        getattr(self.fleet, name)[self.index] = value
+        if invalidates:
+            self.fleet._invalidate()
+
+    return property(get, set)
+
+
 class RobotKinematicState:
-    """Mutable per-robot simulation state."""
+    """Mutable per-robot simulation state: a view of one robot of a
+    :class:`PatrolFleet`.  ``RobotKinematicState(position=...)`` is a
+    fleet of one robot."""
 
-    position: np.ndarray
-    region: Optional[Rect] = None
-    arc: float = 0.0
-    lap_progress: float = 0.0
-    lap_start_time: float = 0.0
-    time: float = 0.0
-    in_transit: bool = False
-    transitional: bool = False
-    lap_times: list[float] = field(default_factory=list)
-    lap_transitional: list[bool] = field(default_factory=list)
+    __slots__ = ("fleet", "index")
 
-    def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=float).copy()
+    def __init__(self, position: Sequence[float]):
+        self.fleet = PatrolFleet([position])
+        self.index = 0
+        self.fleet.robots[0] = self
+
+    @classmethod
+    def _view(cls, fleet: PatrolFleet, index: int) -> "RobotKinematicState":
+        view = cls.__new__(cls)
+        view.fleet = fleet
+        view.index = index
+        return view
+
+    arc = _array_field("arc")
+    lap_progress = _array_field("lap_progress")
+    lap_start_time = _array_field("lap_start_time")
+    time = _array_field("time")
+    transitional = _array_field("transitional")
+    in_transit = _array_field("in_transit", invalidates=True)
+
+    @property
+    def position(self) -> np.ndarray:
+        self.fleet._refresh(self.index)
+        return self.fleet.position[self.index].copy()
+
+    @position.setter
+    def position(self, value: Sequence[float]) -> None:
+        self.fleet.position[self.index] = value
+        self.fleet.stale[self.index] = False
+
+    @property
+    def region(self) -> Optional[Rect]:
+        return self.fleet.regions[self.index]
+
+    @region.setter
+    def region(self, region: Optional[Rect]) -> None:
+        fleet, i = self.fleet, self.index
+        fleet._refresh(i)  # a stale position lies on the old perimeter
+        fleet.regions[i] = region
+        fleet.has_region[i] = region is not None
+        fleet.perimeter[i] = 0.0 if region is None else perimeter(region)
+        fleet._invalidate()
+
+    @property
+    def lap_times(self) -> list[float]:
+        return self.fleet.lap_times[self.index]
+
+    @property
+    def lap_transitional(self) -> list[bool]:
+        return self.fleet.lap_transitional[self.index]
 
 
 def _same_region(a: Optional[Rect], b: Optional[Rect]) -> bool:
@@ -129,26 +296,29 @@ def _same_region(a: Optional[Rect], b: Optional[Rect]) -> bool:
     )
 
 
-def assign_region(state: RobotKinematicState, region: Optional[Rect]) -> None:
-    """Point the robot at a (possibly changed) region.
+def assign_region(state: RobotKinematicState, region: Optional[Rect]) -> bool:
+    """Point the robot at a (possibly changed) region; True if it changed.
 
     A meaningful change marks the current lap transitional and, if the
     robot is off the new perimeter, switches it into straight-line transit.
     """
-    if _same_region(state.region, region):
-        return
-    had_region = state.region is not None
+    old = state.region
+    if _same_region(old, region):
+        return False
     state.region = region
-    state.transitional = state.transitional or had_region
+    if old is not None:
+        state.transitional = True
     if region is None:
         state.in_transit = False
-        return
-    if boundary_distance(state.position, region) > ON_PERIMETER_TOL:
+        return True
+    position = state.position
+    if boundary_distance(position, region) > ON_PERIMETER_TOL:
         state.in_transit = True
         state.transitional = True
     else:
         state.in_transit = False
-        state.arc = _arc_of_point(region, state.position)
+        state.arc = _arc_of_point(region, position)
+    return True
 
 
 def step_robot(state: RobotKinematicState, v: float, dt: float) -> RobotKinematicState:
@@ -163,45 +333,80 @@ def step_robot(state: RobotKinematicState, v: float, dt: float) -> RobotKinemati
         raise ConfigurationError("velocity must be non-negative")
     if dt <= 0:
         raise ConfigurationError("dt must be positive")
-    t_end = state.time + dt
-    if state.region is None or v == 0.0:
+    clock = state.time
+    t_end = clock + dt
+    region = state.region
+    if region is None or v == 0.0:
         state.time = t_end
         return state
 
     budget = v * dt  # distance available this step
-    clock = state.time
     if state.in_transit:
-        target = np.asarray(nearest_boundary_point(state.position, state.region))
-        gap = float(math.hypot(*(target - state.position)))
+        px, py = state.position.tolist()
+        tx, ty = nearest_boundary_point((px, py), region)
+        dx, dy = tx - px, ty - py
+        gap = math.hypot(dx, dy)
         if budget < gap:
-            state.position += (target - state.position) * (budget / gap)
+            scale = budget / gap
+            state.position = (px + dx * scale, py + dy * scale)
             state.time = t_end
             return state
-        state.position = target.copy()
-        clock += float(gap / v) if v > 0 else 0.0
+        state.position = (tx, ty)
+        clock += gap / v if v > 0 else 0.0
         budget -= gap
         state.in_transit = False
-        state.arc = _arc_of_point(state.region, state.position)
+        state.arc = _arc_of_point(region, (tx, ty))
 
-    p = perimeter(state.region)
+    p = perimeter(region)
+    arc, progress = state.arc, state.lap_progress
     while budget > 0.0:
-        room = p - state.lap_progress
+        room = p - progress
         if budget < room:
-            state.arc = (state.arc + budget) % p
-            state.lap_progress += budget
+            arc = (arc + budget) % p
+            progress += budget
             budget = 0.0
         else:
-            state.arc = (state.arc + room) % p
+            arc = (arc + room) % p
             clock += room / v
             state.lap_times.append(clock - state.lap_start_time)
             state.lap_transitional.append(state.transitional)
             state.lap_start_time = clock
-            state.lap_progress = 0.0
+            progress = 0.0
             state.transitional = False
             budget -= room
-    state.position = np.asarray(_arc_point(state.region, state.arc))
+    state.arc, state.lap_progress = arc, progress
+    state.position = _arc_point(region, arc)
     state.time = t_end
     return state
+
+
+def step_all(fleet: PatrolFleet, v: np.ndarray, dt: float) -> None:
+    """Advance every robot of ``fleet`` one step; robot ``i`` moves at ``v[i]``.
+
+    Gives the same bits as ``step_robot(fleet.robots[i], v[i], dt)`` for
+    every robot.  Robots that stand still, and robots on their perimeter
+    that complete no lap this step, move together in a few array
+    operations; a moving robot in transit or completing a lap takes the
+    scalar path of :func:`step_robot`.  ``v`` is read again only when a
+    different array (or ``dt``) is passed, so it must not be modified in
+    place between steps.
+    """
+    if v is not fleet._v or dt != fleet._dt:
+        fleet._set_velocities(v, dt)
+    if fleet._limit is None:
+        fleet._build_step_masks()
+    fast = fleet._advance[:, 0] < fleet._limit - fleet.lap_progress
+    slow = (~fast).nonzero()[0]
+    before = fleet.motion[slow] if slow.size else None
+    fleet.motion += fleet._advance
+    np.remainder(fleet.arc, fleet._mod, out=fleet.arc)
+    fleet.stale |= fleet._go
+    if before is not None:
+        # The scalar path starts from the state before this step, and stores
+        # the positions it moves to.
+        fleet.motion[slow] = before
+        for i in slow.tolist():
+            step_robot(fleet.robots[i], float(v[i]), dt)
 
 
 def system_patrol_time(

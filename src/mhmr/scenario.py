@@ -24,12 +24,12 @@ from .errors import ConfigurationError, MhmrError, NoCapableAgentError
 from .geometry import GlobalWorkspace, partition_from_workload
 from .metrics import ScriptedTrace, StressTrace, load_stress_trace, stress_to_condition
 from .patrol import (
+    PatrolFleet,
     RobotKinematicState,
     able_velocity,
     assign_region,
-    commanded_velocity,
     required_velocity,
-    step_robot,
+    step_all,
     system_patrol_time,
 )
 from .team import ConditionSnapshot, TeamTopology, WorkloadVector
@@ -542,13 +542,12 @@ class ScenarioRunner:
         self.disconnected: set[int] = set()
 
         self.positions = self._initial_positions()
+        self.fleet: Optional[PatrolFleet] = None
         self.robots: list[RobotKinematicState] = []
         if script.mode == "full-sim":
-            partition = partition_from_workload(self.workspace, self._sigma_vector())
-            for i, rid in enumerate(self.topology.robot_ids):
-                state = RobotKinematicState(position=self.positions[i])
-                assign_region(state, partition.regions[i])
-                self.robots.append(state)
+            self.fleet = PatrolFleet(self.positions)
+            self.robots = self.fleet.robots
+            self._assign_regions()
 
         self.record = RunRecord(script=script, robot_ids=self.topology.robot_ids)
         self._streak = 0
@@ -556,9 +555,10 @@ class ScenarioRunner:
         self._initial_error: Optional[float] = None
         self._allocation_errors = 0
         self._traj_every = max(1, int(round(0.5 / self.dt)))
-        # Commanded velocities of the last condition evaluation, valid for
-        # steps before ``_step_v_until``.
-        self._step_v: list[float] = []
+        # Commanded velocities of the last condition evaluation (made at step
+        # ``_step_v_step``), valid for steps before ``_step_v_until``.
+        self._step_v = np.zeros(0)
+        self._step_v_step = -1
         self._step_v_until = -math.inf
 
     # -- helpers ------------------------------------------------------------
@@ -611,9 +611,9 @@ class ScenarioRunner:
             timestamp=self.cycle_index,
         )
 
-    def _current_positions(self) -> list[np.ndarray]:
+    def _current_positions(self) -> Sequence[Sequence[float]]:
         if self.robots:
-            return [r.position for r in self.robots]
+            return self.fleet.positions()
         return self.positions
 
     def _kappas(self, snapshot: ConditionSnapshot) -> list[float]:
@@ -622,6 +622,19 @@ class ScenarioRunner:
             v_able = able_velocity(snapshot, self.topology, rid, 1.0)
             kappas.append(0.0 if rid in self.forced_failed else v_able)
         return kappas
+
+    def _velocities(self, kappa: Sequence[float]) -> np.ndarray:
+        """Each robot moves at whichever limit binds first: its condition,
+        ``kappa * v_max`` (the bits of ``able_velocity(..., v_max)``), or its
+        lap-time requirement ``v_req``."""
+        return np.minimum(np.multiply(kappa, self.params.v_max), self.fleet.v_req)
+
+    def _assign_regions(self) -> None:
+        partition = partition_from_workload(self.workspace, self._sigma_vector())
+        v_req, tau_star, v_max = self.fleet.v_req, self.params.tau_star, self.params.v_max
+        for i, (state, region) in enumerate(zip(self.robots, partition.regions)):
+            if assign_region(state, region):
+                v_req[i] = required_velocity(region, tau_star, v_max)
 
     # -- core loop ----------------------------------------------------------
 
@@ -663,12 +676,11 @@ class ScenarioRunner:
 
         velocities = [0.0] * self.topology.m
         if self.robots:
-            partition = partition_from_workload(self.workspace, self._sigma_vector())
-            for i, state in enumerate(self.robots):
-                assign_region(state, partition.regions[i])
-            velocities = self._velocities(snapshot)
-            self._step_v = velocities
+            self._assign_regions()
+            self._step_v = self._velocities(kappa)
+            self._step_v_step = self.step_index
             self._step_v_until = self._conditions_until(t)
+            velocities = self._step_v.tolist()
 
         self.record.cycles.append(
             CycleRow(
@@ -686,42 +698,23 @@ class ScenarioRunner:
         )
         self.cycle_index += 1
 
-    def _velocities(self, snapshot: ConditionSnapshot) -> list[float]:
-        velocities = []
-        for i, rid in enumerate(self.topology.robot_ids):
-            if rid in self.forced_failed:
-                velocities.append(0.0)
-                continue
-            v_able = able_velocity(snapshot, self.topology, rid, self.params.v_max)
-            v_req = required_velocity(
-                self.robots[i].region, self.params.tau_star, self.params.v_max
-            )
-            velocities.append(commanded_velocity(v_able, v_req))
-        return velocities
-
     def _conditions_until(self, t: float) -> float:
         """A time before which no condition timeline changes its value."""
         return min((tl.constant_until(t) for tl in self._timelines.values()), default=math.inf)
 
     def _step_robots(self, t: float) -> None:
-        if t + BREAKPOINT_TOL >= self._step_v_until:
-            self._step_v = self._velocities(self.snapshot_at(t))
+        if self.step_index != self._step_v_step and t + BREAKPOINT_TOL >= self._step_v_until:
+            self._step_v = self._velocities(self._kappas(self.snapshot_at(t)))
+            self._step_v_step = self.step_index
             self._step_v_until = self._conditions_until(t)
-        velocities = self._step_v
-        for i, state in enumerate(self.robots):
-            step_robot(state, velocities[i], self.dt)
+        step_all(self.fleet, self._step_v, self.dt)
         if self.script.record_trajectory and self.step_index % self._traj_every == 0:
-            for i, rid in enumerate(self.topology.robot_ids):
-                state = self.robots[i]
-                self.record.trajectory.append(
-                    TrajectoryRow(
-                        time_s=t,
-                        robot_id=rid,
-                        x=float(state.position[0]),
-                        y=float(state.position[1]),
-                        v=velocities[i],
-                    )
-                )
+            rows = zip(
+                self.topology.robot_ids, self.fleet.positions().tolist(), self._step_v.tolist()
+            )
+            self.record.trajectory.extend(
+                TrajectoryRow(time_s=t, robot_id=rid, x=x, y=y, v=v) for rid, (x, y), v in rows
+            )
 
     def run_until(self, t_stop: float) -> None:
         """Advance the clock up to (and including) ``t_stop``."""
@@ -770,7 +763,7 @@ class ScenarioRunner:
             )
             self.positions.append(pos)
             if self.robots:
-                self.robots.append(RobotKinematicState(position=pos))
+                self.fleet.add(pos)
             self.record.robot_ids = self.topology.robot_ids
         elif edit.kind == "remove_robot":
             if edit.robot_id not in t.robot_ids:

@@ -247,6 +247,21 @@ class TestSweep:
         rows = (out / "sweep_summary.csv").read_text().splitlines()
         assert len(rows) == 2  # header plus the ungated value only
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_trace_path_relative_to_script(self, tmp_path, capsys, monkeypatch, jobs):
+        # Run from the parent directory: trace paths resolve against the
+        # script's directory, as for ``run`` and ``validate``.
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        rows = ["time_s,stress"] + [f"{i},{i % 2}" for i in range(20)]
+        (sub / "op.csv").write_text("\n".join(rows) + "\n")
+        path = write_script(sub, stress_trace_script("op.csv"))
+        monkeypatch.chdir(tmp_path)
+        argv = ["sweep", "--script", str(path.relative_to(tmp_path)), "--axis", "K",
+                "--values", "1,5", "--out", "sweep", "--jobs", jobs]
+        assert main(argv) == 0
+        assert len((tmp_path / "sweep" / "sweep_summary.csv").read_text().splitlines()) == 3
+
     def test_all_values_gated_errors(self, s3_script, capsys):
         code = main(
             ["sweep", "--script", str(s3_script), "--axis", "m", "--values", "999"]

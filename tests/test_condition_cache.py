@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mhmr.patrol import step_robot
+from mhmr.patrol import able_velocity, commanded_velocity, required_velocity, step_robot
 from mhmr.scenario import (
     BREAKPOINT_TOL,
     Event,
@@ -34,11 +34,21 @@ LEVELS = ("low", "medium", "high")
 
 
 class PerStepRunner(ScenarioRunner):
-    """Reference: snapshot and velocities evaluated on every step."""
+    """Reference: snapshot and velocities evaluated on every step, each
+    robot stepped on its own by ``step_robot``."""
 
     def _step_robots(self, t: float) -> None:
         snapshot = self.snapshot_at(t)
-        velocities = self._velocities(snapshot)
+        velocities = []
+        for i, rid in enumerate(self.topology.robot_ids):
+            if rid in self.forced_failed:
+                velocities.append(0.0)
+                continue
+            v_able = able_velocity(snapshot, self.topology, rid, self.params.v_max)
+            v_req = required_velocity(
+                self.robots[i].region, self.params.tau_star, self.params.v_max
+            )
+            velocities.append(commanded_velocity(v_able, v_req))
         for i, state in enumerate(self.robots):
             step_robot(state, velocities[i], self.dt)
         if self.script.record_trajectory and self.step_index % self._traj_every == 0:
@@ -188,6 +198,25 @@ def test_builtin_full_sim_matches_per_step(name, tmp_path):
     script = dataclasses.replace(builtin_script(name), record_trajectory=True)
     files = assert_same_records(script, tmp_path)
     assert "trajectory.csv" in files
+
+
+class CountingRunner(ScenarioRunner):
+    def __init__(self, *args, **kwargs):
+        self.snapshots = 0
+        super().__init__(*args, **kwargs)
+
+    def snapshot_at(self, t):
+        self.snapshots += 1
+        return super().snapshot_at(t)
+
+
+def test_cycle_step_evaluates_conditions_once():
+    # s1 has 1 401 cycles; its ramp runs for 70 s, so the 1 400 steps of the
+    # ramp evaluate the conditions, and the 140 of them that are cycle steps
+    # reuse the cycle's snapshot instead of taking a second one.
+    runner = CountingRunner(builtin_script("s1"))
+    runner.run()
+    assert runner.snapshots == 1401 + 1400 - 140
 
 
 def stress_patrol_script(m, trace_dir, period, duration_s=60.0):

@@ -2,15 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mhmr.errors import ConfigurationError
 from mhmr.geometry import Rect, boundary_distance, perimeter
 from mhmr.patrol import (
+    PatrolFleet,
     RobotKinematicState,
     able_velocity,
     assign_region,
     commanded_velocity,
     required_velocity,
+    step_all,
     step_robot,
     system_patrol_time,
 )
@@ -152,6 +156,103 @@ class TestStepRobot:
             step_robot(state, -0.1, 0.05)
         with pytest.raises(ConfigurationError):
             step_robot(state, 0.5, 0.0)
+
+
+# Regions share edges, one is small enough for several laps per step, and one
+# differs from another by less than the region-change tolerance.
+REGIONS = (
+    None,
+    Rect(0.0, 0.0, 4.0, 3.0),
+    Rect(4.0, 0.0, 4.0, 3.0),
+    Rect(0.0, 0.0, 4.0 + 5e-7, 3.0),
+    Rect(1.0, 1.0, 0.1, 0.05),
+    Rect(-3.0, 2.0, 2.0, 6.0),
+)
+START_POINTS = ((0.0, 0.0), (4.0, 1.2), (2.0, 1.5), (-1.0, -1.0), (1.05, 1.0), (9.0, 2.0))
+speeds = st.one_of(st.sampled_from([0.0, 0.05, 0.8, 3.0, 25.0]), st.floats(0.0, 30.0))
+robots_spec = st.lists(
+    st.tuples(st.sampled_from(START_POINTS), st.integers(0, len(REGIONS) - 1)),
+    min_size=1,
+    max_size=6,
+)
+# ("step", speeds, dt, reuse the previous velocity array, which position to
+# read afterwards: None, -1 for all, or one robot) or ("assign", robot, region).
+step_op = st.tuples(
+    st.just("step"),
+    st.lists(speeds, min_size=6, max_size=6),
+    st.sampled_from([0.05, 0.25]),
+    st.booleans(),
+    st.one_of(st.none(), st.integers(-1, 5)),
+)
+assign_op = st.tuples(st.just("assign"), st.integers(0, 5), st.integers(0, len(REGIONS) - 1))
+
+
+def assert_same_state(fleet, reference):
+    for view, ref in zip(fleet.robots, reference):
+        assert (view.arc, view.lap_progress, view.time, view.lap_start_time) == (
+            ref.arc, ref.lap_progress, ref.time, ref.lap_start_time
+        )
+        assert (view.region, view.in_transit, view.transitional) == (
+            ref.region, ref.in_transit, ref.transitional
+        )
+        assert view.lap_times == ref.lap_times
+        assert view.lap_transitional == ref.lap_transitional
+
+
+class TestStepAll:
+    @settings(max_examples=300, deadline=None)
+    @given(robots_spec, st.lists(st.one_of(step_op, assign_op), max_size=40))
+    def test_matches_step_robot_loop(self, robots, ops):
+        fleet = PatrolFleet([point for point, _ in robots])
+        reference = [RobotKinematicState(position=point) for point, _ in robots]
+        for (_, region), view, ref in zip(robots, fleet.robots, reference):
+            assign_region(view, REGIONS[region])
+            assign_region(ref, REGIONS[region])
+        n = len(robots)
+        v = None
+        for op in ops:
+            if op[0] == "assign":
+                _, i, region = op
+                assert assign_region(fleet.robots[i % n], REGIONS[region]) == assign_region(
+                    reference[i % n], REGIONS[region]
+                )
+            else:
+                _, speeds_, dt, reuse, read = op
+                if v is None or not reuse:
+                    v = np.array(speeds_[:n])
+                step_all(fleet, v, dt)
+                for state, speed in zip(reference, v.tolist()):
+                    step_robot(state, speed, dt)
+                if read == -1:
+                    positions = fleet.positions().tolist()
+                    assert positions == [ref.position.tolist() for ref in reference]
+                elif read is not None and read < n:
+                    assert fleet.robots[read].position.tolist() == reference[read].position.tolist()
+            assert_same_state(fleet, reference)
+        assert fleet.positions().tolist() == [ref.position.tolist() for ref in reference]
+
+    def test_added_robot_starts_its_clock_at_zero(self):
+        fleet = PatrolFleet()
+        step_all(fleet, np.zeros(0), 0.05)
+        assign_region(fleet.add((0.0, 0.0)), REGIONS[1])
+        v = np.array([0.8])
+        for _ in range(10):
+            step_all(fleet, v, 0.05)
+        added = fleet.add((9.0, 2.0))
+        assert added is fleet.robots[1] and added.time == 0.0 and added.region is None
+        assign_region(added, REGIONS[2])
+        assert added.in_transit
+        step_all(fleet, np.array([0.8, 0.8]), 0.05)
+        assert added.time == 0.05
+
+    def test_rejects_bad_arguments(self):
+        fleet = PatrolFleet([(0.0, 0.0), (1.0, 0.0)])
+        with pytest.raises(ConfigurationError):
+            step_all(fleet, np.array([0.5, -0.1]), 0.05)
+        with pytest.raises(ConfigurationError):
+            step_all(fleet, np.array([0.5]), 0.05)
+        with pytest.raises(ConfigurationError):
+            step_all(fleet, np.array([0.5, 0.5]), 0.0)
 
 
 class TestSystemPatrolTime:
