@@ -103,22 +103,23 @@ class PatrolFleet:
 
     ``robots[i]`` is a :class:`RobotKinematicState` view of robot ``i``.
     ``arc``, ``lap_progress`` and ``time`` are columns of one ``motion``
-    array, so that one addition advances all three.  A robot that has moved
-    along its perimeter since its position was last stored is ``stale``: its
-    position is ``_arc_point(region, arc)``, computed only when read.
+    array, so that one addition advances all three.  ``position`` is a list
+    of ``(x, y)`` tuples.  A robot that has moved along its perimeter since
+    its position was last stored is ``stale``: its position is
+    ``_arc_point(region, arc)``, computed only when read.
     ``v_req`` is each robot's lap-time velocity cap, which the fleet's owner
     keeps up to date on region changes.
     """
 
     #: Arrays with one row per robot.
     _PER_ROBOT = (
-        "position", "motion", "lap_start_time", "perimeter", "v_req",
+        "motion", "lap_start_time", "perimeter", "v_req",
         "stale", "has_region", "in_transit", "transitional",
     )
 
     def __init__(self, positions: Sequence[Sequence[float]] = ()):
         n = len(positions)
-        self.position = np.array(positions, dtype=float).reshape(n, 2)
+        self.position = [(float(x), float(y)) for x, y in positions]
         self.motion = np.zeros((n, 3))
         self.lap_start_time = np.zeros(n)
         self.perimeter = np.zeros(n)
@@ -136,10 +137,10 @@ class PatrolFleet:
     def _bind_columns(self) -> None:
         motion = self.motion
         self.arc, self.lap_progress, self.time = motion[:, 0], motion[:, 1], motion[:, 2]
-        # Step masks (see _set_velocities), built on the first step.
+        # Step velocities and masks (see _set_velocities), set on the first step.
         self._v: Optional[np.ndarray] = None
         self._dt = 0.0
-        self._sign_key: Optional[bytes] = None
+        self._moving = b""
         self._invalidate()
 
     def __len__(self) -> int:
@@ -151,7 +152,7 @@ class PatrolFleet:
             value = getattr(self, name)
             row = np.zeros((1,) + value.shape[1:], value.dtype)
             setattr(self, name, np.concatenate([value, row]))
-        self.position[-1] = position
+        self.position.append((float(position[0]), float(position[1])))
         self.regions.append(None)
         self.lap_times.append([])
         self.lap_transitional.append([])
@@ -164,54 +165,58 @@ class PatrolFleet:
         self._limit: Optional[np.ndarray] = None
 
     def _set_velocities(self, v: np.ndarray, dt: float) -> None:
-        """Make ``v * dt`` (and ``dt`` for the clock) what :func:`step_all`
-        adds to ``motion``; drop the step masks if the set of robots with
-        ``v > 0`` changed."""
+        """Step every robot ``i`` at ``v[i]`` from now on.
+
+        The step masks depend on which robots move, not on how fast, so a
+        new array that moves the same robots only refills ``_advance``.
+        """
         if len(v) != len(self):
             raise ConfigurationError(f"{len(v)} velocities for {len(self)} robots")
         if dt <= 0:
             raise ConfigurationError("dt must be positive")
-        sign_key = np.sign(v).tobytes()
-        if sign_key != self._sign_key:
-            if not (v >= 0).all():
-                raise ConfigurationError("velocity must be non-negative")
-            self._moving = v > 0
-            self._sign_key = sign_key
-            self._invalidate()
-        self._advance = advance = np.empty((len(v), 3))
-        np.multiply(v, dt, out=advance[:, 0])
-        advance[:, 1] = advance[:, 0]
-        advance[:, 2] = dt
-        self._v, self._dt = v, dt
+        if min(v.tolist(), default=0.0) < 0:
+            raise ConfigurationError("velocity must be non-negative")
+        moving = (v > 0).tobytes()
+        if self._limit is None or moving != self._moving or dt != self._dt:
+            self._build_step_masks(v, dt)
+        else:
+            self._fill_advance(v, dt)
+        self._v, self._dt, self._moving = v, dt, moving
 
-    def _build_step_masks(self) -> None:
-        """The lap limit and arc modulus of each robot for :func:`step_all`.
+    def _build_step_masks(self, v: np.ndarray, dt: float) -> None:
+        """What :func:`step_all` adds to ``motion`` and compares with.
 
-        A still robot only advances its clock (it covers ``0 * dt``), and
-        neither its limit nor its modulus binds.  A moving robot in transit
-        or without a region has limit ``-inf``, so it never takes the array
-        path.
+        A robot that moves along its perimeter advances by ``[v * dt,
+        v * dt, dt]``, and its lap limit and arc modulus is its perimeter.
+        Every other robot (``_scalar``) advances by zero with limit ``inf``,
+        and takes the scalar path.
         """
-        moving = self._moving
-        self._go = go = moving & (self.has_region > self.in_transit)
-        self._mod = np.where(go, self.perimeter, np.inf)
-        self._limit = self._mod.copy()
-        self._limit[moving > go] = -np.inf
+        self._go = go = (v > 0) & (self.has_region > self.in_transit)
+        self._scalar = (~go).nonzero()[0].tolist()
+        self._advance = np.multiply.outer(go, (0.0, 0.0, dt))
+        self._fill_advance(v, dt)
+        self._limit = np.where(go, self.perimeter, np.inf)
+
+    def _fill_advance(self, v: np.ndarray, dt: float) -> None:
+        """Put ``v * dt`` of each robot on the array path into the arc and
+        lap-progress columns of ``_advance``."""
+        budget = self._advance[:, 0]
+        np.multiply(v, dt, out=budget)
+        for i in self._scalar:
+            budget[i] = 0.0
+        self._advance[:, 1] = budget
 
     def _refresh(self, i: int) -> None:
         """Store robot ``i``'s position if it is stale."""
         if self.stale[i]:
-            self.position[i] = _arc_point(self.regions[i], float(self.arc[i]))
+            self.position[i] = _arc_point(self.regions[i], self.arc.item(i))
             self.stale[i] = False
 
-    def positions(self) -> np.ndarray:
-        """``(n, 2)`` positions of every robot, valid until the next step."""
-        stale = self.stale.nonzero()[0]
-        if stale.size:
-            arcs = self.arc[stale].tolist()
-            points = [_arc_point(self.regions[i], s) for i, s in zip(stale.tolist(), arcs)]
-            self.position[stale] = points
-            self.stale.fill(False)
+    def positions(self) -> list[tuple[float, float]]:
+        """``(x, y)`` of every robot, valid until the next step."""
+        for i in self.stale.nonzero()[0].tolist():
+            self.position[i] = _arc_point(self.regions[i], self.arc.item(i))
+        self.stale.fill(False)
         return self.position
 
 
@@ -256,11 +261,11 @@ class RobotKinematicState:
     @property
     def position(self) -> np.ndarray:
         self.fleet._refresh(self.index)
-        return self.fleet.position[self.index].copy()
+        return np.array(self.fleet.position[self.index])
 
     @position.setter
     def position(self, value: Sequence[float]) -> None:
-        self.fleet.position[self.index] = value
+        self.fleet.position[self.index] = (float(value[0]), float(value[1]))
         self.fleet.stale[self.index] = False
 
     @property
@@ -302,22 +307,23 @@ def assign_region(state: RobotKinematicState, region: Optional[Rect]) -> bool:
     A meaningful change marks the current lap transitional and, if the
     robot is off the new perimeter, switches it into straight-line transit.
     """
-    old = state.region
+    fleet, i = state.fleet, state.index
+    old = fleet.regions[i]
     if _same_region(old, region):
         return False
-    state.region = region
+    state.region = region  # stores the position on the old perimeter first
     if old is not None:
-        state.transitional = True
+        fleet.transitional[i] = True
     if region is None:
-        state.in_transit = False
+        fleet.in_transit[i] = False
         return True
-    position = state.position
+    position = fleet.position[i]
     if boundary_distance(position, region) > ON_PERIMETER_TOL:
-        state.in_transit = True
-        state.transitional = True
+        fleet.in_transit[i] = True
+        fleet.transitional[i] = True
     else:
-        state.in_transit = False
-        state.arc = _arc_of_point(region, position)
+        fleet.in_transit[i] = False
+        fleet.arc[i] = _arc_of_point(region, position)
     return True
 
 
@@ -327,38 +333,41 @@ def step_robot(state: RobotKinematicState, v: float, dt: float) -> RobotKinemati
     Transit distance toward a new perimeter does not count toward the lap
     odometer; a lap completes when the perimeter arc length covered since
     the lap start reaches the current perimeter, with the completion time
-    interpolated inside the step.
+    interpolated inside the step.  A robot that ends the step on its
+    perimeter is left stale: its position is computed when read.
     """
     if v < 0:
         raise ConfigurationError("velocity must be non-negative")
     if dt <= 0:
         raise ConfigurationError("dt must be positive")
-    clock = state.time
-    t_end = clock + dt
-    region = state.region
+    fleet, i = state.fleet, state.index
+    motion = fleet.motion
+    region = fleet.regions[i]
     if region is None or v == 0.0:
-        state.time = t_end
+        motion[i, 2] += dt
         return state
 
+    arc, progress, clock = motion[i].tolist()
+    t_end = clock + dt
     budget = v * dt  # distance available this step
-    if state.in_transit:
-        px, py = state.position.tolist()
+    if fleet.in_transit[i]:
+        fleet._refresh(i)
+        px, py = fleet.position[i]
         tx, ty = nearest_boundary_point((px, py), region)
         dx, dy = tx - px, ty - py
         gap = math.hypot(dx, dy)
         if budget < gap:
             scale = budget / gap
-            state.position = (px + dx * scale, py + dy * scale)
-            state.time = t_end
+            fleet.position[i] = (px + dx * scale, py + dy * scale)
+            motion[i, 2] = t_end
             return state
-        state.position = (tx, ty)
-        clock += gap / v if v > 0 else 0.0
+        clock += gap / v
         budget -= gap
-        state.in_transit = False
-        state.arc = _arc_of_point(region, (tx, ty))
+        fleet.in_transit[i] = False
+        fleet._invalidate()
+        arc = _arc_of_point(region, (tx, ty))
 
-    p = perimeter(region)
-    arc, progress = state.arc, state.lap_progress
+    p = fleet.perimeter.item(i)
     while budget > 0.0:
         room = p - progress
         if budget < room:
@@ -368,15 +377,14 @@ def step_robot(state: RobotKinematicState, v: float, dt: float) -> RobotKinemati
         else:
             arc = (arc + room) % p
             clock += room / v
-            state.lap_times.append(clock - state.lap_start_time)
-            state.lap_transitional.append(state.transitional)
-            state.lap_start_time = clock
+            fleet.lap_times[i].append(clock - fleet.lap_start_time.item(i))
+            fleet.lap_transitional[i].append(fleet.transitional.item(i))
+            fleet.lap_start_time[i] = clock
+            fleet.transitional[i] = False
             progress = 0.0
-            state.transitional = False
             budget -= room
-    state.arc, state.lap_progress = arc, progress
-    state.position = _arc_point(region, arc)
-    state.time = t_end
+    motion[i] = (arc, progress, t_end)
+    fleet.stale[i] = True
     return state
 
 
@@ -384,29 +392,30 @@ def step_all(fleet: PatrolFleet, v: np.ndarray, dt: float) -> None:
     """Advance every robot of ``fleet`` one step; robot ``i`` moves at ``v[i]``.
 
     Gives the same bits as ``step_robot(fleet.robots[i], v[i], dt)`` for
-    every robot.  Robots that stand still, and robots on their perimeter
-    that complete no lap this step, move together in a few array
-    operations; a moving robot in transit or completing a lap takes the
-    scalar path of :func:`step_robot`.  ``v`` is read again only when a
-    different array (or ``dt``) is passed, so it must not be modified in
+    every robot.  Robots that move along their perimeter and complete no
+    lap this step move together in a few array operations; every other
+    robot (still, in transit, without a region or completing a lap) takes
+    the scalar path of :func:`step_robot`.  ``v`` is read again only when
+    a different array (or ``dt``) is passed, so it must not be modified in
     place between steps.
     """
     if v is not fleet._v or dt != fleet._dt:
         fleet._set_velocities(v, dt)
-    if fleet._limit is None:
-        fleet._build_step_masks()
-    fast = fleet._advance[:, 0] < fleet._limit - fleet.lap_progress
-    slow = (~fast).nonzero()[0]
-    before = fleet.motion[slow] if slow.size else None
+    elif fleet._limit is None:
+        fleet._build_step_masks(v, dt)
+    lapping = (fleet._advance[:, 0] >= fleet._limit - fleet.lap_progress).nonzero()[0]
+    if lapping.size:
+        # The scalar path starts from the state before this step.
+        before = fleet.motion[lapping]
     fleet.motion += fleet._advance
-    np.remainder(fleet.arc, fleet._mod, out=fleet.arc)
+    np.remainder(fleet.arc, fleet._limit, out=fleet.arc)
     fleet.stale |= fleet._go
-    if before is not None:
-        # The scalar path starts from the state before this step, and stores
-        # the positions it moves to.
-        fleet.motion[slow] = before
-        for i in slow.tolist():
-            step_robot(fleet.robots[i], float(v[i]), dt)
+    scalar = fleet._scalar
+    if lapping.size:
+        fleet.motion[lapping] = before
+        scalar = scalar + lapping.tolist()
+    for i in scalar:
+        step_robot(fleet.robots[i], v.item(i), dt)
 
 
 def system_patrol_time(

@@ -710,7 +710,7 @@ class ScenarioRunner:
         step_all(self.fleet, self._step_v, self.dt)
         if self.script.record_trajectory and self.step_index % self._traj_every == 0:
             rows = zip(
-                self.topology.robot_ids, self.fleet.positions().tolist(), self._step_v.tolist()
+                self.topology.robot_ids, self.fleet.positions(), self._step_v.tolist()
             )
             self.record.trajectory.extend(
                 TrajectoryRow(time_s=t, robot_id=rid, x=x, y=y, v=v) for rid, (x, y), v in rows

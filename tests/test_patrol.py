@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mhmr import patrol
 from mhmr.errors import ConfigurationError
 from mhmr.geometry import Rect, boundary_distance, perimeter
 from mhmr.patrol import (
@@ -224,12 +225,37 @@ class TestStepAll:
                 for state, speed in zip(reference, v.tolist()):
                     step_robot(state, speed, dt)
                 if read == -1:
-                    positions = fleet.positions().tolist()
-                    assert positions == [ref.position.tolist() for ref in reference]
+                    assert fleet.positions() == [tuple(ref.position.tolist()) for ref in reference]
                 elif read is not None and read < n:
                     assert fleet.robots[read].position.tolist() == reference[read].position.tolist()
             assert_same_state(fleet, reference)
-        assert fleet.positions().tolist() == [ref.position.tolist() for ref in reference]
+        assert fleet.positions() == [tuple(ref.position.tolist()) for ref in reference]
+
+    def test_scalar_path_takes_still_transit_and_lapping_robots(self, monkeypatch):
+        stepped = []
+        scalar_step = patrol.step_robot
+
+        def counted(state, v, dt):
+            stepped.append(state.index)
+            return scalar_step(state, v, dt)
+
+        monkeypatch.setattr(patrol, "step_robot", counted)
+        fleet = PatrolFleet([(0.0, 0.0), (4.0, 1.2), (9.0, 2.0)])
+        for view, region in zip(fleet.robots, (REGIONS[1], REGIONS[2], REGIONS[5])):
+            assign_region(view, region)
+        assert [view.in_transit for view in fleet.robots] == [False, False, True]
+        for speeds, scalar in (
+            ([0.5, 0.5, 0.5], {2}),
+            ([0.5, 0.5, 0.5], {2}),
+            ([0.5, 0.0, 0.5], {1, 2}),
+            ([0.6, 0.0, 0.5], {1, 2}),
+            ([400.0, 0.0, 0.5], {0, 1, 2}),
+            ([0.5, 0.5, 0.0], {2}),
+        ):
+            stepped.clear()
+            step_all(fleet, np.array(speeds), 0.05)
+            assert set(stepped) == scalar and len(stepped) == len(scalar)
+        assert fleet.robots[0].lap_times and fleet.robots[2].in_transit
 
     def test_added_robot_starts_its_clock_at_zero(self):
         fleet = PatrolFleet()
