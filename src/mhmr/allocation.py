@@ -29,28 +29,36 @@ def compute_input_vector(
     minimum of those same metrics.  For an autonomous robot the operator
     terms drop out.  A zero anywhere in a robot's own metric set yields an
     exact 0.0 score.
+
+    The bracket is the correctly rounded sum of the robot's metrics
+    (``math.fsum``), added left to right in arrays: where every addition
+    but a row's last is exact (a zero TwoSum error), that sum is already
+    correctly rounded, and only the other rows go through ``math.fsum``.
     """
-    snapshot.validate_against(topology)
-    scores = np.empty(topology.m, dtype=float)
-    for idx, rid in enumerate(topology.robot_ids):
-        cond = snapshot.robot_condition[rid]
-        perf = snapshot.robot_performance[rid]
-        operators = topology.operators_of(rid)
-        if operators:
-            op_conds = [snapshot.operator_condition[o] for o in operators]
-            gate = min(cond, perf, *op_conds)
-            if gate == 0.0:
-                scores[idx] = 0.0
-            else:
-                bracket = math.fsum([cond, perf, *op_conds])
-                scores[idx] = gate / (len(operators) + 2) * bracket
-        else:
-            gate = min(cond, perf)
-            if gate == 0.0:
-                scores[idx] = 0.0
-            else:
-                scores[idx] = gate / 2.0 * (cond + perf)
-    return scores
+    columns = snapshot.columns(topology)
+    tables = topology.value_tables
+    cond, perf = columns.condition, columns.performance
+    gate = np.minimum(perf, columns.kappa)
+    terms = [perf, *columns.operators.T]
+    bracket, inexact = cond, None
+    # Every addition but the last one of a row must be exact; the last one
+    # of a row with j operators adds terms[j], and zeros follow it.
+    for term, more in zip(terms, tables.more):
+        total = bracket + term
+        rounded = (_two_sum_error(bracket, term, total) != 0.0) & more
+        inexact = rounded if inexact is None else inexact | rounded
+        bracket = total
+    bracket = bracket + terms[-1]
+    for i in inexact.nonzero()[0].tolist():
+        bracket[i] = math.fsum([cond.item(i), *(t.item(i) for t in terms)])
+    # A zero gate gives a zero score; adding 0.0 makes a -0.0 one +0.0.
+    return gate / tables.terms * bracket + 0.0
+
+
+def _two_sum_error(a: np.ndarray, b: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """Exact rounding error of ``total = a + b`` (Knuth's TwoSum)."""
+    b_virtual = total - a
+    return (a - (total - b_virtual)) + (b - b_virtual)
 
 
 def propose_allocation(

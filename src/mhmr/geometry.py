@@ -156,6 +156,37 @@ class WorkspacePartition:
         return areas / total
 
 
+def strips(
+    workspace: GlobalWorkspace, shares: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The strips of :func:`partition_from_workload` as arrays.
+
+    Returns the robot indices with a non-zero share, in order, and the left
+    edge ``x`` and width of each one's strip.  The edges are the cumulative
+    sum of ``[origin x, w1, gap, w2, gap, ...]``, which adds in the order a
+    cursor moving left to right would.
+    """
+    placed = shares.nonzero()[0]
+    count = placed.size
+    if count == 0:
+        raise ConfigurationError("cannot partition: all workload shares are zero")
+    gaps = count - 1
+    usable = workspace.width - gaps * workspace.safety_gap
+    if usable <= 0:
+        raise ConfigurationError(
+            f"infeasible partition: {gaps} gaps of {workspace.safety_gap} m "
+            f"exceed workspace width {workspace.width} m"
+        )
+    width = shares[placed] * usable
+    if np.count_nonzero(width) < count:
+        raise ConfigurationError("rectangle must have positive width and height")
+    steps = np.empty(2 * count - 1)
+    steps.fill(workspace.safety_gap)
+    steps[0] = workspace.origin[0]
+    steps[1::2] = width[:-1]
+    return placed, np.add.accumulate(steps)[::2], width
+
+
 def partition_from_workload(
     workspace: GlobalWorkspace, sigma: WorkloadVector
 ) -> WorkspacePartition:
@@ -165,28 +196,9 @@ def partition_from_workload(
     The safety gap is inserted only between adjacent non-empty strips, so
     share fractions apply to the usable width (total minus gaps).
     """
-    shares = sigma.shares
-    nonzero = int(np.count_nonzero(shares))
-    if nonzero == 0:
-        raise ConfigurationError("cannot partition: all workload shares are zero")
-    gaps = nonzero - 1
-    usable = workspace.width - gaps * workspace.safety_gap
-    if usable <= 0:
-        raise ConfigurationError(
-            f"infeasible partition: {gaps} gaps of {workspace.safety_gap} m "
-            f"exceed workspace width {workspace.width} m"
-        )
-    regions: list[Optional[Rect]] = []
-    cursor = workspace.origin[0]
-    placed = 0
-    for share in shares:
-        if share == 0.0:
-            regions.append(None)
-            continue
-        strip_width = share * usable
-        regions.append(Rect(cursor, workspace.origin[1], strip_width, workspace.height))
-        placed += 1
-        cursor += strip_width
-        if placed < nonzero:
-            cursor += workspace.safety_gap
+    placed, x, width = strips(workspace, sigma.shares)
+    regions: list[Optional[Rect]] = [None] * len(sigma)
+    y, height = workspace.origin[1], workspace.height
+    for i, left, w in zip(placed.tolist(), x.tolist(), width.tolist()):
+        regions[i] = Rect(left, y, w, height)
     return WorkspacePartition(regions=tuple(regions), parent=workspace)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -57,6 +57,8 @@ class StressTrace:
     times: np.ndarray
     values: np.ndarray
     sample_period: float
+    # stressed[k]: number of stressed samples among the first k.
+    stressed: list[int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -71,8 +73,9 @@ class StressTrace:
             raise ConfigurationError("stress trace times/values length mismatch")
         if np.any(np.diff(times) <= 0):
             raise ConfigurationError("stress trace timestamps must strictly increase")
-        if not np.all(np.isin(values, (0.0, 1.0))):
+        if not ((values == 0.0) | (values == 1.0)).all():
             raise MetricDomainError("stress trace samples must be binary 0/1")
+        object.__setattr__(self, "stressed", [0, *np.cumsum(values, dtype=np.int64).tolist()])
 
     @property
     def span(self) -> tuple[float, float]:
@@ -83,7 +86,8 @@ def stress_to_condition(trace: StressTrace, window: int, t: float) -> float:
     """Operator condition at time ``t``: one minus the moving-average stress.
 
     The average runs over the last ``window`` samples at or before ``t``
-    (fewer near the start of the trace).
+    (fewer near the start of the trace).  It is the exact count of stressed
+    samples over the sample count, so it has the bits of ``np.mean``.
     """
     if window < 1:
         raise ConfigurationError("moving-average window must be >= 1")
@@ -91,8 +95,8 @@ def stress_to_condition(trace: StressTrace, window: int, t: float) -> float:
     if not (lo <= t <= hi):
         raise ConfigurationError(f"time {t} outside trace span [{lo}, {hi}]")
     end = int(np.searchsorted(trace.times, t, side="right"))
-    recent = trace.values[max(0, end - window) : end]
-    return 1.0 - float(np.mean(recent))
+    start = max(0, end - window)
+    return 1.0 - (trace.stressed[end] - trace.stressed[start]) / (end - start)
 
 
 def discrete_stress_to_condition(level: str) -> float:

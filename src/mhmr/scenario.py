@@ -20,13 +20,12 @@ from typing import Any, Optional, Sequence
 import numpy as np
 
 from .allocation import propose_allocation
-from .errors import ConfigurationError, MhmrError, NoCapableAgentError
-from .geometry import GlobalWorkspace, partition_from_workload
+from .errors import ConfigurationError, MetricDomainError, MhmrError, NoCapableAgentError
+from .geometry import GlobalWorkspace, partition_from_workload, strips
 from .metrics import ScriptedTrace, StressTrace, load_stress_trace, stress_to_condition
 from .patrol import (
     PatrolFleet,
     RobotKinematicState,
-    able_velocity,
     assign_region,
     required_velocity,
     step_all,
@@ -89,6 +88,14 @@ class Event:
                 )
 
 
+def _is_finite_number(value: Any) -> bool:
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
 @dataclass(frozen=True)
 class ScenarioParams:
     """Script parameters; the only place where they are checked."""
@@ -103,11 +110,7 @@ class ScenarioParams:
     def __post_init__(self):
         for name in ("K", "tau", "tau_star", "v_max", "sim_dt"):
             value = getattr(self, name)
-            if (
-                isinstance(value, bool)
-                or not isinstance(value, numbers.Real)
-                or not (math.isfinite(value) and value > 0)
-            ):
+            if not (_is_finite_number(value) and value > 0):
                 raise ConfigurationError(
                     f"params.{name} must be a finite number > 0, got {value!r}"
                 )
@@ -185,9 +188,25 @@ class ScenarioScript:
                     raise ConfigurationError(
                         f"{ev.metric} event cannot target operator {ev.target_id}"
                     )
-        if isinstance(self.placement, (list, tuple)) and len(self.placement) != topology.m:
+        if isinstance(self.placement, (list, tuple)):
+            if len(self.placement) != topology.m:
+                raise ConfigurationError(
+                    f"{len(self.placement)} explicit positions for {topology.m} robots"
+                )
+            for point in self.placement:
+                if not (
+                    isinstance(point, (list, tuple))
+                    and len(point) == 2
+                    and all(_is_finite_number(v) for v in point)
+                ):
+                    raise ConfigurationError(
+                        f"placement entry {point!r} is not an (x, y) pair of finite numbers"
+                    )
+        gap = self.workspace.safety_gap
+        if (topology.m - 1) * gap >= self.workspace.width:
             raise ConfigurationError(
-                f"{len(self.placement)} explicit positions for {topology.m} robots"
+                f"workspace.safety_gap = {gap!r} is infeasible: {topology.m - 1} gaps "
+                f"between {topology.m} strips exceed workspace width {self.workspace.width!r} m"
             )
         return topology
 
@@ -524,12 +543,13 @@ class ScenarioRunner:
         self.workspace = script.workspace
         self.params = script.params
         self.transition_params = TransitionParams(K=script.params.K, tau=script.params.tau)
-        self._timelines: dict[tuple[str, int, str], _Timeline] = {}
-        grouped: dict[tuple[str, int, str], list[Event]] = {}
+        self._timelines: dict[tuple[str, int], _Timeline] = {}
+        grouped: dict[tuple[str, int], list[Event]] = {}
         for ev in script.events:
-            grouped.setdefault((ev.target_kind, ev.target_id, ev.metric), []).append(ev)
+            grouped.setdefault((ev.metric, ev.target_id), []).append(ev)
         for key, events in grouped.items():
             self._timelines[key] = _Timeline(events, base_dir, script.params.window)
+        self._lay_out_conditions()
 
         self.sigma = np.full(self.topology.m, 1.0 / self.topology.m)
         self.sigma_proposed = self.sigma.copy()
@@ -544,6 +564,8 @@ class ScenarioRunner:
         self.positions = self._initial_positions()
         self.fleet: Optional[PatrolFleet] = None
         self.robots: list[RobotKinematicState] = []
+        # The shares the fleet's regions were last built from.
+        self._regions_sigma: Optional[np.ndarray] = None
         if script.mode == "full-sim":
             self.fleet = PatrolFleet(self.positions)
             self.robots = self.fleet.robots
@@ -566,48 +588,70 @@ class ScenarioRunner:
     def _sigma_vector(self) -> WorkloadVector:
         return WorkloadVector(self.sigma, timestamp=self.cycle_index)
 
-    def _initial_positions(self) -> list[np.ndarray]:
+    def _initial_positions(self) -> np.ndarray:
+        """``(m, 2)`` start positions: explicit, or a point of each robot's
+        strip of the uniform partition (its centre, a tenth of the way in
+        from its left edge at mid-height, or its bottom-left corner)."""
         placement = self.script.placement
         if isinstance(placement, (list, tuple)):
-            return [np.asarray(p, dtype=float) for p in placement]
-        partition = partition_from_workload(
-            self.workspace, WorkloadVector.uniform(self.topology.m)
-        )
-        positions = []
-        for region in partition.regions:
-            if placement == "center":
-                positions.append(np.asarray(region.center))
-            elif placement == "left":
-                positions.append(
-                    np.array([region.x + 0.1 * region.width, region.center[1]])
-                )
-            elif placement == "perimeter":
-                positions.append(np.array([region.x, region.y]))
-            else:
-                raise ConfigurationError(f"unknown placement {placement!r}")
+            return np.array(placement, dtype=float)
+        # ``sigma`` holds the uniform shares until the first cycle.
+        _, x, width = strips(self.workspace, self.sigma)
+        y = self.workspace.origin[1]
+        if placement == "center":
+            x, y = x + width / 2.0, y + self.workspace.height / 2.0
+        elif placement == "left":
+            x, y = x + 0.1 * width, y + self.workspace.height / 2.0
+        elif placement != "perimeter":
+            raise ConfigurationError(f"unknown placement {placement!r}")
+        positions = np.empty((x.size, 2))
+        positions[:, 0] = x
+        positions[:, 1] = y
         return positions
 
-    def _metric(self, kind: str, ident: int, metric: str, t: float) -> float:
-        timeline = self._timelines.get((kind, ident, metric))
-        return timeline.value_at(t) if timeline is not None else 1.0
+    def _lay_out_conditions(self) -> None:
+        """Where each timeline writes in a snapshot of the current team: a
+        key of one of the three healthy mappings, and a slot of the value
+        array that ``TeamTopology.value_tables`` indexes."""
+        top = self.topology
+        m = top.m
+        self._healthy_mappings = (
+            dict.fromkeys(top.robot_ids, 1.0),
+            dict.fromkeys(top.robot_ids, 1.0),
+            dict.fromkeys(top.operator_ids, 1.0),
+        )
+        self._healthy_values = np.ones(2 * m + top.h + 1)
+        self._healthy_values[-1] = 0.0
+        self._robot_slot = dict(zip(top.robot_ids, range(m)))
+        operator_slot = dict(zip(top.operator_ids, range(2 * m, 2 * m + top.h)))
+        self._timeline_slots = []
+        for (metric, ident), timeline in self._timelines.items():
+            target = ("robot_condition", "performance", "operator_condition").index(metric)
+            slot = operator_slot[ident] if target == 2 else target * m + self._robot_slot[ident]
+            self._timeline_slots.append((target, ident, slot, timeline))
 
     def snapshot_at(self, t: float) -> ConditionSnapshot:
-        robot_condition = {}
-        for rid in self.topology.robot_ids:
-            if rid in self.forced_failed or rid in self.disconnected:
-                robot_condition[rid] = 0.0
-            else:
-                robot_condition[rid] = self._metric("robot", rid, "robot_condition", t)
-        return ConditionSnapshot(
-            robot_condition=robot_condition,
-            operator_condition={
-                oid: self._metric("operator", oid, "operator_condition", t)
-                for oid in self.topology.operator_ids
-            },
-            robot_performance={
-                rid: self._metric("robot", rid, "performance", t)
-                for rid in self.topology.robot_ids
-            },
+        """Every metric at 1.0 except those a timeline sets; failed and
+        disconnected robots have condition 0."""
+        mappings = [healthy.copy() for healthy in self._healthy_mappings]
+        values = self._healthy_values.copy()
+        for target, ident, slot, timeline in self._timeline_slots:
+            value = timeline.value_at(t)
+            # Written so that NaN fails the check.
+            if not 0.0 <= value <= 1.0:
+                kind = ("robot {} condition", "robot {} performance", "operator {} condition")
+                label = kind[target].format(ident)
+                raise MetricDomainError(f"{label} = {value!r} outside [0, 1]")
+            mappings[target][ident] = values[slot] = value
+        robot_condition, robot_performance, operator_condition = mappings
+        for rid in self.forced_failed | self.disconnected:
+            robot_condition[rid] = values[self._robot_slot[rid]] = 0.0
+        return ConditionSnapshot._from_values(
+            self.topology,
+            robot_condition,
+            operator_condition,
+            robot_performance,
+            values,
             timestamp=self.cycle_index,
         )
 
@@ -616,25 +660,32 @@ class ScenarioRunner:
             return self.fleet.positions()
         return self.positions
 
-    def _kappas(self, snapshot: ConditionSnapshot) -> list[float]:
-        kappas = []
-        for rid in self.topology.robot_ids:
-            v_able = able_velocity(snapshot, self.topology, rid, 1.0)
-            kappas.append(0.0 if rid in self.forced_failed else v_able)
-        return kappas
+    def _kappas(self, snapshot: ConditionSnapshot) -> np.ndarray:
+        """Condition factors; a failed or disconnected robot's is 0, since
+        its condition in the snapshot is."""
+        return snapshot.columns(self.topology).kappa
 
-    def _velocities(self, kappa: Sequence[float]) -> np.ndarray:
+    def _velocities(self, kappa: np.ndarray) -> np.ndarray:
         """Each robot moves at whichever limit binds first: its condition,
         ``kappa * v_max`` (the bits of ``able_velocity(..., v_max)``), or its
         lap-time requirement ``v_req``."""
-        return np.minimum(np.multiply(kappa, self.params.v_max), self.fleet.v_req)
+        return np.minimum(kappa * self.params.v_max, self.fleet.v_req)
 
     def _assign_regions(self) -> None:
+        """Point every robot at its strip of the current shares.
+
+        Equal shares give an equal partition, on which ``assign_region``
+        changes nothing, so unchanged shares skip the work; a team edit
+        changes the shape of ``sigma`` and forces the rebuild.
+        """
+        if np.array_equal(self.sigma, self._regions_sigma):
+            return
         partition = partition_from_workload(self.workspace, self._sigma_vector())
         v_req, tau_star, v_max = self.fleet.v_req, self.params.tau_star, self.params.v_max
         for i, (state, region) in enumerate(zip(self.robots, partition.regions)):
             if assign_region(state, region):
                 v_req[i] = required_velocity(region, tau_star, v_max)
+        self._regions_sigma = self.sigma
 
     # -- core loop ----------------------------------------------------------
 
@@ -690,7 +741,7 @@ class ScenarioRunner:
                 sigma_proposed=tuple(self.sigma_proposed.tolist()),
                 q_f=q_f,
                 K_e=K_e,
-                kappa=tuple(kappa),
+                kappa=tuple(kappa.tolist()),
                 v=tuple(velocities),
                 transition_error=error,
                 note=note,
@@ -761,7 +812,7 @@ class ScenarioRunner:
                 else self.workspace.bounds.center,
                 dtype=float,
             )
-            self.positions.append(pos)
+            self.positions = np.vstack([self.positions, pos])
             if self.robots:
                 self.fleet.add(pos)
             self.record.robot_ids = self.topology.robot_ids
@@ -791,6 +842,7 @@ class ScenarioRunner:
             )
             if self.topology.operators_of(edit.robot_id):
                 self.disconnected.discard(edit.robot_id)
+        self._lay_out_conditions()
         return self.topology
 
     # -- summary ------------------------------------------------------------

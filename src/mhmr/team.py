@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from itertools import chain
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -35,6 +36,10 @@ class TeamTopology:
     # robot id -> sorted operator ids, for human-operated robots only.
     _operators: dict[int, tuple[int, ...]] = field(
         init=False, repr=False, compare=False
+    )
+    # Built on first use.
+    _tables: Optional["ValueTables"] = field(
+        default=None, init=False, repr=False, compare=False
     )
 
     def __post_init__(self):
@@ -93,6 +98,42 @@ class TeamTopology:
     def index_of(self, robot_id: int) -> int:
         return self.robot_ids.index(robot_id)
 
+    @property
+    def value_tables(self) -> "ValueTables":
+        """Where each robot's metrics sit in a snapshot's value array."""
+        if self._tables is None:
+            m, h = self.m, self.h
+            slot = {o: 2 * m + j for j, o in enumerate(self.operator_ids)}
+            rows = [[slot[o] for o in self.operators_of(r)] for r in self.robot_ids]
+            k = max(1, max(map(len, rows), default=0))
+            operators = [row + [2 * m + h] * (k - len(row)) for row in rows]
+            kappa = [[i, *row, *[i] * (k - len(row))] for i, row in enumerate(rows)]
+            counts = np.array([len(row) for row in rows], dtype=np.intp)
+            tables = ValueTables(
+                np.array(kappa, dtype=np.intp).reshape(m, k + 1),
+                np.array(operators, dtype=np.intp).reshape(m, k),
+                counts + 2.0,
+                [counts > j for j in range(k)],
+            )
+            object.__setattr__(self, "_tables", tables)
+        return self._tables
+
+
+class ValueTables(NamedTuple):
+    """Index tables into a value array laid out as ``[robot conditions (m),
+    performances (m), operator conditions (h), 0.0]``, one row per robot;
+    ``k`` is the largest operator count, and at least 1."""
+
+    #: ``(m, k + 1)``: the robot's condition and its operators' conditions,
+    #: padded with the robot's condition.
+    kappa: np.ndarray
+    #: ``(m, k)``: the robot's operators' conditions, padded with the 0.0.
+    operators: np.ndarray
+    #: The robot's operator count plus 2: how many metrics its score averages.
+    terms: np.ndarray
+    #: ``more[j]``: whether the robot has more than ``j`` operators.
+    more: list[np.ndarray]
+
 
 def _check_unit_interval(value: float, label: str) -> float:
     value = float(value)
@@ -112,9 +153,78 @@ class ConditionSnapshot:
     operator_condition: Mapping[int, float]
     robot_performance: Mapping[int, float]
     timestamp: int = 0
+    # (topology, columns) of the last ``columns`` call.
+    _columns: Optional[tuple[TeamTopology, "ConditionColumns"]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def columns(self, topology: TeamTopology) -> "ConditionColumns":
+        """The metrics as validated arrays aligned with ``topology.robot_ids``.
+
+        Raises as :meth:`validate_against` does.  The result is kept for the
+        next call with the same topology.
+        """
+        cached = self._columns
+        if cached is not None and cached[0] is topology:
+            return cached[1]
+        try:
+            values = np.fromiter(
+                chain(
+                    map(self.robot_condition.__getitem__, topology.robot_ids),
+                    map(self.robot_performance.__getitem__, topology.robot_ids),
+                    map(self.operator_condition.__getitem__, topology.operator_ids),
+                    (0.0,),
+                ),
+                float,
+                2 * topology.m + topology.h + 1,
+            )
+        except (KeyError, TypeError, ValueError):
+            values = None
+        # Written so that NaN fails the check.
+        if values is None or not (
+            np.minimum.reduce(values) >= 0.0 and np.maximum.reduce(values) <= 1.0
+        ):
+            # The scalar checks name the offending agent.
+            self._check_each(topology)
+        return self._keep_columns(topology, values)
+
+    def _keep_columns(self, topology: TeamTopology, values: np.ndarray) -> "ConditionColumns":
+        """Keep the columns of ``values``, checked metrics laid out as
+        ``TeamTopology.value_tables`` says."""
+        m = topology.m
+        tables = topology.value_tables
+        result = ConditionColumns(
+            values[:m],
+            values[m : 2 * m],
+            values[tables.operators],
+            np.minimum.reduce(values[tables.kappa], axis=1),
+        )
+        object.__setattr__(self, "_columns", (topology, result))
+        return result
+
+    @staticmethod
+    def _from_values(
+        topology: TeamTopology,
+        robot_condition: Mapping[int, float],
+        operator_condition: Mapping[int, float],
+        robot_performance: Mapping[int, float],
+        values: np.ndarray,
+        timestamp: int = 0,
+    ) -> "ConditionSnapshot":
+        """A snapshot whose builder has checked its metrics and also laid
+        them out in ``values``, so that :meth:`columns` need not read them
+        from the mappings."""
+        snapshot = ConditionSnapshot(
+            robot_condition, operator_condition, robot_performance, timestamp
+        )
+        snapshot._keep_columns(topology, values)
+        return snapshot
 
     def validate_against(self, topology: TeamTopology) -> None:
         """Check coverage and ranges; raise on missing agents or bad values."""
+        self.columns(topology)
+
+    def _check_each(self, topology: TeamTopology) -> None:
         for rid in topology.robot_ids:
             if rid not in self.robot_condition:
                 raise ConfigurationError(f"missing robot condition for robot {rid}")
@@ -138,6 +248,18 @@ class ConditionSnapshot:
         )
 
 
+class ConditionColumns(NamedTuple):
+    """A snapshot's metrics as arrays, one row per robot."""
+
+    condition: np.ndarray
+    performance: np.ndarray
+    #: ``(m, k)``: the conditions of each robot's operators, laid out as
+    #: ``TeamTopology.value_tables.operators``.
+    operators: np.ndarray
+    #: The worst of each robot's own and its operators' conditions.
+    kappa: np.ndarray
+
+
 @dataclass(frozen=True)
 class WorkloadVector:
     """Per-robot workload fractions, index-aligned with the topology.
@@ -155,7 +277,7 @@ class WorkloadVector:
         if arr.ndim != 1:
             raise ConfigurationError("workload shares must be a flat vector")
         # Written so that NaN fails both checks.
-        if not np.all((arr >= 0.0) & (arr <= 1.0)):
+        if not ((arr >= 0.0) & (arr <= 1.0)).all():
             raise ConfigurationError("workload shares outside [0, 1]")
         total = math.fsum(arr.tolist())
         if not abs(total - 1.0) <= SUM_TOL:

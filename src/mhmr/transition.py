@@ -13,14 +13,10 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .errors import ConfigurationError, NoActiveAgentsError
-from .geometry import (
-    GlobalWorkspace,
-    WorkspacePartition,
-    boundary_distance,
-    partition_from_workload,
-)
+from .geometry import GlobalWorkspace, WorkspacePartition, strips
 from .team import WorkloadVector
 
 #: A share this small with a zero proposal snaps to exactly zero.
@@ -74,14 +70,44 @@ def compute_q_f(
         raise ConfigurationError(
             f"{len(positions)} positions for {len(proposed_partition)} regions"
         )
-    distances = [
-        boundary_distance(positions[i], proposed_partition.regions[i])
-        for i in range(len(positions))
-        if i not in failed and proposed_partition.regions[i] is not None
-    ]
-    if not distances:
+    regions = proposed_partition.regions
+    active = [i for i, r in enumerate(regions) if r is not None and i not in failed]
+    if not active:
         raise NoActiveAgentsError("no active agents for boundary-distance minimum")
-    return min(distances)
+    points = np.asarray(positions, dtype=float)[active]
+    rects = np.array([(r.x, r.y, r.x_max, r.y_max) for r in map(regions.__getitem__, active)])
+    return min_boundary_distance(points, *rects.T)
+
+
+def min_boundary_distance(
+    points: np.ndarray, x: ArrayLike, y: ArrayLike, x_max: ArrayLike, y_max: ArrayLike
+) -> float:
+    """Minimum over rows of ``geometry.boundary_distance(points[i], rect_i)``,
+    where rectangle ``i`` spans ``[x[i], x_max[i]] x [y[i], y_max[i]]`` (each
+    bound an array or one number for all rows), with the same bits.
+
+    A point outside its rectangle along one axis only is as far away as it
+    is outside along that axis; ``math.hypot`` runs only for the points
+    outside along both axes (diagonal to a corner).
+    """
+    px, py = points[:, 0], points[:, 1]
+    sides = np.empty((4, px.size))
+    np.subtract(px, x, out=sides[0])
+    np.subtract(x_max, px, out=sides[1])
+    np.subtract(py, y, out=sides[2])
+    np.subtract(y_max, py, out=sides[3])
+    nearest = np.minimum.reduce(sides, axis=None)
+    if nearest >= 0.0:
+        # Every point is inside or on its rectangle: its nearest side.
+        return float(nearest)
+    # Per point and axis, the distance to the nearer of the two sides,
+    # negative where the point lies outside along that axis.
+    axes = np.minimum(sides[0::2], sides[1::2])
+    # Inside, that is the nearest side; outside along one axis, how far out.
+    distance = np.abs(np.minimum.reduce(axes, axis=0))
+    for i in (np.maximum.reduce(axes, axis=0) < 0.0).nonzero()[0].tolist():
+        distance[i] = math.hypot(axes[0, i], axes[1, i])
+    return float(np.minimum.reduce(distance))
 
 
 def transition_coefficient(q_f: float, K: float) -> float:
@@ -126,15 +152,23 @@ def allocation_cycle(
     renormalized so the total stays at one.
     """
     shares = proposed.shares
-    preview = partition_from_workload(workspace, proposed)
-    failed = {i for i, share in enumerate(shares) if share == 0.0}
-    q_f = compute_q_f(positions, preview, failed)
+    if len(positions) != len(shares):
+        raise ConfigurationError(f"{len(positions)} positions for {len(shares)} regions")
+    # The proposed strips, without building a partition: robots with a zero
+    # share have no strip and are left out, as in compute_q_f.
+    placed, x, width = strips(workspace, shares)
+    y = workspace.origin[1]
+    q_f = min_boundary_distance(
+        np.asarray(positions, dtype=float)[placed], x, y, x + width, y + workspace.height
+    )
     K_e = transition_coefficient(q_f, params.K)
     sigma = step_transition(current, proposed, K_e)
-    snap = (shares == 0.0) & (sigma.shares < ZERO_SNAP) & (sigma.shares > 0.0)
-    if np.any(snap):
-        snapped = sigma.shares.copy()
-        snapped[snap] = 0.0
-        snapped /= math.fsum(snapped.tolist())
-        sigma = WorkloadVector(snapped, timestamp=sigma.timestamp)
+    if placed.size < shares.size:
+        # Only a share whose proposal is zero can snap.
+        snap = (shares == 0.0) & (sigma.shares < ZERO_SNAP) & (sigma.shares > 0.0)
+        if snap.any():
+            snapped = sigma.shares.copy()
+            snapped[snap] = 0.0
+            snapped /= math.fsum(snapped.tolist())
+            sigma = WorkloadVector(snapped, timestamp=sigma.timestamp)
     return TransitionState(sigma=sigma, q_f=q_f, K_e=K_e)

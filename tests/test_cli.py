@@ -194,6 +194,41 @@ class TestScriptCheckedAtLoad:
         assert "op.csv" in captured.err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_infeasible_safety_gap(self, tmp_path, capsys, command):
+        # Allocation-only with explicit placement builds no partition at load,
+        # so only the check on the script catches the 2 gaps of 0.6 m in 1 m.
+        data = builtin_script("s3").to_dict()
+        data.update(
+            topology={"m": 3, "pattern": "none"},
+            workspace={"origin": [0.0, 0.0], "width": 1.0, "height": 5.0, "safety_gap": 0.6},
+            placement=[[0.1, 1.0], [0.5, 1.0], [0.9, 1.0]],
+            events=[],
+        )
+        path = write_script(tmp_path, data)
+        argv = [command, "--script", str(path)]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "valid=true" not in captured.out
+        assert captured.err.startswith("error: workspace.safety_gap = 0.6 ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "point",
+        [[6.0, 2.0, 1.0], [6.0], [6.0, "a"], [6.0, float("nan")], [True, 2.0], 6.0],
+        ids=["three_coordinates", "one_coordinate", "text", "nan", "bool", "number"],
+    )
+    def test_validate_rejects_bad_placement(self, tmp_path, capsys, point):
+        data = builtin_script("s3").to_dict()
+        data.update(topology={"m": 3, "pattern": "none"}, events=[])
+        data["placement"] = [[1.0, 2.0], [4.0, 2.0], point]
+        path = write_script(tmp_path, data)
+        assert main(["validate", "--script", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: placement entry ")
+
     def test_validate_accepts_good_trace_file(self, tmp_path, capsys):
         rows = ["time_s,stress"] + [f"{i},{i % 2}" for i in range(20)]
         (tmp_path / "op.csv").write_text("\n".join(rows) + "\n")

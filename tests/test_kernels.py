@@ -1,0 +1,303 @@
+"""The array kernels of the allocation cycle give the bits of the per-robot
+loops they replaced.  Those loops are kept here as the reference, and every
+comparison is ``==`` on floats.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from mhmr.allocation import compute_input_vector
+from mhmr.geometry import (
+    GlobalWorkspace,
+    Rect,
+    WorkspacePartition,
+    boundary_distance,
+    partition_from_workload,
+    strips,
+)
+from mhmr.patrol import able_velocity
+from mhmr.team import ConditionSnapshot, TeamTopology, WorkloadVector
+from mhmr.transition import (
+    TransitionParams,
+    allocation_cycle,
+    compute_q_f,
+    min_boundary_distance,
+)
+
+# ---------------------------------------------------------------------------
+# References
+
+
+def reference_input_vector(topology, snapshot):
+    scores = np.empty(topology.m, dtype=float)
+    for idx, rid in enumerate(topology.robot_ids):
+        cond = snapshot.robot_condition[rid]
+        perf = snapshot.robot_performance[rid]
+        operators = topology.operators_of(rid)
+        if operators:
+            op_conds = [snapshot.operator_condition[o] for o in operators]
+            gate = min(cond, perf, *op_conds)
+            if gate == 0.0:
+                scores[idx] = 0.0
+            else:
+                bracket = math.fsum([cond, perf, *op_conds])
+                scores[idx] = gate / (len(operators) + 2) * bracket
+        else:
+            gate = min(cond, perf)
+            if gate == 0.0:
+                scores[idx] = 0.0
+            else:
+                scores[idx] = gate / 2.0 * (cond + perf)
+    return scores
+
+
+def reference_strips(workspace, shares):
+    """``(x, width)`` of each robot's strip, ``None`` for a zero share."""
+    nonzero = int(np.count_nonzero(shares))
+    usable = workspace.width - (nonzero - 1) * workspace.safety_gap
+    strips_, cursor, placed = [], workspace.origin[0], 0
+    for share in shares:
+        if share == 0.0:
+            strips_.append(None)
+            continue
+        strip_width = share * usable
+        strips_.append((cursor, strip_width))
+        placed += 1
+        cursor += strip_width
+        if placed < nonzero:
+            cursor += workspace.safety_gap
+    return strips_
+
+
+def reference_q_f(positions, regions, failed=frozenset()):
+    return min(
+        boundary_distance(positions[i], regions[i])
+        for i in range(len(positions))
+        if i not in failed and regions[i] is not None
+    )
+
+
+# ---------------------------------------------------------------------------
+# Scores and kappa
+
+#: Exact values, values whose sums are exact, and values whose sums round
+#: (0.1 + 0.2 + 0.3 is not 0.6 when added left to right).
+metric = st.one_of(
+    st.sampled_from([0.0, 1.0, 0.5, 0.25, 0.75]),
+    st.sampled_from([0.1, 0.2, 0.3, 0.7, 1 / 3]),
+    st.floats(0.0, 1.0),
+)
+
+
+@st.composite
+def teams(draw):
+    m = draw(st.integers(1, 12))
+    h = draw(st.integers(0, 6))
+    edges = []
+    for r in range(1, m + 1):
+        ops = draw(st.lists(st.integers(1, h), unique=True, max_size=min(h, 4))) if h else []
+        edges += [(r, o) for o in ops]
+    topology = TeamTopology.build(range(1, m + 1), range(1, h + 1), edges)
+    snapshot = ConditionSnapshot(
+        robot_condition={r: draw(metric) for r in topology.robot_ids},
+        operator_condition={o: draw(metric) for o in topology.operator_ids},
+        robot_performance={r: draw(metric) for r in topology.robot_ids},
+    )
+    return topology, snapshot
+
+
+def single_robot(cond, perf, op_conds):
+    ops = range(1, len(op_conds) + 1)
+    topology = TeamTopology.build([1], ops, [(1, o) for o in ops])
+    snapshot = ConditionSnapshot(
+        robot_condition={1: cond},
+        operator_condition=dict(zip(ops, op_conds)),
+        robot_performance={1: perf},
+    )
+    return topology, snapshot
+
+
+class TestScores:
+    @settings(max_examples=400, deadline=None)
+    @given(teams())
+    @example(single_robot(0.1, 0.2, [0.3]))
+    @example(single_robot(1.0, 1.0, [0.1, 0.2]))
+    @example(single_robot(0.1, 0.7, []))
+    @example(single_robot(0.0, 0.3, [0.1, 0.2, 0.7]))
+    def test_scores_and_kappa_match_scalar_loops(self, case):
+        topology, snapshot = case
+        expected = reference_input_vector(topology, snapshot).tolist()
+        assert compute_input_vector(topology, snapshot).tolist() == expected
+        kappa = [able_velocity(snapshot, topology, r, 1.0) for r in topology.robot_ids]
+        assert snapshot.columns(topology).kappa.tolist() == kappa
+
+    @pytest.mark.parametrize(
+        "cond, perf, ops",
+        [
+            # (cond + perf) rounds, before a further term.
+            (0.1, 0.2, [0.3]),
+            # An exact first addition, then one that rounds before the last term.
+            (1.0, 1.0, [0.1, 0.2]),
+        ],
+    )
+    def test_rounding_rows_go_through_fsum(self, cond, perf, ops):
+        # Added left to right, these brackets come out one ulp off.
+        naive = cond + perf
+        for o in ops:
+            naive += o
+        exact = math.fsum([cond, perf, *ops])
+        assert naive != exact
+        topology, snapshot = single_robot(cond, perf, ops)
+        gate = min(cond, perf, *ops)
+        assert compute_input_vector(topology, snapshot)[0] == gate / (len(ops) + 2) * exact
+
+    @settings(max_examples=100, deadline=None)
+    @given(teams())
+    def test_values_laid_out_by_the_builder_give_the_same_columns(self, case):
+        topology, snapshot = case
+        ids, oids = topology.robot_ids, topology.operator_ids
+        values = np.array(
+            [snapshot.robot_condition[r] for r in ids]
+            + [snapshot.robot_performance[r] for r in ids]
+            + [snapshot.operator_condition[o] for o in oids]
+            + [0.0]
+        )
+        built = ConditionSnapshot._from_values(
+            topology,
+            snapshot.robot_condition,
+            snapshot.operator_condition,
+            snapshot.robot_performance,
+            values,
+        )
+        for got, want in zip(built.columns(topology), snapshot.columns(topology)):
+            assert got.tolist() == want.tolist()
+
+
+# ---------------------------------------------------------------------------
+# Strips
+
+
+@st.composite
+def shares_and_workspace(draw):
+    m = draw(st.integers(1, 120))
+    weights = draw(st.lists(st.floats(1e-3, 1.0), min_size=m, max_size=m))
+    # 0-5 % of the robots get a zero share; at least one keeps its share.
+    zeros = draw(st.lists(st.integers(0, m - 1), max_size=m * 5 // 100, unique=True))
+    for i in zeros:
+        weights[i] = 0.0
+    if not any(weights):
+        weights[0] = 1.0
+    total = math.fsum(weights)
+    sigma = WorkloadVector(np.array([w / total for w in weights]))
+    width = draw(st.floats(0.5, 5000.0))
+    workspace = GlobalWorkspace(
+        origin=(draw(st.floats(-100.0, 100.0)), draw(st.floats(-10.0, 10.0))),
+        width=width,
+        height=draw(st.floats(0.5, 50.0)),
+        safety_gap=draw(st.floats(0.0, width / (2 * m))),
+    )
+    return sigma, workspace
+
+
+class TestStrips:
+    @settings(max_examples=300, deadline=None)
+    @given(shares_and_workspace())
+    def test_cumsum_strips_match_cursor_loop(self, case):
+        sigma, workspace = case
+        expected = reference_strips(workspace, sigma.shares)
+        placed, x, width = strips(workspace, sigma.shares)
+        assert placed.tolist() == [i for i, s in enumerate(expected) if s is not None]
+        assert list(zip(x.tolist(), width.tolist())) == [s for s in expected if s is not None]
+        regions = partition_from_workload(workspace, sigma).regions
+        assert [None if r is None else (r.x, r.width) for r in regions] == expected
+
+
+# ---------------------------------------------------------------------------
+# q_f
+
+
+@st.composite
+def points_around(draw, rect):
+    """A point inside, on an edge, outside along one axis, or diagonal to a
+    corner of ``rect``."""
+    fx, fy = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
+    x, y = rect.x + fx * rect.width, rect.y + fy * rect.height
+    off = st.floats(1e-9, 40.0)
+    kind = draw(st.sampled_from(["inside", "edge", "outside_x", "outside_y", "diagonal"]))
+    if kind == "edge":
+        x = draw(st.sampled_from([rect.x, rect.x_max, x]))
+        y = draw(st.sampled_from([rect.y, rect.y_max])) if x not in (rect.x, rect.x_max) else y
+    elif kind == "outside_x":
+        x = draw(st.sampled_from([rect.x - draw(off), rect.x_max + draw(off)]))
+    elif kind == "outside_y":
+        y = draw(st.sampled_from([rect.y - draw(off), rect.y_max + draw(off)]))
+    elif kind == "diagonal":
+        x = draw(st.sampled_from([rect.x - draw(off), rect.x_max + draw(off)]))
+        y = draw(st.sampled_from([rect.y - draw(off), rect.y_max + draw(off)]))
+    return (x, y)
+
+
+@st.composite
+def regions_and_points(draw):
+    n = draw(st.integers(1, 20))
+    regions, points = [], []
+    for _ in range(n):
+        if draw(st.integers(0, 9)) == 0:
+            regions.append(None)
+            points.append((draw(st.floats(-50.0, 50.0)), draw(st.floats(-50.0, 50.0))))
+            continue
+        rect = Rect(
+            draw(st.floats(-50.0, 50.0)),
+            draw(st.floats(-50.0, 50.0)),
+            draw(st.floats(0.01, 30.0)),
+            draw(st.floats(0.01, 30.0)),
+        )
+        regions.append(rect)
+        points.append(draw(points_around(rect)))
+    if all(r is None for r in regions):
+        regions[0] = Rect(0.0, 0.0, 1.0, 1.0)
+    active = [i for i, r in enumerate(regions) if r is not None]
+    failed = set(draw(st.lists(st.sampled_from(active), max_size=len(active) - 1)))
+    return regions, points, failed
+
+
+WORKSPACE = GlobalWorkspace(origin=(0.0, 0.0), width=1.0, height=1.0)
+
+
+class TestQf:
+    @settings(max_examples=250, deadline=None)
+    @given(regions_and_points())
+    @example(([Rect(0.0, 0.0, 4.0, 2.0)], [(-3.0, -4.0)], set()))
+    @example(([Rect(0.0, 0.0, 4.0, 2.0)], [(5.0, 1.0)], set()))
+    @example(([Rect(0.0, 0.0, 4.0, 2.0), Rect(5.0, 0.0, 1.0, 2.0)], [(1.0, 1.0), (5.5, 9.0)], set()))
+    def test_q_f_matches_boundary_distance_loop(self, case):
+        regions, points, failed = case
+        expected = reference_q_f(points, regions, failed)
+        partition = WorkspacePartition(regions=tuple(regions), parent=WORKSPACE)
+        assert compute_q_f(points, partition, failed) == expected
+        rows = [i for i, r in enumerate(regions) if r is not None and i not in failed]
+        bounds = np.array([(r.x, r.y, r.x_max, r.y_max) for r in map(regions.__getitem__, rows)])
+        assert min_boundary_distance(np.array(points)[rows], *bounds.T) == expected
+
+    @settings(max_examples=120, deadline=None)
+    @given(shares_and_workspace(), st.data())
+    def test_allocation_cycle_previews_q_f_without_rects(self, case, data):
+        proposed, workspace = case
+        m = len(proposed)
+        x0, y0 = workspace.origin
+        # Anywhere in the workspace or a little beyond it, so that points lie
+        # outside their strips along x, along y, or both.
+        coordinate = st.tuples(
+            st.floats(x0 - 1.0, x0 + workspace.width + 1.0),
+            st.floats(y0 - 1.0, y0 + workspace.height + 1.0),
+        )
+        positions = data.draw(st.lists(coordinate, min_size=m, max_size=m))
+        state = allocation_cycle(
+            proposed, positions, WorkloadVector.uniform(m), TransitionParams(K=0.5, tau=0.5), workspace
+        )
+        regions = partition_from_workload(workspace, proposed).regions
+        assert state.q_f == reference_q_f(positions, regions)

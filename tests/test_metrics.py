@@ -94,6 +94,21 @@ class TestStressCondition:
             assert abs(cur - prev) <= 2.0 / window + 1e-12
             prev = cur
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(st.sampled_from([0.0, 1.0]), min_size=1, max_size=200),
+        window=st.integers(1, 60),
+        period=st.sampled_from([0.5, 0.35, 1.0]),
+        data=st.data(),
+    )
+    def test_prefix_count_matches_mean_of_window(self, values, window, period, data):
+        trace = make_trace(values, period)
+        lo, hi = trace.span
+        t = data.draw(st.one_of(st.sampled_from(trace.times.tolist()), st.floats(lo, hi)))
+        end = int(np.searchsorted(trace.times, t, side="right"))
+        recent = trace.values[max(0, end - window) : end]
+        assert stress_to_condition(trace, window, t) == 1.0 - float(np.mean(recent))
+
     def test_time_outside_span_raises(self):
         trace = make_trace([0, 1])
         with pytest.raises(ConfigurationError):

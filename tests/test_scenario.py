@@ -5,7 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from mhmr.errors import ConfigurationError
+import mhmr.scenario
+from mhmr.errors import ConfigurationError, MetricDomainError
+from mhmr.geometry import partition_from_workload
+from mhmr.patrol import assign_region, required_velocity
 from mhmr.scenario import (
     BUILTIN_SCRIPT_NAMES,
     Event,
@@ -303,6 +306,59 @@ class TestFullSim:
         assert len(times) <= 41
 
 
+class RebuildingRunner(ScenarioRunner):
+    """Reference: rebuilds the partition and reassigns every robot's region
+    on every cycle, also when the shares have not moved."""
+
+    def _assign_regions(self):
+        partition = partition_from_workload(self.workspace, self._sigma_vector())
+        v_req, tau_star, v_max = self.fleet.v_req, self.params.tau_star, self.params.v_max
+        for i, (state, region) in enumerate(zip(self.robots, partition.regions)):
+            if assign_region(state, region):
+                v_req[i] = required_velocity(region, tau_star, v_max)
+
+
+class TestRegionsFollowShares:
+    EDITS = {
+        "none": [],
+        "add_robot": [(100.0, TopologyEdit("add_robot", 4, (2,), (5.0, 5.0)))],
+        "remove_robot": [(100.0, TopologyEdit("remove_robot", 3))],
+    }
+
+    @pytest.mark.parametrize("edits", sorted(EDITS))
+    @pytest.mark.parametrize("name", ["s1", "s2"])
+    def test_unchanged_shares_skip_region_assignment(self, tmp_path, monkeypatch, name, edits):
+        calls = []
+
+        def counting_assign_region(state, region):
+            calls.append(state.index)
+            return assign_region(state, region)
+
+        data = builtin_script(name).to_dict()
+        data["duration_s"] = 250.0
+        data["events"] = [ev for ev in data["events"] if ev["time_s"] <= 250.0]
+        data["record_trajectory"] = True
+        records = {}
+        for label, cls in (("rebuilding", RebuildingRunner), ("skipping", ScenarioRunner)):
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(mhmr.scenario, "assign_region", counting_assign_region)
+                runner = cls(ScenarioScript.from_dict(data))
+                for t, edit in self.EDITS[edits]:
+                    runner.run_until(t)
+                    runner.apply_topology_edit(edit)
+                records[label] = runner.run().write(tmp_path / label)
+        for file in ("cycles.csv", "laps.csv", "trajectory.csv", "summary.json"):
+            skipping = (records["skipping"] / file).read_bytes()
+            assert skipping == (records["rebuilding"] / file).read_bytes(), file
+        # The skipping runner assigned regions at set-up and then once per
+        # cycle whose shares differ from the cycle before.
+        sigmas = [(1 / 3,) * 3] + [row.sigma for row in runner.record.cycles]
+        rebuilt = [b for a, b in zip(sigmas, sigmas[1:]) if a != b]
+        assert len(calls) == 3 + sum(map(len, rebuilt))
+        assert len(rebuilt) < len(sigmas) // 2
+
+
 class TestDynamicTopology:
     def test_add_robot_transitions_to_uniform(self):
         # m=4 -> 5 keeps every stationary robot clear of the proposed strip
@@ -371,6 +427,17 @@ class TestDynamicTopology:
 
 
 class TestTimelines:
+    @pytest.mark.parametrize("value", [1.5, -0.25, float("nan")])
+    def test_condition_outside_unit_interval_is_rejected(self, monkeypatch, value):
+        script = allocation_only_script(
+            m=3, events=[step_event(0.0, "robot:2", "performance", 0.5)]
+        )
+        runner = ScenarioRunner(script)
+        (timeline,) = runner._timelines.values()
+        monkeypatch.setattr(timeline, "value_at", lambda t: value)
+        with pytest.raises(MetricDomainError, match="robot 2 performance"):
+            runner.snapshot_at(0.0)
+
     def test_ramp_profile_interpolates(self):
         script = allocation_only_script(
             duration_s=40.0,
