@@ -23,13 +23,11 @@ from .geometry import (
     perimeter,
 )
 from .metrics import (
-    ConditionProvider,
-    MetricBounds,
+    ConditionTimeline,
     ScriptedTrace,
     StressTrace,
     crosstrack_performance,
     discrete_stress_to_condition,
-    normalize_metric,
     stress_to_condition,
 )
 from .patrol import (

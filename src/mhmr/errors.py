@@ -11,10 +11,10 @@ class ConfigurationError(MhmrError):
 
 
 class MetricDomainError(MhmrError):
-    """A metric value arrived outside its declared bounds.
+    """A metric value arrived outside its domain.
 
-    Out-of-range inputs are rejected rather than clamped so that provider
-    bugs surface immediately."""
+    Out-of-range inputs are rejected rather than clamped so that bugs in a
+    metric source surface immediately."""
 
 
 class NoCapableAgentError(MhmrError):

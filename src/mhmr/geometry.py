@@ -56,10 +56,6 @@ class Rect:
             (self.x, self.y_max),
         )
 
-    def contains(self, point: Sequence[float]) -> bool:
-        px, py = float(point[0]), float(point[1])
-        return self.x <= px <= self.x_max and self.y <= py <= self.y_max
-
 
 def perimeter(region: Rect) -> float:
     """Perimeter length in meters; errors on an empty region."""
@@ -145,10 +141,6 @@ class WorkspacePartition:
 
     def __len__(self) -> int:
         return len(self.regions)
-
-    @property
-    def active_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, r in enumerate(self.regions) if r is not None)
 
     def area_fractions(self) -> np.ndarray:
         areas = np.array([0.0 if r is None else r.area for r in self.regions])

@@ -1,9 +1,10 @@
-"""Condition and performance metric providers.
+"""Condition and performance metric sources.
 
-Raw metrics are normalized against declared bounds; human stress traces are
-smoothed with a moving average and inverted into a condition value; robot
-patrolling performance is derived from cross-track adherence to the region
-perimeter.  Out-of-bounds inputs raise instead of clamping.
+A :class:`ConditionTimeline` drives one agent metric through step, ramp and
+trace profiles; human stress traces are smoothed with a moving average and
+inverted into a condition value; robot patrolling performance is derived
+from cross-track adherence to the region perimeter.  Out-of-range inputs
+raise instead of clamping.
 """
 
 from __future__ import annotations
@@ -12,11 +13,11 @@ import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, EmptyRegionError, MetricDomainError
+from .errors import ConfigurationError, EmptyRegionError, MetricDomainError, MhmrError
 from .geometry import Rect, boundary_distance, perimeter
 
 #: Discrete stress level to condition value.
@@ -26,28 +27,22 @@ DISCRETE_STRESS_CONDITION = {"low": 0.75, "medium": 0.5, "high": 0.25}
 DEFAULT_STRESS_WINDOW = 30
 
 
-@dataclass(frozen=True)
-class MetricBounds:
-    """Declared lower/upper bounds of a raw metric, in its native units."""
-
-    lower: float
-    upper: float
-
-    def __post_init__(self):
-        if not self.lower < self.upper:
-            raise ConfigurationError(
-                f"metric bounds must satisfy lower < upper, got [{self.lower}, {self.upper}]"
-            )
-
-
-def normalize_metric(raw: float, bounds: MetricBounds, provider: str = "metric") -> float:
-    """Affine map of ``raw`` from [lower, upper] onto [0, 1]."""
-    raw = float(raw)
-    if not (bounds.lower <= raw <= bounds.upper) or math.isnan(raw):
-        raise MetricDomainError(
-            f"{provider}: raw value {raw!r} outside bounds [{bounds.lower}, {bounds.upper}]"
-        )
-    return (raw - bounds.lower) / (bounds.upper - bounds.lower)
+def _freeze_series(trace: Any, kind: str) -> np.ndarray:
+    """Store a trace's times and values as read-only float arrays, check the
+    times, and return the values."""
+    times = np.asarray(trace.times, dtype=float)
+    values = np.asarray(trace.values, dtype=float)
+    times.setflags(write=False)
+    values.setflags(write=False)
+    object.__setattr__(trace, "times", times)
+    object.__setattr__(trace, "values", values)
+    if times.size == 0:
+        raise ConfigurationError(f"{kind} trace is empty")
+    if times.size != values.size:
+        raise ConfigurationError(f"{kind} trace times/values length mismatch")
+    if np.any(np.diff(times) <= 0):
+        raise ConfigurationError(f"{kind} trace timestamps must strictly increase")
+    return values
 
 
 @dataclass(frozen=True)
@@ -61,18 +56,7 @@ class StressTrace:
     stressed: list[int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        times.setflags(write=False)
-        values.setflags(write=False)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
-        if times.size == 0:
-            raise ConfigurationError("stress trace is empty")
-        if times.size != values.size:
-            raise ConfigurationError("stress trace times/values length mismatch")
-        if np.any(np.diff(times) <= 0):
-            raise ConfigurationError("stress trace timestamps must strictly increase")
+        values = _freeze_series(self, "stress")
         if not ((values == 0.0) | (values == 1.0)).all():
             raise MetricDomainError("stress trace samples must be binary 0/1")
         object.__setattr__(self, "stressed", [0, *np.cumsum(values, dtype=np.int64).tolist()])
@@ -138,18 +122,7 @@ class ScriptedTrace:
     values: np.ndarray
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        times.setflags(write=False)
-        values.setflags(write=False)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
-        if times.size == 0:
-            raise ConfigurationError("scripted trace is empty")
-        if times.size != values.size:
-            raise ConfigurationError("scripted trace times/values length mismatch")
-        if np.any(np.diff(times) <= 0):
-            raise ConfigurationError("scripted trace timestamps must strictly increase")
+        _freeze_series(self, "scripted")
 
     def value_at(self, t: float) -> float:
         """Value of the most recent row at or before ``t`` (first row before
@@ -187,55 +160,110 @@ def load_stress_trace(path: str | Path) -> StressTrace | ScriptedTrace:
     return ScriptedTrace(np.asarray(times), values)
 
 
-def load_scripted_trace(path: str | Path) -> ScriptedTrace:
-    """Read a ``time_s,value`` CSV into a step-hold schedule."""
-    times: list[float] = []
-    values: list[float] = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "time_s" not in reader.fieldnames or "value" not in reader.fieldnames:
-            raise ConfigurationError(f"{path}: expected header 'time_s,value'")
-        for row in reader:
-            times.append(float(row["time_s"]))
-            values.append(float(row["value"]))
-    return ScriptedTrace(np.asarray(times), np.asarray(values))
+def _number(profile: dict[str, Any], key: str) -> float:
+    """``profile[key]`` as a float, NaN when it is missing or not a number."""
+    try:
+        return float(profile[key])
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return math.nan
 
 
-@dataclass(frozen=True)
-class ConditionProvider:
-    """A pluggable metric source.
+def check_profile(profile: dict[str, Any], target: Any) -> None:
+    """Raise ``ConfigurationError`` naming ``target`` (formatted only then)
+    unless ``profile`` is a step or ramp to a value in [0, 1] (a ramp over a
+    finite positive ``duration``) or a trace with a file ``path``."""
+    kind = profile.get("type")
+    if kind not in ("step", "ramp", "trace", "stress_trace"):
+        raise ConfigurationError(f"unknown event profile type {kind!r} for {target}")
+    if kind in ("trace", "stress_trace"):
+        path = profile.get("path")
+        if not (isinstance(path, str) and path):
+            raise ConfigurationError(f"{kind} for {target} needs a file path, got {path!r}")
+    # Written so that NaN, and so a missing or non-numeric entry, fails.
+    elif not 0.0 <= _number(profile, "value") <= 1.0:
+        raise ConfigurationError(
+            f"{kind} profile for {target} needs a value in [0, 1], got {profile.get('value')!r}"
+        )
+    elif kind == "ramp" and not 0.0 < _number(profile, "duration") < math.inf:
+        raise ConfigurationError(
+            f"ramp profile needs a finite positive duration for {target}, "
+            f"got {profile.get('duration')!r}"
+        )
 
-    ``kind`` is one of ``human-stress``, ``robot-health-trace``,
-    ``performance-crosstrack`` or ``scripted``; ``cycle_time`` feeds the
-    allocation cycle period (the slowest provider wins).
-    """
 
-    kind: str
-    cycle_time: float
-    bounds: MetricBounds = MetricBounds(0.0, 1.0)
-    trace: Optional[StressTrace | ScriptedTrace] = None
-    window: int = DEFAULT_STRESS_WINDOW
+class ConditionTimeline:
+    """One agent metric over time, the library's one time-indexed condition
+    source.
 
-    _KINDS = ("human-stress", "robot-health-trace", "performance-crosstrack", "scripted")
+    It is 1.0 until the first of ``events``, the :class:`~mhmr.scenario.Event`
+    objects of that metric: a ``time_s`` and a ``profile`` that
+    :func:`check_profile` has passed each.  A binary 0/1 trace file is a
+    human-stress source, averaged over ``window`` samples; a level trace is a
+    scripted or robot-health one.  Relative trace paths are read from
+    ``base_dir``."""
 
-    def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise ConfigurationError(f"unknown provider kind {self.kind!r}")
-        if self.cycle_time <= 0:
-            raise ConfigurationError("provider cycle time must be positive")
+    def __init__(self, events: Iterable[Any], window: int, base_dir: Optional[Path] = None):
+        self.events = sorted(events, key=lambda e: e.time_s)
+        self.window = window
+        self._traces: dict[int, StressTrace | ScriptedTrace] = {}
+        for i, ev in enumerate(self.events):
+            kind = ev.profile["type"]
+            if kind in ("trace", "stress_trace"):
+                # An absolute path ignores ``base_dir``.
+                path = Path(base_dir or ".", ev.profile["path"])
+                try:
+                    self._traces[i] = load_stress_trace(path)
+                except (OSError, ValueError, csv.Error, MhmrError) as exc:
+                    raise ConfigurationError(f"{kind} for {ev}: cannot load {path}: {exc}") from exc
 
     def value_at(self, t: float) -> float:
-        """Normalized metric in [0, 1] at time ``t``."""
-        if self.kind == "human-stress":
-            if not isinstance(self.trace, StressTrace):
-                raise ConfigurationError("human-stress provider needs a binary stress trace")
-            return stress_to_condition(self.trace, self.window, t)
-        if self.kind in ("robot-health-trace", "scripted"):
-            if self.trace is None:
-                raise ConfigurationError(f"{self.kind} provider needs a trace")
-            value = self.trace.value_at(t)
-            return normalize_metric(value, self.bounds, provider=self.kind)
-        raise ConfigurationError(
-            "performance-crosstrack values come from crosstrack_performance(), "
-            "not a time query"
-        )
+        """The metric at time ``t``."""
+        value = 1.0
+        for i, ev in enumerate(self.events):
+            if t < ev.time_s:
+                break
+            kind = ev.profile["type"]
+            if kind == "step":
+                value = float(ev.profile["value"])
+            elif kind == "ramp":
+                target = float(ev.profile["value"])
+                duration = float(ev.profile["duration"])
+                frac = min(1.0, (t - ev.time_s) / duration)
+                value = value + (target - value) * frac
+            else:
+                trace = self._traces[i]
+                offset = t - ev.time_s
+                if isinstance(trace, StressTrace):
+                    lo, hi = trace.span
+                    clamped = min(max(offset, lo), hi)
+                    value = stress_to_condition(trace, self.window, clamped)
+                else:
+                    value = trace.value_at(offset)
+        return value
+
+    def constant_until(self, t: float) -> float:
+        """A time before which ``value_at`` keeps returning ``value_at(t)``.
+
+        It is the next event time, or sooner the next sample of the trace
+        that sets the value, or ``t`` itself while a ramp is still moving;
+        ``inf`` when the value can no longer change.  A ramp folds in the
+        value before it, so the breakpoints of an earlier trace still count
+        after the ramp ends; a step or a trace replaces everything before it.
+        Before a trace's first sample the bound is that sample, which is
+        early for a binary stress trace (it holds its first sample) but safe.
+        """
+        until = math.inf
+        for i, ev in enumerate(self.events):
+            if t < ev.time_s:
+                return min(until, ev.time_s)
+            kind = ev.profile["type"]
+            if kind == "step":
+                until = math.inf
+            elif kind == "ramp":
+                if t - ev.time_s < float(ev.profile["duration"]):
+                    return t
+            else:
+                times = self._traces[i].times
+                end = int(np.searchsorted(times, t - ev.time_s, side="right"))
+                until = ev.time_s + float(times[end]) if end < times.size else math.inf
+        return until

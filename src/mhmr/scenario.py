@@ -20,9 +20,9 @@ from typing import Any, Optional, Sequence
 import numpy as np
 
 from .allocation import propose_allocation
-from .errors import ConfigurationError, MetricDomainError, MhmrError, NoCapableAgentError
+from .errors import ConfigurationError, MetricDomainError, NoCapableAgentError
 from .geometry import GlobalWorkspace, partition_from_workload, strips
-from .metrics import ScriptedTrace, StressTrace, load_stress_trace, stress_to_condition
+from .metrics import DEFAULT_STRESS_WINDOW, ConditionTimeline, check_profile
 from .patrol import (
     PatrolFleet,
     RobotKinematicState,
@@ -47,7 +47,8 @@ TAU_STEP_TOL = 1e-9
 #: recomputation early, never late.
 BREAKPOINT_TOL = 1e-9
 
-VALID_METRICS = ("operator_condition", "robot_condition", "performance")
+#: Event metrics, in the order of a snapshot's value array.
+VALID_METRICS = ("robot_condition", "performance", "operator_condition")
 VALID_MODES = ("full-sim", "allocation-only")
 
 
@@ -58,7 +59,7 @@ VALID_MODES = ("full-sim", "allocation-only")
 @dataclass(frozen=True)
 class Event:
     """One timeline entry: at ``time_s`` the target agent's metric starts
-    following the given profile (step, ramp, or trace file)."""
+    following the given profile (see :class:`~mhmr.metrics.ConditionTimeline`)."""
 
     time_s: float
     target_kind: str  # "robot" | "operator"
@@ -71,21 +72,16 @@ class Event:
             raise ConfigurationError(f"unknown event target kind {self.target_kind!r}")
         if self.metric not in VALID_METRICS:
             raise ConfigurationError(f"unknown event metric {self.metric!r}")
-        kind = self.profile.get("type")
-        if kind not in ("step", "ramp", "trace", "stress_trace"):
-            raise ConfigurationError(f"unknown event profile type {kind!r}")
-        if kind in ("step", "ramp"):
-            value = float(self.profile["value"])
-            if not (0.0 <= value <= 1.0):
-                raise ConfigurationError(
-                    f"event value {value} outside [0, 1] for {self.target_kind} {self.target_id}"
-                )
-        if kind == "ramp":
-            duration = float(self.profile.get("duration", 0.0))
-            if not (math.isfinite(duration) and duration > 0.0):
-                raise ConfigurationError(
-                    f"ramp profile needs a finite positive duration, got {duration!r}"
-                )
+        check_profile(self.profile, self)
+
+    def __str__(self) -> str:
+        """The metric the event drives, e.g. ``operator 1 operator_condition``."""
+        return f"{self.target_kind} {self.target_id} {self.metric}"
+
+
+def _is_integer(value: Any) -> bool:
+    """A JSON integer: an ``int`` that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_finite_number(value: Any) -> bool:
@@ -104,7 +100,7 @@ class ScenarioParams:
     tau: float = 0.5
     tau_star: float = 65.0
     v_max: float = 0.8
-    window: int = 30
+    window: int = DEFAULT_STRESS_WINDOW
     sim_dt: float = 0.05
 
     def __post_init__(self):
@@ -284,7 +280,7 @@ class ScenarioScript:
                 allocation_enabled=bool(data.get("allocation_enabled", True)),
                 record_trajectory=bool(data.get("record_trajectory", False)),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigurationError(f"malformed scenario script: {exc}") from exc
 
     @staticmethod
@@ -305,14 +301,18 @@ def build_topology(spec: dict[str, Any]) -> TeamTopology:
     one dedicated operator each, sharing the robot's index; ``none``: all
     autonomous) or explicit ``edges`` with operator count ``h``.
     """
-    m = int(spec["m"])
-    if m < 1:
-        raise ConfigurationError("topology needs at least one robot")
+    m = _topology_count(spec, "m", 1)
     robot_ids = tuple(range(1, m + 1))
     if "edges" in spec:
-        edges = [(int(r), int(o)) for r, o in spec["edges"]]
+        edges = spec["edges"]
+        if not isinstance(edges, (list, tuple)) or not all(
+            isinstance(e, (list, tuple)) and len(e) == 2 and all(map(_is_integer, e)) for e in edges
+        ):
+            raise ConfigurationError(
+                f"topology.edges must be a list of [robot, operator] integer pairs, got {edges!r}"
+            )
         if "h" in spec:
-            operator_ids = tuple(range(1, int(spec["h"]) + 1))
+            operator_ids = tuple(range(1, _topology_count(spec, "h", 0) + 1))
         else:
             operator_ids = tuple(sorted({o for _, o in edges}))
         return TeamTopology.build(robot_ids, operator_ids, edges)
@@ -326,81 +326,11 @@ def build_topology(spec: dict[str, Any]) -> TeamTopology:
     raise ConfigurationError(f"unknown topology pattern {pattern!r}")
 
 
-# ---------------------------------------------------------------------------
-# Metric timelines
-
-
-class _Timeline:
-    """Evaluates one agent metric over time from its ordered events."""
-
-    def __init__(self, events: Sequence[Event], base_dir: Optional[Path], window: int):
-        self.events = sorted(events, key=lambda e: e.time_s)
-        self.window = window
-        self._traces: dict[int, StressTrace | ScriptedTrace] = {}
-        for i, ev in enumerate(self.events):
-            kind = ev.profile["type"]
-            if kind in ("trace", "stress_trace"):
-                path = Path(ev.profile["path"])
-                if base_dir is not None and not path.is_absolute():
-                    path = base_dir / path
-                try:
-                    self._traces[i] = load_stress_trace(path)
-                except (OSError, ValueError, MhmrError) as exc:
-                    raise ConfigurationError(
-                        f"{kind} for {ev.target_kind} {ev.target_id} {ev.metric}: "
-                        f"cannot load {path}: {exc}"
-                    ) from exc
-
-    def value_at(self, t: float) -> float:
-        value = 1.0
-        for i, ev in enumerate(self.events):
-            if t < ev.time_s:
-                break
-            kind = ev.profile["type"]
-            if kind == "step":
-                value = float(ev.profile["value"])
-            elif kind == "ramp":
-                target = float(ev.profile["value"])
-                duration = float(ev.profile["duration"])
-                frac = min(1.0, (t - ev.time_s) / duration)
-                value = value + (target - value) * frac
-            else:
-                trace = self._traces[i]
-                offset = t - ev.time_s
-                if isinstance(trace, StressTrace):
-                    lo, hi = trace.span
-                    clamped = min(max(offset, lo), hi)
-                    value = stress_to_condition(trace, self.window, clamped)
-                else:
-                    value = trace.value_at(offset)
-        return value
-
-    def constant_until(self, t: float) -> float:
-        """A time before which ``value_at`` keeps returning ``value_at(t)``.
-
-        It is the next event time, or sooner the next sample of the trace
-        that sets the value, or ``t`` itself while a ramp is still moving;
-        ``inf`` when the value can no longer change.  A ramp folds in the
-        value before it, so the breakpoints of an earlier trace still count
-        after the ramp ends; a step or a trace replaces everything before it.
-        Before a trace's first sample the bound is that sample, which is
-        early for a binary stress trace (it holds its first sample) but safe.
-        """
-        until = math.inf
-        for i, ev in enumerate(self.events):
-            if t < ev.time_s:
-                return min(until, ev.time_s)
-            kind = ev.profile["type"]
-            if kind == "step":
-                until = math.inf
-            elif kind == "ramp":
-                if t - ev.time_s < float(ev.profile["duration"]):
-                    return t
-            else:
-                times = self._traces[i].times
-                end = int(np.searchsorted(times, t - ev.time_s, side="right"))
-                until = ev.time_s + float(times[end]) if end < times.size else math.inf
-        return until
+def _topology_count(spec: dict[str, Any], key: str, least: int) -> int:
+    value = spec.get(key)
+    if not (_is_integer(value) and value >= least):
+        raise ConfigurationError(f"topology.{key} must be an integer >= {least}, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -543,12 +473,14 @@ class ScenarioRunner:
         self.workspace = script.workspace
         self.params = script.params
         self.transition_params = TransitionParams(K=script.params.K, tau=script.params.tau)
-        self._timelines: dict[tuple[str, int], _Timeline] = {}
         grouped: dict[tuple[str, int], list[Event]] = {}
         for ev in script.events:
             grouped.setdefault((ev.metric, ev.target_id), []).append(ev)
-        for key, events in grouped.items():
-            self._timelines[key] = _Timeline(events, base_dir, script.params.window)
+        # (target, id, snapshot slot, timeline); ``_lay_out_conditions`` sets the slot.
+        self._timelines = []
+        for (metric, ident), events in grouped.items():
+            timeline = ConditionTimeline(events, script.params.window, base_dir)
+            self._timelines.append((VALID_METRICS.index(metric), ident, None, timeline))
         self._lay_out_conditions()
 
         self.sigma = np.full(self.topology.m, 1.0 / self.topology.m)
@@ -624,24 +556,22 @@ class ScenarioRunner:
         self._healthy_values[-1] = 0.0
         self._robot_slot = dict(zip(top.robot_ids, range(m)))
         operator_slot = dict(zip(top.operator_ids, range(2 * m, 2 * m + top.h)))
-        self._timeline_slots = []
-        for (metric, ident), timeline in self._timelines.items():
-            target = ("robot_condition", "performance", "operator_condition").index(metric)
+        timelines = []
+        for target, ident, _, timeline in self._timelines:
             slot = operator_slot[ident] if target == 2 else target * m + self._robot_slot[ident]
-            self._timeline_slots.append((target, ident, slot, timeline))
+            timelines.append((target, ident, slot, timeline))
+        self._timelines = timelines
 
     def snapshot_at(self, t: float) -> ConditionSnapshot:
         """Every metric at 1.0 except those a timeline sets; failed and
         disconnected robots have condition 0."""
         mappings = [healthy.copy() for healthy in self._healthy_mappings]
         values = self._healthy_values.copy()
-        for target, ident, slot, timeline in self._timeline_slots:
+        for target, ident, slot, timeline in self._timelines:
             value = timeline.value_at(t)
             # Written so that NaN fails the check.
             if not 0.0 <= value <= 1.0:
-                kind = ("robot {} condition", "robot {} performance", "operator {} condition")
-                label = kind[target].format(ident)
-                raise MetricDomainError(f"{label} = {value!r} outside [0, 1]")
+                raise MetricDomainError(f"{timeline.events[0]} = {value!r} outside [0, 1]")
             mappings[target][ident] = values[slot] = value
         robot_condition, robot_performance, operator_condition = mappings
         for rid in self.forced_failed | self.disconnected:
@@ -751,7 +681,7 @@ class ScenarioRunner:
 
     def _conditions_until(self, t: float) -> float:
         """A time before which no condition timeline changes its value."""
-        return min((tl.constant_until(t) for tl in self._timelines.values()), default=math.inf)
+        return min((tl.constant_until(t) for _, _, _, tl in self._timelines), default=math.inf)
 
     def _step_robots(self, t: float) -> None:
         if self.step_index != self._step_v_step and t + BREAKPOINT_TOL >= self._step_v_until:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -26,7 +26,7 @@ ZERO_SNAP = 1e-12
 @dataclass(frozen=True)
 class TransitionParams:
     """Transition tuning: scaling constant ``K`` (1/m) and the allocation
-    cycle period ``tau`` (s), the slowest of the registered providers."""
+    cycle period ``tau`` (s)."""
 
     K: float
     tau: float
@@ -36,14 +36,6 @@ class TransitionParams:
             raise ConfigurationError("K must be positive")
         if self.tau <= 0:
             raise ConfigurationError("cycle period must be positive")
-
-    @staticmethod
-    def from_cycle_times(K: float, provider_cycle_times: Iterable[float]) -> "TransitionParams":
-        """Cycle period as the maximum over the providers' cycle times."""
-        times = list(provider_cycle_times)
-        if not times:
-            raise ConfigurationError("at least one provider cycle time required")
-        return TransitionParams(K=K, tau=max(times))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mhmr.cli import main
 from mhmr.errors import MhmrError
@@ -177,8 +181,14 @@ class TestScriptCheckedAtLoad:
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize(
         "content",
-        [None, "time,level\n0,1\n", "time_s,stress\nsoon,1\n", "time_s,stress\n0\n"],
-        ids=["missing", "bad_header", "bad_time", "short_row"],
+        [
+            None,
+            "time,level\n0,1\n",
+            "time_s,stress\nsoon,1\n",
+            "time_s,stress\n0\n",
+            'time_s,stress\n0,"' + "1" * 200_000 + '"\n',
+        ],
+        ids=["missing", "bad_header", "bad_time", "short_row", "oversized_field"],
     )
     def test_bad_trace_file(self, tmp_path, capsys, command, content):
         if content is not None:
@@ -235,6 +245,98 @@ class TestScriptCheckedAtLoad:
         path = write_script(tmp_path, stress_trace_script("op.csv"))
         assert main(["validate", "--script", str(path)]) == 0
         assert out_lines(capsys)["valid"] == "true"
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize(
+        "profile",
+        [{"type": "stress_trace"}, {"type": "trace", "path": 5}, {"type": "trace", "path": ""}],
+        ids=["no_path", "number_path", "empty_path"],
+    )
+    def test_trace_profile_without_path(self, tmp_path, capsys, command, profile):
+        data = stress_trace_script("op.csv")
+        data["events"][0]["profile"] = profile
+        path = write_script(tmp_path, data)
+        argv = [command, "--script", str(path)]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "valid=true" not in captured.out
+        assert captured.err.startswith(f"error: {profile['type']} for operator 1 ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize(
+        "topology, key",
+        [
+            ({"m": "abc"}, "m"),
+            ({"m": 2.7}, "m"),
+            ({"m": True}, "m"),
+            ({"m": 0}, "m"),
+            ({"pattern": "none"}, "m"),
+            ({"m": 2, "h": -1, "edges": []}, "h"),
+            ({"m": 2, "h": 1.0, "edges": []}, "h"),
+            ({"m": 2, "h": 1, "edges": [[1]]}, "edges"),
+            ({"m": 2, "h": 1, "edges": [[1, 1.5]]}, "edges"),
+            ({"m": 2, "h": 1, "edges": [[1, False]]}, "edges"),
+            ({"m": 2, "edges": "11"}, "edges"),
+        ],
+    )
+    def test_malformed_topology(self, tmp_path, capsys, command, topology, key):
+        data = builtin_script("s3").to_dict()
+        data.update(topology=topology, events=[])
+        path = write_script(tmp_path, data)
+        argv = [command, "--script", str(path)]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "valid=true" not in captured.out
+        assert captured.err.startswith(f"error: topology.{key} ")
+        assert not (tmp_path / "out").exists()
+
+
+profile_fields = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 2),
+    st.integers(10**308, 10**310),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(["0.5", "nan", "missing.csv"]),
+    st.text(alphabet="ab.", max_size=4),
+    st.lists(st.integers(0, 1), max_size=2),
+)
+profile_types = st.one_of(
+    st.sampled_from(["step", "ramp", "trace", "stress_trace", "pulse"]), profile_fields
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    profile=st.fixed_dictionaries(
+        {},
+        optional={
+            "type": profile_types,
+            "value": profile_fields,
+            "duration": profile_fields,
+            "path": profile_fields,
+        },
+    )
+)
+@example(profile={"type": "stress_trace"})
+@example(profile={"type": "trace", "path": 5})
+@example(profile={"type": "step", "value": 10**309})
+@example(profile={"type": "ramp", "value": 0.5, "duration": float("nan")})
+def test_validate_never_raises_on_fuzzed_profile(tmp_path_factory, profile):
+    data = stress_trace_script("op.csv")
+    data["events"][0]["profile"] = profile
+    path = write_script(tmp_path_factory.mktemp("fuzz"), data)
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = main(["validate", "--script", str(path)])
+    assert code in (0, 1)
+    if code == 1:
+        assert stderr.getvalue().startswith("error: ")
 
 
 class TestSweep:

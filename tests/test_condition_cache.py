@@ -1,6 +1,6 @@
 """The runner evaluates conditions only at timeline breakpoints.
 
-``_Timeline.constant_until`` must never promise a value that changes before
+``ConditionTimeline.constant_until`` must never promise a value that changes before
 the promised time, and a runner that reuses step velocities between
 breakpoints must write the same bytes as one that evaluates them on every
 step (``PerStepRunner``, the reference kept here).
@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mhmr.metrics import ConditionTimeline
 from mhmr.patrol import able_velocity, commanded_velocity, required_velocity, step_robot
 from mhmr.scenario import (
     BREAKPOINT_TOL,
@@ -23,7 +24,6 @@ from mhmr.scenario import (
     ScenarioScript,
     TopologyEdit,
     TrajectoryRow,
-    _Timeline,
     builtin_script,
 )
 
@@ -117,7 +117,7 @@ def build_timeline(specs, directory, window):
             (directory / f"trace{n}.csv").write_text("\n".join(["time_s,stress", *rows]) + "\n")
             profile = {"type": kind, "path": f"trace{n}.csv"}
         events.append(Event(time_s, "operator", 1, "operator_condition", profile))
-    return _Timeline(events, directory, window)
+    return ConditionTimeline(events, window, directory)
 
 
 @settings(max_examples=150, deadline=None)

@@ -10,49 +10,22 @@ from mhmr.geometry import Rect
 from mhmr.metrics import (
     DEFAULT_STRESS_WINDOW,
     DISCRETE_STRESS_CONDITION,
-    ConditionProvider,
-    MetricBounds,
+    ConditionTimeline,
     ScriptedTrace,
     StressTrace,
+    check_profile,
     crosstrack_performance,
     discrete_stress_to_condition,
-    load_scripted_trace,
     load_stress_trace,
-    normalize_metric,
     stress_to_condition,
 )
+from mhmr.scenario import Event
 
 
 def make_trace(values, period=1.0):
     values = np.asarray(values, dtype=float)
     times = np.arange(len(values)) * period
     return StressTrace(times, values, sample_period=period)
-
-
-class TestNormalize:
-    def test_affine_map(self):
-        bounds = MetricBounds(40.0, 140.0)  # e.g. heart-rate style range
-        assert normalize_metric(40.0, bounds) == 0.0
-        assert normalize_metric(140.0, bounds) == 1.0
-        assert normalize_metric(90.0, bounds) == pytest.approx(0.5)
-
-    def test_out_of_bounds_raises(self):
-        bounds = MetricBounds(0.0, 1.0)
-        with pytest.raises(MetricDomainError):
-            normalize_metric(1.2, bounds)
-        with pytest.raises(MetricDomainError):
-            normalize_metric(-0.1, bounds)
-        with pytest.raises(MetricDomainError):
-            normalize_metric(float("nan"), bounds)
-
-    def test_degenerate_bounds_rejected(self):
-        with pytest.raises(ConfigurationError):
-            MetricBounds(1.0, 1.0)
-
-    @given(raw=st.floats(2.0, 7.0))
-    @settings(max_examples=100, deadline=None)
-    def test_output_in_unit_interval(self, raw):
-        assert 0.0 <= normalize_metric(raw, MetricBounds(2.0, 7.0)) <= 1.0
 
 
 class TestStressCondition:
@@ -216,45 +189,45 @@ class TestLoaders:
         with pytest.raises(ConfigurationError):
             load_stress_trace(p)
 
-    def test_scripted_csv(self, tmp_path):
-        p = tmp_path / "health.csv"
-        p.write_text("time_s,value\n0,1.0\n100,0.7\n")
-        trace = load_scripted_trace(p)
-        assert trace.value_at(50.0) == 1.0
-        assert trace.value_at(150.0) == 0.7
+
+def write_trace_csv(path, values, period=1.0):
+    """A ``time_s,stress`` file with the samples of ``make_trace(values, period)``."""
+    trace = make_trace(values, period)
+    rows = [f"{t!r},{int(v)}" for t, v in zip(trace.times.tolist(), trace.values.tolist())]
+    path.write_text("\n".join(["time_s,stress", *rows]) + "\n")
 
 
-class TestConditionProvider:
-    def test_human_stress_pipeline(self):
-        trace = make_trace([0] * 20 + [1] * 10 + [0] * 10)
-        provider = ConditionProvider(kind="human-stress", cycle_time=0.5, trace=trace)
-        assert provider.value_at(39.0) == pytest.approx(1.0 - 10 / 30, abs=1e-12)
+def stress_timeline(path, window):
+    profile = {"type": "stress_trace", "path": str(path)}
+    return ConditionTimeline([Event(0.0, "operator", 1, "operator_condition", profile)], window)
 
-    def test_scripted_provider_normalizes(self):
-        trace = ScriptedTrace(np.array([0.0]), np.array([90.0]))
-        provider = ConditionProvider(
-            kind="scripted", cycle_time=1.0, trace=trace, bounds=MetricBounds(40.0, 140.0)
-        )
-        assert provider.value_at(0.0) == pytest.approx(0.5)
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ConditionProvider(kind="telepathy", cycle_time=1.0)
+class TestConditionTimeline:
+    def test_human_stress_pipeline(self, tmp_path):
+        write_trace_csv(tmp_path / "op.csv", [0] * 20 + [1] * 10 + [0] * 10)
+        timeline = stress_timeline(tmp_path / "op.csv", DEFAULT_STRESS_WINDOW)
+        assert timeline.value_at(39.0) == pytest.approx(1.0 - 10 / 30, abs=1e-12)
 
-    def test_crosstrack_kind_is_not_time_queryable(self):
-        provider = ConditionProvider(kind="performance-crosstrack", cycle_time=0.5)
-        with pytest.raises(ConfigurationError):
-            provider.value_at(0.0)
-
-    def test_fuzz_values_in_unit_interval(self, rng):
-        for _ in range(100):
+    def test_fuzz_values_in_unit_interval(self, rng, tmp_path):
+        for k in range(100):
             n = int(rng.integers(5, 60))
-            trace = make_trace(rng.integers(0, 2, size=n))
-            provider = ConditionProvider(
-                kind="human-stress",
-                cycle_time=0.5,
-                trace=trace,
-                window=int(rng.integers(1, 40)),
-            )
+            write_trace_csv(tmp_path / f"op{k}.csv", rng.integers(0, 2, size=n))
+            timeline = stress_timeline(tmp_path / f"op{k}.csv", int(rng.integers(1, 40)))
             t = float(rng.uniform(0, n - 1))
-            assert 0.0 <= provider.value_at(t) <= 1.0
+            assert 0.0 <= timeline.value_at(t) <= 1.0
+
+    @pytest.mark.parametrize(
+        "profile",
+        [
+            {"type": "pulse", "value": 0.5},
+            {"type": "step"},
+            {"type": "step", "value": 10**309},
+            {"type": "step", "value": float("nan")},
+            {"type": "ramp", "value": 0.5, "duration": float("inf")},
+            {"type": "ramp", "value": 0.5},
+            {"type": "stress_trace", "path": ["op.csv"]},
+        ],
+    )
+    def test_bad_profile_rejected_naming_target(self, profile):
+        with pytest.raises(ConfigurationError, match="robot 2 performance"):
+            check_profile(profile, "robot 2 performance")

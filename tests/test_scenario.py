@@ -433,7 +433,7 @@ class TestTimelines:
             m=3, events=[step_event(0.0, "robot:2", "performance", 0.5)]
         )
         runner = ScenarioRunner(script)
-        (timeline,) = runner._timelines.values()
+        ((*_, timeline),) = runner._timelines
         monkeypatch.setattr(timeline, "value_at", lambda t: value)
         with pytest.raises(MetricDomainError, match="robot 2 performance"):
             runner.snapshot_at(0.0)

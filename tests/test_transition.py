@@ -165,14 +165,6 @@ class TestComputeQf:
 
 
 class TestParams:
-    def test_from_cycle_times_takes_slowest(self):
-        params = TransitionParams.from_cycle_times(0.5, [0.1, 0.5, 0.25])
-        assert params.tau == 0.5
-
-    def test_requires_providers(self):
-        with pytest.raises(ConfigurationError):
-            TransitionParams.from_cycle_times(0.5, [])
-
     def test_rejects_nonpositive(self):
         with pytest.raises(ConfigurationError):
             TransitionParams(K=0.0, tau=0.5)
