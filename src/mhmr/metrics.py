@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Optional, Sequence
@@ -160,12 +161,15 @@ def load_stress_trace(path: str | Path) -> StressTrace | ScriptedTrace:
     return ScriptedTrace(np.asarray(times), values)
 
 
-def _number(profile: dict[str, Any], key: str) -> float:
-    """``profile[key]`` as a float, NaN when it is missing or not a number."""
+def is_finite_number(value: Any) -> bool:
+    """A real number, not a bool, that is finite as a float."""
+    # ``float`` and ``int`` first: the ABC check alone takes about 1 us.
+    if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
+        return False
     try:
-        return float(profile[key])
-    except (KeyError, TypeError, ValueError, OverflowError):
-        return math.nan
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def check_profile(profile: dict[str, Any], target: Any) -> None:
@@ -179,15 +183,15 @@ def check_profile(profile: dict[str, Any], target: Any) -> None:
         path = profile.get("path")
         if not (isinstance(path, str) and path):
             raise ConfigurationError(f"{kind} for {target} needs a file path, got {path!r}")
-    # Written so that NaN, and so a missing or non-numeric entry, fails.
-    elif not 0.0 <= _number(profile, "value") <= 1.0:
+    elif not (is_finite_number(value := profile.get("value")) and 0.0 <= value <= 1.0):
         raise ConfigurationError(
-            f"{kind} profile for {target} needs a value in [0, 1], got {profile.get('value')!r}"
+            f"{kind} profile for {target} needs a value in [0, 1], got {value!r}"
         )
-    elif kind == "ramp" and not 0.0 < _number(profile, "duration") < math.inf:
+    elif kind == "ramp" and not (
+        is_finite_number(duration := profile.get("duration")) and duration > 0.0
+    ):
         raise ConfigurationError(
-            f"ramp profile needs a finite positive duration for {target}, "
-            f"got {profile.get('duration')!r}"
+            f"ramp profile needs a finite positive duration for {target}, got {duration!r}"
         )
 
 

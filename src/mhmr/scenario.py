@@ -14,15 +14,16 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field, replace
+from itertools import groupby
 from pathlib import Path
-from typing import Any, Optional, Sequence
+from typing import Any, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .allocation import propose_allocation
 from .errors import ConfigurationError, MetricDomainError, NoCapableAgentError
 from .geometry import GlobalWorkspace, partition_from_workload, strips
-from .metrics import DEFAULT_STRESS_WINDOW, ConditionTimeline, check_profile
+from .metrics import DEFAULT_STRESS_WINDOW, ConditionTimeline, check_profile, is_finite_number
 from .patrol import (
     PatrolFleet,
     RobotKinematicState,
@@ -72,6 +73,8 @@ class Event:
             raise ConfigurationError(f"unknown event target kind {self.target_kind!r}")
         if self.metric not in VALID_METRICS:
             raise ConfigurationError(f"unknown event metric {self.metric!r}")
+        if not is_finite_number(self.time_s):
+            raise ConfigurationError(f"{self} event needs a finite time_s, got {self.time_s!r}")
         check_profile(self.profile, self)
 
     def __str__(self) -> str:
@@ -82,14 +85,6 @@ class Event:
 def _is_integer(value: Any) -> bool:
     """A JSON integer: an ``int`` that is not a bool."""
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_finite_number(value: Any) -> bool:
-    return (
-        isinstance(value, numbers.Real)
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-    )
 
 
 @dataclass(frozen=True)
@@ -106,7 +101,7 @@ class ScenarioParams:
     def __post_init__(self):
         for name in ("K", "tau", "tau_star", "v_max", "sim_dt"):
             value = getattr(self, name)
-            if not (_is_finite_number(value) and value > 0):
+            if not (is_finite_number(value) and value > 0):
                 raise ConfigurationError(
                     f"params.{name} must be a finite number > 0, got {value!r}"
                 )
@@ -140,6 +135,11 @@ class ScenarioScript:
     def __post_init__(self):
         if self.mode not in VALID_MODES:
             raise ConfigurationError(f"unknown mode {self.mode!r}")
+        for name in ("allocation_enabled", "record_trajectory"):
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigurationError(
+                    f"{name} must be true or false, got {getattr(self, name)!r}"
+                )
         if not (math.isfinite(self.duration_s) and self.duration_s > 0):
             raise ConfigurationError(
                 f"duration_s must be finite and positive, got {self.duration_s!r}"
@@ -193,7 +193,7 @@ class ScenarioScript:
                 if not (
                     isinstance(point, (list, tuple))
                     and len(point) == 2
-                    and all(_is_finite_number(v) for v in point)
+                    and all(is_finite_number(v) for v in point)
                 ):
                     raise ConfigurationError(
                         f"placement entry {point!r} is not an (x, y) pair of finite numbers"
@@ -254,7 +254,7 @@ class ScenarioScript:
                 kind, _, ident = str(raw["target"]).partition(":")
                 events.append(
                     Event(
-                        time_s=float(raw["time_s"]),
+                        time_s=raw["time_s"],
                         target_kind=kind,
                         target_id=int(ident),
                         metric=str(raw["metric"]),
@@ -277,8 +277,8 @@ class ScenarioScript:
                 duration_s=float(data["duration_s"]),
                 mode=str(data.get("mode", "full-sim")),
                 placement=data.get("placement", "center"),
-                allocation_enabled=bool(data.get("allocation_enabled", True)),
-                record_trajectory=bool(data.get("record_trajectory", False)),
+                allocation_enabled=data.get("allocation_enabled", True),
+                record_trajectory=data.get("record_trajectory", False),
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigurationError(f"malformed scenario script: {exc}") from exc
@@ -351,16 +351,15 @@ class CycleRow:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class LapRow:
+# Lap and trajectory rows are tuples in the column order of their files.
+class LapRow(NamedTuple):
     robot_id: int
     lap: int
     lap_time_s: float
     transitional: bool
 
 
-@dataclass(frozen=True)
-class TrajectoryRow:
+class TrajectoryRow(NamedTuple):
     time_s: float
     robot_id: int
     x: float
@@ -380,9 +379,9 @@ class RunRecord:
     summary: dict[str, Any] = field(default_factory=dict)
 
     def write(self, outdir: str | Path) -> Path:
+        """Write the results directory, numbers as ``%.12g`` (``nan``, ``inf``, ``-0``)."""
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
-        fmt = _fmt
         with open(outdir / "cycles.csv", "w", newline="") as fh:
             sigma_cols = [f"sigma_r{r}" for r in self.robot_ids]
             prop_cols = [f"sigma_prop_r{r}" for r in self.robot_ids]
@@ -400,42 +399,36 @@ class RunRecord:
                 )
                 + "\n"
             )
-            for row in self.cycles:
-                cells = (
-                    [str(row.cycle), fmt(row.time_s)]
-                    + [fmt(s) for s in row.sigma]
-                    + [fmt(s) for s in row.sigma_proposed]
-                    + [fmt(row.q_f), fmt(row.K_e)]
-                    + [fmt(k) for k in row.kappa]
-                    + [fmt(v) for v in row.v]
-                    + [fmt(row.transition_error), row.note]
-                )
-                fh.write(",".join(cells) + "\n")
+            fh.writelines(_cycle_lines(self.cycles))
         with open(outdir / "laps.csv", "w", newline="") as fh:
             fh.write("robot,lap,lap_time_s,transitional\n")
-            for lap in self.laps:
-                fh.write(
-                    f"{lap.robot_id},{lap.lap},{fmt(lap.lap_time_s)},"
-                    f"{int(lap.transitional)}\n"
-                )
+            fh.writelines("%s,%s,%.12g,%d\n" % lap for lap in self.laps)
         if self.trajectory:
             with open(outdir / "trajectory.csv", "w", newline="") as fh:
                 fh.write("time_s,robot,x,y,v\n")
-                for tr in self.trajectory:
-                    fh.write(
-                        f"{fmt(tr.time_s)},{tr.robot_id},{fmt(tr.x)},"
-                        f"{fmt(tr.y)},{fmt(tr.v)}\n"
-                    )
+                fh.writelines("%.12g,%s,%.12g,%.12g,%.12g\n" % tr for tr in self.trajectory)
         with open(outdir / "summary.json", "w") as fh:
-            json.dump(self.summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(self.summary, indent=2, sort_keys=True) + "\n")
         return outdir
 
 
-def _fmt(x: float) -> str:
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
-    return format(float(x), ".12g")
+#: Characters that make ``csv.QUOTE_MINIMAL`` quote a field.
+_CSV_SPECIAL = frozenset(',"\r\n')
+
+
+def _cycle_lines(rows: Sequence[CycleRow]) -> Iterator[str]:
+    """The rows of ``cycles.csv``, a note quoted as ``csv.QUOTE_MINIMAL`` would;
+    rows from before a robot joined the team are shorter."""
+    for m, group in groupby(rows, key=lambda row: len(row.sigma)):
+        template = "%s," + "%.12g," * (4 * m + 4) + "%s\n"
+        for r in group:
+            note = r.note
+            if not _CSV_SPECIAL.isdisjoint(note):
+                note = '"%s"' % note.replace('"', '""')
+            yield template % (
+                r.cycle, r.time_s, *r.sigma, *r.sigma_proposed, r.q_f, r.K_e,
+                *r.kappa, *r.v, r.transition_error, note,
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -850,7 +843,7 @@ def sweep_scripts(
             scripts.append(
                 replace(
                     base,
-                    name=f"{base.name}_K{_fmt(value)}",
+                    name=f"{base.name}_K{'%.12g' % value}",
                     params=replace(base.params, K=float(value)),
                 )
             )

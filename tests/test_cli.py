@@ -296,6 +296,32 @@ class TestScriptCheckedAtLoad:
         assert not (tmp_path / "out").exists()
 
 
+class TestFlagsCheckedAtLoad:
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("field", ["allocation_enabled", "record_trajectory"])
+    def test_string_flag_in_script(self, tmp_path, capsys, command, field):
+        data = builtin_script("s3").to_dict()
+        data[field] = "false"
+        argv = [command, "--script", str(write_script(tmp_path, data))]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "valid=true" not in captured.out
+        assert captured.err.startswith(f"error: {field} must be true or false, got 'false'")
+        assert not (tmp_path / "out").exists()
+
+    def test_string_flag_override(self, s3_script, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["run", "--script", str(s3_script), "--out", str(out)]
+        assert main(argv + ["--override", "allocation_enabled=False"]) == 1
+        assert capsys.readouterr().err.startswith("error: allocation_enabled must be true or false")
+        assert not out.exists()
+        # JSON ``false`` is a bool, and turns allocation off.
+        assert main(argv + ["--override", "allocation_enabled=false"]) == 0
+        assert json.loads((out / "summary.json").read_text())["allocation_enabled"] is False
+
+
 profile_fields = st.one_of(
     st.none(),
     st.booleans(),
@@ -311,25 +337,35 @@ profile_types = st.one_of(
 )
 
 
+# Numbers written as JSON strings or bools, which a script must not pass off as numbers.
+text_or_bool_numbers = st.one_of(st.booleans(), st.sampled_from(["0", "0.5", "1", "nan"]))
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     profile=st.fixed_dictionaries(
         {},
         optional={
             "type": profile_types,
-            "value": profile_fields,
-            "duration": profile_fields,
+            "value": st.one_of(profile_fields, text_or_bool_numbers),
+            "duration": st.one_of(profile_fields, text_or_bool_numbers),
             "path": profile_fields,
         },
-    )
+    ),
+    time_s=st.one_of(st.sampled_from([0.0, 0, 2.5]), text_or_bool_numbers),
 )
-@example(profile={"type": "stress_trace"})
-@example(profile={"type": "trace", "path": 5})
-@example(profile={"type": "step", "value": 10**309})
-@example(profile={"type": "ramp", "value": 0.5, "duration": float("nan")})
-def test_validate_never_raises_on_fuzzed_profile(tmp_path_factory, profile):
+@example(profile={"type": "stress_trace"}, time_s=0.0)
+@example(profile={"type": "trace", "path": 5}, time_s=0.0)
+@example(profile={"type": "step", "value": 10**309}, time_s=0.0)
+@example(profile={"type": "ramp", "value": 0.5, "duration": float("nan")}, time_s=0.0)
+@example(profile={"type": "step", "value": "0.5"}, time_s=0.0)
+@example(profile={"type": "ramp", "value": True, "duration": 1.0}, time_s=0.0)
+@example(profile={"type": "ramp", "value": 0.5, "duration": "1"}, time_s=0.0)
+@example(profile={"type": "step", "value": 0.5}, time_s=True)
+@example(profile={"type": "step", "value": 0.5}, time_s="0")
+def test_validate_never_raises_on_fuzzed_profile(tmp_path_factory, profile, time_s):
     data = stress_trace_script("op.csv")
-    data["events"][0]["profile"] = profile
+    data["events"][0].update(profile=profile, time_s=time_s)
     path = write_script(tmp_path_factory.mktemp("fuzz"), data)
     stderr = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
@@ -337,6 +373,13 @@ def test_validate_never_raises_on_fuzzed_profile(tmp_path_factory, profile):
     assert code in (0, 1)
     if code == 1:
         assert stderr.getvalue().startswith("error: ")
+    numbers = [time_s]
+    if profile.get("type") in ("step", "ramp"):
+        numbers.append(profile.get("value"))
+    if profile.get("type") == "ramp":
+        numbers.append(profile.get("duration"))
+    if any(isinstance(n, (str, bool)) for n in numbers):
+        assert code == 1
 
 
 class TestSweep:

@@ -1,9 +1,14 @@
 import copy
+import csv
+import dataclasses
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mhmr.scenario
 from mhmr.errors import ConfigurationError, MetricDomainError
@@ -11,11 +16,15 @@ from mhmr.geometry import partition_from_workload
 from mhmr.patrol import assign_region, required_velocity
 from mhmr.scenario import (
     BUILTIN_SCRIPT_NAMES,
+    CycleRow,
     Event,
+    LapRow,
+    RunRecord,
     ScenarioParams,
     ScenarioRunner,
     ScenarioScript,
     TopologyEdit,
+    TrajectoryRow,
     build_topology,
     builtin_script,
     run_scenario,
@@ -158,6 +167,43 @@ class TestSerialization:
         data["workspace"][key] = value
         with pytest.raises(ConfigurationError, match="workspace"):
             ScenarioScript.from_dict(data)
+
+    @pytest.mark.parametrize("field", ["allocation_enabled", "record_trajectory"])
+    @pytest.mark.parametrize("value", ["false", "False", "true", 0, 1, None])
+    def test_flags_must_be_bools(self, field, value):
+        data = builtin_script("s3").to_dict()
+        data[field] = value
+        with pytest.raises(ConfigurationError, match=rf"^{field} must be true or false"):
+            ScenarioScript.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "event",
+        [
+            {"time_s": "0"},
+            {"time_s": True},
+            {"time_s": 10**309},
+            {"profile": {"type": "step", "value": "0.5"}},
+            {"profile": {"type": "step", "value": True}},
+            {"profile": {"type": "step", "value": 10**309}},
+            {"profile": {"type": "ramp", "value": 1.0, "duration": "70"}},
+            {"profile": {"type": "ramp", "value": 1.0, "duration": True}},
+        ],
+        ids=[
+            "text_time", "bool_time", "huge_time", "text_value", "bool_value", "huge_value",
+            "text_duration", "bool_duration",
+        ],
+    )
+    def test_event_numbers_must_be_real_numbers(self, event):
+        data = builtin_script("s3").to_dict()
+        data["events"][0].update(event)
+        with pytest.raises(ConfigurationError, match="operator 3 operator_condition"):
+            ScenarioScript.from_dict(data)
+
+    def test_integer_event_numbers_load(self):
+        data = builtin_script("s3").to_dict()
+        data["events"][0].update(time_s=0, profile={"type": "ramp", "value": 1, "duration": 2})
+        [event, *_] = ScenarioScript.from_dict(data).events
+        assert (event.time_s, event.profile["value"], event.profile["duration"]) == (0, 1, 2)
 
 
 class TestScenarioParams:
@@ -528,3 +574,92 @@ class TestRunRecordFiles:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["final_sigma"][2] == 0.0
         assert summary["m"] == 10
+
+    def test_written_bytes_of_a_hand_built_record(self, tmp_path):
+        # The first row is from before robot 2 joined, so it is one robot short.
+        record = RunRecord(script=builtin_script("s3"), robot_ids=(1, 2))
+        record.cycles = [
+            CycleRow(0, 0.0, (1.0,), (1.0,), math.nan, 0.0, (1.0,), (0.0,), 0.0),
+            CycleRow(
+                1, 0.5, (0.5, -0.0), (math.nan, 0.1 + 0.2), math.inf, -math.inf,
+                (5e-324, 1e16), (2.0, -1.5e-7), 1.0, note='no agent: a, "b"',
+            ),
+            CycleRow(2, 1.0, (0.5, 0.5), (0.5, 0.5), 0.25, 1.0, (1.0, 1.0), (0.8, 0.8), 1e-300),
+        ]
+        record.laps = [LapRow(1, 0, 65.25, True), LapRow(2, 3, 1e-7, False)]
+        record.trajectory = [
+            TrajectoryRow(0.5, 1, -0.0, 12.0, math.nan),
+            TrajectoryRow(1.0, 2, 1 / 3, -math.inf, 0.8),
+        ]
+        record.summary = {"name": "x", "max_t_l": None, "final_sigma": [0.5, 0.5]}
+        out = record.write(tmp_path / "out")
+        assert (out / "cycles.csv").read_text() == (
+            "cycle,time_s,sigma_r1,sigma_r2,sigma_prop_r1,sigma_prop_r2,q_f,K_e,"
+            "kappa_r1,kappa_r2,v_r1,v_r2,transition_error,note\n"
+            "0,0,1,1,nan,0,1,0,0,\n"
+            '1,0.5,0.5,-0,nan,0.3,inf,-inf,4.94065645841e-324,1e+16,2,-1.5e-07,1,'
+            '"no agent: a, ""b"""\n'
+            "2,1,0.5,0.5,0.5,0.5,0.25,1,1,1,0.8,0.8,1e-300,\n"
+        )
+        assert (out / "laps.csv").read_text() == (
+            "robot,lap,lap_time_s,transitional\n1,0,65.25,1\n2,3,1e-07,0\n"
+        )
+        assert (out / "trajectory.csv").read_text() == (
+            "time_s,robot,x,y,v\n0.5,1,-0,12,nan\n1,2,0.333333333333,-inf,0.8\n"
+        )
+        assert (out / "summary.json").read_text() == (
+            '{\n  "final_sigma": [\n    0.5,\n    0.5\n  ],\n'
+            '  "max_t_l": null,\n  "name": "x"\n}\n'
+        )
+
+    @settings(max_examples=50, deadline=None)
+    @given(m=st.integers(1, 3), data=st.data())
+    def test_every_cell_is_format_12g(self, tmp_path_factory, m, data):
+        floats = st.floats(allow_nan=True, allow_infinity=True)
+
+        def x():
+            return data.draw(floats)
+
+        def xs():
+            return tuple(x() for _ in range(m))
+
+        row = CycleRow(7, x(), xs(), xs(), x(), x(), xs(), xs(), x())
+        lap = LapRow(2, 1, x(), False)
+        tr = TrajectoryRow(x(), 3, x(), x(), x())
+        record = RunRecord(script=builtin_script("s3"), robot_ids=tuple(range(1, m + 1)))
+        record.cycles, record.laps, record.trajectory = [row], [lap], [tr]
+        out = record.write(tmp_path_factory.mktemp("cells"))
+
+        def body(name):
+            with open(out / name, newline="") as fh:
+                return list(csv.reader(fh))[1:]
+
+        def g(value):
+            return format(float(value), ".12g")
+
+        assert body("cycles.csv") == [
+            ["7", g(row.time_s), *map(g, row.sigma), *map(g, row.sigma_proposed), g(row.q_f)]
+            + [g(row.K_e), *map(g, row.kappa), *map(g, row.v), g(row.transition_error), ""]
+        ]
+        assert body("laps.csv") == [["2", "1", g(lap.lap_time_s), "0"]]
+        assert body("trajectory.csv") == [[g(tr.time_s), "3", g(tr.x), g(tr.y), g(tr.v)]]
+
+    def test_s1_trajectory_bytes_pinned(self, tmp_path):
+        script = dataclasses.replace(builtin_script("s1"), record_trajectory=True)
+        out = run_scenario(script).write(tmp_path / "out")
+        digest = hashlib.sha256((out / "trajectory.csv").read_bytes()).hexdigest()
+        assert digest == "2156dd8ba2a8008934f80ea8ca7ba5852685bbf4aa309d97caacfc48b5a49a8d"
+
+    def test_note_is_one_csv_field(self, tmp_path):
+        data = builtin_script("s3").to_dict()
+        data["duration_s"] = 3.0
+        data["events"] = [
+            step_event(1.0, f"robot:{r}", "robot_condition", 0.0) for r in range(1, 11)
+        ]
+        record = run_scenario(ScenarioScript.from_dict(data))
+        notes = [row.note for row in record.cycles if row.note]
+        assert len(notes) == 5 and "," in notes[0]
+        with open(record.write(tmp_path / "out") / "cycles.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert {len(row) for row in rows} == {len(header)} == {46}
+        assert [row[-1] for row in rows if row[-1]] == notes
