@@ -23,7 +23,7 @@ def main():
     current = WorkloadVector(np.array([0.5, 0.5]))
     proposed = WorkloadVector(np.array([0.3, 0.7]))
     preview = partition_from_workload(workspace, proposed)
-    print("proposed strip widths:", [float(r.width) for r in preview.regions])
+    print("proposed strip widths:", [float(r.width) for r in preview])
 
     for label, positions in [
         ("robots mid-strip", [(3.0, 2.5), (13.0, 2.5)]),

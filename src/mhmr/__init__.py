@@ -17,7 +17,6 @@ from .errors import (
 from .geometry import (
     GlobalWorkspace,
     Rect,
-    WorkspacePartition,
     boundary_distance,
     partition_from_workload,
     perimeter,
@@ -49,7 +48,6 @@ from .scenario import (
 )
 from .team import ConditionSnapshot, TeamTopology, WorkloadVector
 from .transition import (
-    TransitionParams,
     TransitionState,
     allocation_cycle,
     compute_q_f,

@@ -31,9 +31,6 @@ from .scenario import (
 
 OUTPUT_ROOT_ENV = "MHMR_OUTPUT_ROOT"
 
-#: m values above this are gated behind --long-run.
-LONG_RUN_M = 200
-
 
 def _default_out(name: str) -> Path:
     root = os.environ.get(OUTPUT_ROOT_ENV, "mhmr_out")
@@ -127,16 +124,6 @@ def _cmd_sweep(args) -> int:
     values = [float(v) for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigurationError("no sweep values given")
-    if args.axis == "m":
-        skipped = [v for v in values if v > LONG_RUN_M and not args.long_run]
-        if skipped:
-            print(
-                f"skipping m values {skipped} without --long-run",
-                file=sys.stderr,
-            )
-            values = [v for v in values if v <= LONG_RUN_M or args.long_run]
-        if not values:
-            raise ConfigurationError("all sweep values gated behind --long-run")
     outroot = Path(args.out) if args.out else _default_out(f"{script.name}_sweep_{args.axis}")
 
     scripts = sweep_scripts(script, args.axis, values)
@@ -253,11 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_p.add_argument(
         "--jobs", type=int, default=1, help="worker processes running the sweep's scenarios"
-    )
-    sweep_p.add_argument(
-        "--long-run",
-        action="store_true",
-        help=f"allow m values above {LONG_RUN_M}",
     )
     sweep_p.set_defaults(func=_cmd_sweep)
 

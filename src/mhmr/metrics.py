@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Optional, Sequence
@@ -19,7 +18,7 @@ from typing import Any, Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, EmptyRegionError, MetricDomainError, MhmrError
-from .geometry import Rect, boundary_distance, perimeter
+from .geometry import Rect, boundary_distance, is_finite_number, perimeter
 
 #: Discrete stress level to condition value.
 DISCRETE_STRESS_CONDITION = {"low": 0.75, "medium": 0.5, "high": 0.25}
@@ -52,7 +51,6 @@ class StressTrace:
 
     times: np.ndarray
     values: np.ndarray
-    sample_period: float
     # stressed[k]: number of stressed samples among the first k.
     stressed: list[int] = field(init=False, compare=False, repr=False)
 
@@ -153,23 +151,11 @@ def load_stress_trace(path: str | Path) -> StressTrace | ScriptedTrace:
     if all(v in ("0", "1") for v in raw):
         values = np.array([float(v) for v in raw])
         periods = np.diff(np.asarray(times))
-        period = float(periods[0]) if periods.size else 1.0
-        if periods.size and not np.allclose(periods, period):
+        if periods.size and not np.allclose(periods, periods[0]):
             raise ConfigurationError(f"{path}: stress trace sample period is not uniform")
-        return StressTrace(np.asarray(times), values, sample_period=period)
+        return StressTrace(np.asarray(times), values)
     values = np.array([discrete_stress_to_condition(v) for v in raw])
     return ScriptedTrace(np.asarray(times), values)
-
-
-def is_finite_number(value: Any) -> bool:
-    """A real number, not a bool, that is finite as a float."""
-    # ``float`` and ``int`` first: the ABC check alone takes about 1 us.
-    if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
 
 
 def check_profile(profile: dict[str, Any], target: Any) -> None:

@@ -14,7 +14,6 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field, replace
-from itertools import groupby
 from pathlib import Path
 from typing import Any, Iterator, NamedTuple, Optional, Sequence
 
@@ -22,8 +21,8 @@ import numpy as np
 
 from .allocation import propose_allocation
 from .errors import ConfigurationError, MetricDomainError, NoCapableAgentError
-from .geometry import GlobalWorkspace, partition_from_workload, strips
-from .metrics import DEFAULT_STRESS_WINDOW, ConditionTimeline, check_profile, is_finite_number
+from .geometry import GlobalWorkspace, is_finite_number, partition_from_workload, strips
+from .metrics import DEFAULT_STRESS_WINDOW, ConditionTimeline, check_profile
 from .patrol import (
     PatrolFleet,
     RobotKinematicState,
@@ -33,7 +32,7 @@ from .patrol import (
     system_patrol_time,
 )
 from .team import ConditionSnapshot, TeamTopology, WorkloadVector
-from .transition import TransitionParams, allocation_cycle
+from .transition import allocation_cycle
 
 SCHEMA_VERSION = 1
 
@@ -130,7 +129,6 @@ class ScenarioScript:
     placement: Any = "center"
     allocation_enabled: bool = True
     record_trajectory: bool = False
-    schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
         if self.mode not in VALID_MODES:
@@ -140,10 +138,11 @@ class ScenarioScript:
                 raise ConfigurationError(
                     f"{name} must be true or false, got {getattr(self, name)!r}"
                 )
-        if not (math.isfinite(self.duration_s) and self.duration_s > 0):
+        if not (is_finite_number(self.duration_s) and self.duration_s > 0):
             raise ConfigurationError(
-                f"duration_s must be finite and positive, got {self.duration_s!r}"
+                f"duration_s must be a finite number > 0, got {self.duration_s!r}"
             )
+        object.__setattr__(self, "duration_s", float(self.duration_s))
         if self.duration_s < self.params.sim_dt:
             raise ConfigurationError(
                 f"duration_s = {self.duration_s!r} is shorter than "
@@ -210,7 +209,7 @@ class ScenarioScript:
 
     def to_dict(self) -> dict[str, Any]:
         return {
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "name": self.name,
             "topology": copy.deepcopy(self.topology),
             "workspace": {
@@ -267,14 +266,14 @@ class ScenarioScript:
                 name=str(data.get("name", "unnamed")),
                 topology=dict(data["topology"]),
                 workspace=GlobalWorkspace(
-                    origin=tuple(ws.get("origin", (0.0, 0.0))),
-                    width=float(ws["width"]),
-                    height=float(ws["height"]),
-                    safety_gap=float(ws.get("safety_gap", 0.0)),
+                    origin=ws.get("origin", (0.0, 0.0)),
+                    width=ws["width"],
+                    height=ws["height"],
+                    safety_gap=ws.get("safety_gap", 0.0),
                 ),
                 params=params,
                 events=tuple(events),
-                duration_s=float(data["duration_s"]),
+                duration_s=data["duration_s"],
                 mode=str(data.get("mode", "full-sim")),
                 placement=data.get("placement", "center"),
                 allocation_enabled=data.get("allocation_enabled", True),
@@ -371,7 +370,6 @@ class TrajectoryRow(NamedTuple):
 class RunRecord:
     """Everything a run produced, writable as a results directory."""
 
-    script: ScenarioScript
     robot_ids: tuple[int, ...]
     cycles: list[CycleRow] = field(default_factory=list)
     laps: list[LapRow] = field(default_factory=list)
@@ -399,7 +397,7 @@ class RunRecord:
                 )
                 + "\n"
             )
-            fh.writelines(_cycle_lines(self.cycles))
+            fh.writelines(_cycle_lines(self.cycles, len(self.robot_ids)))
         with open(outdir / "laps.csv", "w", newline="") as fh:
             fh.write("robot,lap,lap_time_s,transitional\n")
             fh.writelines("%s,%s,%.12g,%d\n" % lap for lap in self.laps)
@@ -416,19 +414,23 @@ class RunRecord:
 _CSV_SPECIAL = frozenset(',"\r\n')
 
 
-def _cycle_lines(rows: Sequence[CycleRow]) -> Iterator[str]:
-    """The rows of ``cycles.csv``, a note quoted as ``csv.QUOTE_MINIMAL`` would;
-    rows from before a robot joined the team are shorter."""
-    for m, group in groupby(rows, key=lambda row: len(row.sigma)):
-        template = "%s," + "%.12g," * (4 * m + 4) + "%s\n"
-        for r in group:
-            note = r.note
-            if not _CSV_SPECIAL.isdisjoint(note):
-                note = '"%s"' % note.replace('"', '""')
-            yield template % (
-                r.cycle, r.time_s, *r.sigma, *r.sigma_proposed, r.q_f, r.K_e,
-                *r.kappa, *r.v, r.transition_error, note,
-            )
+def _cycle_lines(rows: Sequence[CycleRow], m: int) -> Iterator[str]:
+    """The rows of ``cycles.csv`` for a team of ``m`` robots, a note quoted as
+    ``csv.QUOTE_MINIMAL`` would.  Robots join at the end of the team, so a
+    row from before one joined has ``nan`` at the end of each robot group."""
+    template = "%s," + "%.12g," * (4 * m + 4) + "%s\n"
+    for r in rows:
+        sigma, proposed, kappa, v = r.sigma, r.sigma_proposed, r.kappa, r.v
+        if len(sigma) < m:
+            pad = (math.nan,) * (m - len(sigma))
+            sigma, proposed, kappa, v = sigma + pad, proposed + pad, kappa + pad, v + pad
+        note = r.note
+        if not _CSV_SPECIAL.isdisjoint(note):
+            note = '"%s"' % note.replace('"', '""')
+        yield template % (
+            r.cycle, r.time_s, *sigma, *proposed, r.q_f, r.K_e, *kappa, *v,
+            r.transition_error, note,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +467,6 @@ class ScenarioRunner:
         self.script = script
         self.workspace = script.workspace
         self.params = script.params
-        self.transition_params = TransitionParams(K=script.params.K, tau=script.params.tau)
         grouped: dict[tuple[str, int], list[Event]] = {}
         for ev in script.events:
             grouped.setdefault((ev.metric, ev.target_id), []).append(ev)
@@ -476,8 +477,8 @@ class ScenarioRunner:
             self._timelines.append((VALID_METRICS.index(metric), ident, None, timeline))
         self._lay_out_conditions()
 
-        self.sigma = np.full(self.topology.m, 1.0 / self.topology.m)
-        self.sigma_proposed = self.sigma.copy()
+        self.sigma = WorkloadVector.uniform(self.topology.m)
+        self.sigma_proposed = self.sigma.shares
         self.cycle_index = 0
         self.step_index = 0
         self.dt = script.params.sim_dt
@@ -496,7 +497,7 @@ class ScenarioRunner:
             self.robots = self.fleet.robots
             self._assign_regions()
 
-        self.record = RunRecord(script=script, robot_ids=self.topology.robot_ids)
+        self.record = RunRecord(robot_ids=self.topology.robot_ids)
         self._streak = 0
         self._convergence_time: Optional[float] = None
         self._initial_error: Optional[float] = None
@@ -510,9 +511,6 @@ class ScenarioRunner:
 
     # -- helpers ------------------------------------------------------------
 
-    def _sigma_vector(self) -> WorkloadVector:
-        return WorkloadVector(self.sigma, timestamp=self.cycle_index)
-
     def _initial_positions(self) -> np.ndarray:
         """``(m, 2)`` start positions: explicit, or a point of each robot's
         strip of the uniform partition (its centre, a tenth of the way in
@@ -521,7 +519,7 @@ class ScenarioRunner:
         if isinstance(placement, (list, tuple)):
             return np.array(placement, dtype=float)
         # ``sigma`` holds the uniform shares until the first cycle.
-        _, x, width = strips(self.workspace, self.sigma)
+        _, x, width = strips(self.workspace, self.sigma.shares)
         y = self.workspace.origin[1]
         if placement == "center":
             x, y = x + width / 2.0, y + self.workspace.height / 2.0
@@ -575,7 +573,6 @@ class ScenarioRunner:
             operator_condition,
             robot_performance,
             values,
-            timestamp=self.cycle_index,
         )
 
     def _current_positions(self) -> Sequence[Sequence[float]]:
@@ -599,16 +596,17 @@ class ScenarioRunner:
 
         Equal shares give an equal partition, on which ``assign_region``
         changes nothing, so unchanged shares skip the work; a team edit
-        changes the shape of ``sigma`` and forces the rebuild.
+        changes the shape of the shares and forces the rebuild.
         """
-        if np.array_equal(self.sigma, self._regions_sigma):
+        shares = self.sigma.shares
+        if np.array_equal(shares, self._regions_sigma):
             return
-        partition = partition_from_workload(self.workspace, self._sigma_vector())
+        regions = partition_from_workload(self.workspace, self.sigma)
         v_req, tau_star, v_max = self.fleet.v_req, self.params.tau_star, self.params.v_max
-        for i, (state, region) in enumerate(zip(self.robots, partition.regions)):
+        for i, (state, region) in enumerate(zip(self.robots, regions)):
             if assign_region(state, region):
                 v_req[i] = required_velocity(region, tau_star, v_max)
-        self._regions_sigma = self.sigma
+        self._regions_sigma = shares
 
     # -- core loop ----------------------------------------------------------
 
@@ -624,21 +622,17 @@ class ScenarioRunner:
                 self.sigma_proposed = proposed.shares
                 if self._initial_error is None:
                     self._initial_error = float(
-                        math.fsum(np.abs(self.sigma - self.sigma_proposed).tolist())
+                        math.fsum(np.abs(self.sigma.shares - self.sigma_proposed).tolist())
                     )
                 state = allocation_cycle(
-                    proposed,
-                    self._current_positions(),
-                    self._sigma_vector(),
-                    self.transition_params,
-                    self.workspace,
+                    proposed, self._current_positions(), self.sigma, self.params.K, self.workspace
                 )
-                self.sigma = state.sigma.shares
+                self.sigma = state.sigma
                 q_f, K_e = state.q_f, state.K_e
             except NoCapableAgentError as exc:
                 note = str(exc)
                 self._allocation_errors += 1
-        error = float(math.fsum(np.abs(self.sigma - self.sigma_proposed).tolist()))
+        error = float(math.fsum(np.abs(self.sigma.shares - self.sigma_proposed).tolist()))
         if self.script.allocation_enabled and not note:
             if error < CONVERGENCE_EPS:
                 self._streak += 1
@@ -660,7 +654,7 @@ class ScenarioRunner:
             CycleRow(
                 cycle=self.cycle_index,
                 time_s=t,
-                sigma=tuple(self.sigma.tolist()),
+                sigma=tuple(self.sigma.shares.tolist()),
                 sigma_proposed=tuple(self.sigma_proposed.tolist()),
                 q_f=q_f,
                 K_e=K_e,
@@ -727,7 +721,7 @@ class ScenarioRunner:
                 t.operator_ids + new_ops,
                 set(t.edges) | {(edit.robot_id, o) for o in edit.operator_ids},
             )
-            self.sigma = np.append(self.sigma, 0.0)
+            self.sigma = WorkloadVector(np.append(self.sigma.shares, 0.0))
             self.sigma_proposed = np.append(self.sigma_proposed, 0.0)
             pos = np.asarray(
                 edit.position
@@ -771,7 +765,7 @@ class ScenarioRunner:
     # -- summary ------------------------------------------------------------
 
     def _finalize(self) -> None:
-        active = [s > 0.0 for s in self.sigma]
+        active = [s > 0.0 for s in self.sigma.shares.tolist()]
         lap_times = []
         lap_flags = []
         for i, rid in enumerate(self.topology.robot_ids):
@@ -807,8 +801,8 @@ class ScenarioRunner:
             "final_transition_error": self.record.cycles[-1].transition_error
             if self.record.cycles
             else None,
-            "final_sigma": [float(s) for s in self.sigma],
-            "final_sigma_proposed": [float(s) for s in self.sigma_proposed],
+            "final_sigma": self.sigma.shares.tolist(),
+            "final_sigma_proposed": self.sigma_proposed.tolist(),
             "allocation_errors": self._allocation_errors,
             "t_l_series": t_l_series,
             "max_t_l": max((v for _, v in t_l_series), default=None),

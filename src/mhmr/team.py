@@ -88,17 +88,6 @@ class TeamTopology:
         return robot_id not in self._operators
 
     @property
-    def autonomous_ids(self) -> tuple[int, ...]:
-        return tuple(r for r in self.robot_ids if r not in self._operators)
-
-    @property
-    def human_operated_ids(self) -> tuple[int, ...]:
-        return tuple(r for r in self.robot_ids if r in self._operators)
-
-    def index_of(self, robot_id: int) -> int:
-        return self.robot_ids.index(robot_id)
-
-    @property
     def value_tables(self) -> "ValueTables":
         """Where each robot's metrics sit in a snapshot's value array."""
         if self._tables is None:
@@ -152,7 +141,6 @@ class ConditionSnapshot:
     robot_condition: Mapping[int, float]
     operator_condition: Mapping[int, float]
     robot_performance: Mapping[int, float]
-    timestamp: int = 0
     # (topology, columns) of the last ``columns`` call.
     _columns: Optional[tuple[TeamTopology, "ConditionColumns"]] = field(
         default=None, init=False, repr=False, compare=False
@@ -161,8 +149,8 @@ class ConditionSnapshot:
     def columns(self, topology: TeamTopology) -> "ConditionColumns":
         """The metrics as validated arrays aligned with ``topology.robot_ids``.
 
-        Raises as :meth:`validate_against` does.  The result is kept for the
-        next call with the same topology.
+        Raises on missing agents or values outside [0, 1].  The result is
+        kept for the next call with the same topology.
         """
         cached = self._columns
         if cached is not None and cached[0] is topology:
@@ -209,20 +197,13 @@ class ConditionSnapshot:
         operator_condition: Mapping[int, float],
         robot_performance: Mapping[int, float],
         values: np.ndarray,
-        timestamp: int = 0,
     ) -> "ConditionSnapshot":
         """A snapshot whose builder has checked its metrics and also laid
         them out in ``values``, so that :meth:`columns` need not read them
         from the mappings."""
-        snapshot = ConditionSnapshot(
-            robot_condition, operator_condition, robot_performance, timestamp
-        )
+        snapshot = ConditionSnapshot(robot_condition, operator_condition, robot_performance)
         snapshot._keep_columns(topology, values)
         return snapshot
-
-    def validate_against(self, topology: TeamTopology) -> None:
-        """Check coverage and ranges; raise on missing agents or bad values."""
-        self.columns(topology)
 
     def _check_each(self, topology: TeamTopology) -> None:
         for rid in topology.robot_ids:
@@ -238,13 +219,12 @@ class ConditionSnapshot:
             _check_unit_interval(self.operator_condition[oid], f"operator {oid} condition")
 
     @staticmethod
-    def healthy(topology: TeamTopology, timestamp: int = 0) -> "ConditionSnapshot":
+    def healthy(topology: TeamTopology) -> "ConditionSnapshot":
         """All metrics at 1 (every agent optimal)."""
         return ConditionSnapshot(
             robot_condition={r: 1.0 for r in topology.robot_ids},
             operator_condition={o: 1.0 for o in topology.operator_ids},
             robot_performance={r: 1.0 for r in topology.robot_ids},
-            timestamp=timestamp,
         )
 
 
@@ -268,7 +248,6 @@ class WorkloadVector:
     """
 
     shares: np.ndarray
-    timestamp: int = 0
 
     def __post_init__(self):
         arr = np.asarray(self.shares, dtype=float)
@@ -289,7 +268,7 @@ class WorkloadVector:
         return len(self.shares)
 
     @staticmethod
-    def uniform(m: int, timestamp: int = 0) -> "WorkloadVector":
+    def uniform(m: int) -> "WorkloadVector":
         if m < 1:
             raise ConfigurationError("need at least one robot")
-        return WorkloadVector(np.full(m, 1.0 / m), timestamp=timestamp)
+        return WorkloadVector(np.full(m, 1.0 / m))

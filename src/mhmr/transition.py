@@ -10,32 +10,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
 
 from .errors import ConfigurationError, NoActiveAgentsError
-from .geometry import GlobalWorkspace, WorkspacePartition, strips
+from .geometry import GlobalWorkspace, Rect, strips
 from .team import WorkloadVector
 
 #: A share this small with a zero proposal snaps to exactly zero.
 ZERO_SNAP = 1e-12
-
-
-@dataclass(frozen=True)
-class TransitionParams:
-    """Transition tuning: scaling constant ``K`` (1/m) and the allocation
-    cycle period ``tau`` (s)."""
-
-    K: float
-    tau: float
-
-    def __post_init__(self):
-        if self.K <= 0:
-            raise ConfigurationError("K must be positive")
-        if self.tau <= 0:
-            raise ConfigurationError("cycle period must be positive")
 
 
 @dataclass(frozen=True)
@@ -49,20 +34,19 @@ class TransitionState:
 
 def compute_q_f(
     positions: Sequence[Sequence[float]],
-    proposed_partition: WorkspacePartition,
+    regions: Sequence[Optional[Rect]],
     failed: frozenset[int] | set[int] = frozenset(),
 ) -> float:
     """Minimum distance-to-proposed-boundary over non-failed robots (m).
 
-    ``failed`` holds robot *indices* (0-based, aligned with the partition).
-    Robots whose proposed region is empty are excluded as well: a zero-area
-    region has no meaningful boundary distance.
+    ``regions`` is the proposed partition (see
+    :func:`~mhmr.geometry.partition_from_workload`).  ``failed`` holds robot
+    *indices* (0-based, aligned with the regions).  Robots whose proposed
+    region is empty are excluded as well: a zero-area region has no
+    meaningful boundary distance.
     """
-    if len(positions) != len(proposed_partition):
-        raise ConfigurationError(
-            f"{len(positions)} positions for {len(proposed_partition)} regions"
-        )
-    regions = proposed_partition.regions
+    if len(positions) != len(regions):
+        raise ConfigurationError(f"{len(positions)} positions for {len(regions)} regions")
     active = [i for i, r in enumerate(regions) if r is not None and i not in failed]
     if not active:
         raise NoActiveAgentsError("no active agents for boundary-distance minimum")
@@ -125,21 +109,22 @@ def step_transition(
     if not (0.0 <= coefficient < 1.0):
         raise ConfigurationError(f"transition coefficient {coefficient!r} outside [0, 1)")
     updated = current.shares + coefficient * (proposed.shares - current.shares)
-    return WorkloadVector(updated, timestamp=proposed.timestamp)
+    return WorkloadVector(updated)
 
 
 def allocation_cycle(
     proposed: WorkloadVector,
     positions: Sequence[Sequence[float]],
     current: WorkloadVector,
-    params: TransitionParams,
+    K: float,
     workspace: GlobalWorkspace,
 ) -> TransitionState:
     """One smoothed transition step toward the proposed shares.
 
     Previews the proposed partition, measures the worst-affected robot's
-    boundary distance, and moves ``current`` toward ``proposed`` by
-    ``K_e``.  A share that vanishes below :data:`ZERO_SNAP` where the
+    boundary distance ``q_f``, and moves ``current`` toward ``proposed`` by
+    ``K_e = transition_coefficient(q_f, K)``, so ``K`` (1/m) must be
+    positive.  A share that vanishes below :data:`ZERO_SNAP` where the
     proposal is zero snaps to exactly 0.0, and the other shares are
     renormalized so the total stays at one.
     """
@@ -153,7 +138,7 @@ def allocation_cycle(
     q_f = min_boundary_distance(
         np.asarray(positions, dtype=float)[placed], x, y, x + width, y + workspace.height
     )
-    K_e = transition_coefficient(q_f, params.K)
+    K_e = transition_coefficient(q_f, K)
     sigma = step_transition(current, proposed, K_e)
     if placed.size < shares.size:
         # Only a share whose proposal is zero can snap.
@@ -162,5 +147,5 @@ def allocation_cycle(
             snapped = sigma.shares.copy()
             snapped[snap] = 0.0
             snapped /= math.fsum(snapped.tolist())
-            sigma = WorkloadVector(snapped, timestamp=sigma.timestamp)
+            sigma = WorkloadVector(snapped)
     return TransitionState(sigma=sigma, q_f=q_f, K_e=K_e)

@@ -96,7 +96,7 @@ def test_criterion_02_zero_gating():
             ).shares
         except NoCapableAgentError:
             continue
-        if shares[team.index_of(victim)] != 0.0:
+        if shares[team.robot_ids.index(victim)] != 0.0:
             ok = False
             break
     verdict(2, "zero-gating", ok, "1000 randomized topologies")
@@ -237,8 +237,8 @@ def test_criterion_09_geometry_oracle():
 def test_criterion_10_stress_pipeline():
     window = 30
     times = np.arange(60, dtype=float)
-    stressed = StressTrace(times, np.ones(60), sample_period=1.0)
-    relaxed = StressTrace(times, np.zeros(60), sample_period=1.0)
+    stressed = StressTrace(times, np.ones(60))
+    relaxed = StressTrace(times, np.zeros(60))
     ok = stress_to_condition(stressed, window, 59.0) == 0.0
     ok = ok and stress_to_condition(relaxed, window, 59.0) == 1.0
     ok = ok and discrete_stress_to_condition("low") == 0.75

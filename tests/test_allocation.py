@@ -172,7 +172,7 @@ class TestProperties:
                     oc[int(rng.choice(operators))] = 0.0
             snap = ConditionSnapshot(rc, oc, rp)
             scores = compute_input_vector(team, snap)
-            idx = team.index_of(victim)
+            idx = team.robot_ids.index(victim)
             assert scores[idx] == 0.0
             try:
                 shares = propose_allocation(team, snap).shares
@@ -188,7 +188,7 @@ class TestProperties:
             for rid in team.robot_ids:
                 own = [snap.robot_condition[rid], snap.robot_performance[rid]]
                 own += [snap.operator_condition[o] for o in team.operators_of(rid)]
-                assert (scores[team.index_of(rid)] == 0.0) == (min(own) == 0.0)
+                assert (scores[team.robot_ids.index(rid)] == 0.0) == (min(own) == 0.0)
 
     @given(
         base=st.floats(0.05, 1.0),

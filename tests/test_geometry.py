@@ -101,24 +101,24 @@ class TestPartition:
 
     def test_equal_split_no_gap(self):
         part = partition_from_workload(self.workspace(), WorkloadVector.uniform(3))
-        assert [r.width for r in part.regions] == pytest.approx([3.0, 3.0, 3.0])
-        assert all(r.height == 3.0 for r in part.regions)
-        assert part.regions[1].x == pytest.approx(3.0)
+        assert [r.width for r in part] == pytest.approx([3.0, 3.0, 3.0])
+        assert all(r.height == 3.0 for r in part)
+        assert part[1].x == pytest.approx(3.0)
 
     def test_weighted_split_with_gap(self):
         ws = self.workspace(width=10.0, gap=0.4)
         part = partition_from_workload(ws, WorkloadVector(np.array([0.25, 0.75])))
-        assert part.regions[0].width == pytest.approx(2.4)
-        assert part.regions[1].width == pytest.approx(7.2)
-        assert part.regions[1].x - part.regions[0].x_max == pytest.approx(0.4)
+        assert part[0].width == pytest.approx(2.4)
+        assert part[1].width == pytest.approx(7.2)
+        assert part[1].x - part[0].x_max == pytest.approx(0.4)
 
     def test_zero_share_empty_region(self):
         ws = self.workspace(width=10.0, gap=0.4)
         part = partition_from_workload(ws, WorkloadVector(np.array([0.25, 0.0, 0.75])))
-        assert part.regions[1] is None
+        assert part[1] is None
         # Survivors keep their ratio over the usable width (one gap only).
-        assert part.regions[0].width / part.regions[2].width == pytest.approx(1 / 3)
-        assert part.regions[2].x_max == pytest.approx(10.0)
+        assert part[0].width / part[2].width == pytest.approx(1 / 3)
+        assert part[2].x_max == pytest.approx(10.0)
 
     def test_all_zero_errors(self):
         with pytest.raises(ConfigurationError):
@@ -138,7 +138,8 @@ class TestPartition:
             sigma = WorkloadVector(raw / math.fsum(raw.tolist()))
             ws = self.workspace(width=20.0, gap=0.05)
             part = partition_from_workload(ws, sigma)
-            np.testing.assert_allclose(part.area_fractions(), sigma.shares, atol=1e-9)
+            areas = np.array([0.0 if r is None else r.width * r.height for r in part])
+            np.testing.assert_allclose(areas / math.fsum(areas.tolist()), sigma.shares, atol=1e-9)
 
     def test_no_overlap_and_gap_respected(self, rng):
         for _ in range(50):
@@ -147,7 +148,7 @@ class TestPartition:
             sigma = WorkloadVector(raw / math.fsum(raw.tolist()))
             ws = self.workspace(width=15.0, gap=0.2)
             part = partition_from_workload(ws, sigma)
-            rects = [r for r in part.regions if r is not None]
+            rects = [r for r in part if r is not None]
             for a, b in zip(rects, rects[1:]):
                 assert b.x - a.x_max >= 0.2 - 1e-12
 
@@ -155,7 +156,7 @@ class TestPartition:
         ws = self.workspace(width=12.0)
         lo = partition_from_workload(ws, WorkloadVector(np.array([0.2, 0.8])))
         hi = partition_from_workload(ws, WorkloadVector(np.array([0.4, 0.6])))
-        assert hi.regions[0].width > lo.regions[0].width
+        assert hi[0].width > lo[0].width
 
     @given(alpha=st.floats(0.0, 1.0))
     @settings(max_examples=100, deadline=None)
@@ -163,6 +164,6 @@ class TestPartition:
         ws = self.workspace(width=10.0, gap=0.3)
         sigma = WorkloadVector(np.array([alpha, 1.0 - alpha]))
         part = partition_from_workload(ws, sigma)
-        widths = math.fsum(r.width for r in part.regions if r is not None)
-        gaps = 0.3 * (len([r for r in part.regions if r is not None]) - 1)
+        widths = math.fsum(r.width for r in part if r is not None)
+        gaps = 0.3 * (len([r for r in part if r is not None]) - 1)
         assert widths + gaps == pytest.approx(10.0, abs=1e-9)

@@ -14,7 +14,6 @@ from mhmr.allocation import compute_input_vector
 from mhmr.geometry import (
     GlobalWorkspace,
     Rect,
-    WorkspacePartition,
     boundary_distance,
     partition_from_workload,
     strips,
@@ -22,7 +21,6 @@ from mhmr.geometry import (
 from mhmr.patrol import able_velocity
 from mhmr.team import ConditionSnapshot, TeamTopology, WorkloadVector
 from mhmr.transition import (
-    TransitionParams,
     allocation_cycle,
     compute_q_f,
     min_boundary_distance,
@@ -212,7 +210,7 @@ class TestStrips:
         placed, x, width = strips(workspace, sigma.shares)
         assert placed.tolist() == [i for i, s in enumerate(expected) if s is not None]
         assert list(zip(x.tolist(), width.tolist())) == [s for s in expected if s is not None]
-        regions = partition_from_workload(workspace, sigma).regions
+        regions = partition_from_workload(workspace, sigma)
         assert [None if r is None else (r.x, r.width) for r in regions] == expected
 
 
@@ -265,9 +263,6 @@ def regions_and_points(draw):
     return regions, points, failed
 
 
-WORKSPACE = GlobalWorkspace(origin=(0.0, 0.0), width=1.0, height=1.0)
-
-
 class TestQf:
     @settings(max_examples=250, deadline=None)
     @given(regions_and_points())
@@ -277,8 +272,7 @@ class TestQf:
     def test_q_f_matches_boundary_distance_loop(self, case):
         regions, points, failed = case
         expected = reference_q_f(points, regions, failed)
-        partition = WorkspacePartition(regions=tuple(regions), parent=WORKSPACE)
-        assert compute_q_f(points, partition, failed) == expected
+        assert compute_q_f(points, tuple(regions), failed) == expected
         rows = [i for i, r in enumerate(regions) if r is not None and i not in failed]
         bounds = np.array([(r.x, r.y, r.x_max, r.y_max) for r in map(regions.__getitem__, rows)])
         assert min_boundary_distance(np.array(points)[rows], *bounds.T) == expected
@@ -296,8 +290,6 @@ class TestQf:
             st.floats(y0 - 1.0, y0 + workspace.height + 1.0),
         )
         positions = data.draw(st.lists(coordinate, min_size=m, max_size=m))
-        state = allocation_cycle(
-            proposed, positions, WorkloadVector.uniform(m), TransitionParams(K=0.5, tau=0.5), workspace
-        )
-        regions = partition_from_workload(workspace, proposed).regions
+        state = allocation_cycle(proposed, positions, WorkloadVector.uniform(m), 0.5, workspace)
+        regions = partition_from_workload(workspace, proposed)
         assert state.q_f == reference_q_f(positions, regions)

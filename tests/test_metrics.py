@@ -25,7 +25,7 @@ from mhmr.scenario import Event
 def make_trace(values, period=1.0):
     values = np.asarray(values, dtype=float)
     times = np.arange(len(values)) * period
-    return StressTrace(times, values, sample_period=period)
+    return StressTrace(times, values)
 
 
 class TestStressCondition:
@@ -165,7 +165,6 @@ class TestLoaders:
         p.write_text("time_s,stress\n0,0\n1,1\n2,1\n3,0\n")
         trace = load_stress_trace(p)
         assert isinstance(trace, StressTrace)
-        assert trace.sample_period == 1.0
         assert trace.values.tolist() == [0.0, 1.0, 1.0, 0.0]
 
     def test_discrete_stress_csv(self, tmp_path):

@@ -168,6 +168,35 @@ class TestSerialization:
         with pytest.raises(ConfigurationError, match="workspace"):
             ScenarioScript.from_dict(data)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("duration_s", "120"),
+            ("duration_s", True),
+            ("workspace.width", "20"),
+            ("workspace.height", True),
+            ("workspace.safety_gap", "0.01"),
+            ("workspace.origin", ["0", 0.0]),
+            ("workspace.origin", [0.0, False]),
+            ("workspace.origin", "00"),
+        ],
+    )
+    def test_numbers_must_be_numbers(self, key, value):
+        data = builtin_script("s3").to_dict()
+        section, _, leaf = key.rpartition(".")
+        (data[section] if section else data)[leaf] = value
+        with pytest.raises(ConfigurationError, match=rf"^{key} must be"):
+            ScenarioScript.from_dict(data)
+
+    def test_integer_numbers_are_stored_as_floats(self):
+        data = builtin_script("s3").to_dict()
+        data["duration_s"] = 120
+        data["workspace"].update(origin=[0, 0], width=20, height=5)
+        script = ScenarioScript.from_dict(data)
+        assert type(script.duration_s) is float and type(script.workspace.width) is float
+        assert json.dumps(script.to_dict()) == json.dumps(builtin_script("s3").to_dict())
+        assert '"duration_s": 120.0' in json.dumps(run_scenario(script).summary)
+
     @pytest.mark.parametrize("field", ["allocation_enabled", "record_trajectory"])
     @pytest.mark.parametrize("value", ["false", "False", "true", 0, 1, None])
     def test_flags_must_be_bools(self, field, value):
@@ -357,9 +386,9 @@ class RebuildingRunner(ScenarioRunner):
     on every cycle, also when the shares have not moved."""
 
     def _assign_regions(self):
-        partition = partition_from_workload(self.workspace, self._sigma_vector())
+        regions = partition_from_workload(self.workspace, self.sigma)
         v_req, tau_star, v_max = self.fleet.v_req, self.params.tau_star, self.params.v_max
-        for i, (state, region) in enumerate(zip(self.robots, partition.regions)):
+        for i, (state, region) in enumerate(zip(self.robots, regions)):
             if assign_region(state, region):
                 v_req[i] = required_velocity(region, tau_star, v_max)
 
@@ -451,7 +480,7 @@ class TestDynamicTopology:
         )
         runner.run_until(40.0)
         # Disconnected teleoperation is a failure: the share drains away.
-        assert runner.sigma[0] < 1e-6
+        assert runner.sigma.shares[0] < 1e-6
         runner.apply_topology_edit(
             TopologyEdit(kind="add_edge", robot_id=1, operator_ids=(1,))
         )
@@ -576,8 +605,8 @@ class TestRunRecordFiles:
         assert summary["m"] == 10
 
     def test_written_bytes_of_a_hand_built_record(self, tmp_path):
-        # The first row is from before robot 2 joined, so it is one robot short.
-        record = RunRecord(script=builtin_script("s3"), robot_ids=(1, 2))
+        # The first row is from before robot 2 joined: its robot 2 cells are nan.
+        record = RunRecord(robot_ids=(1, 2))
         record.cycles = [
             CycleRow(0, 0.0, (1.0,), (1.0,), math.nan, 0.0, (1.0,), (0.0,), 0.0),
             CycleRow(
@@ -596,7 +625,7 @@ class TestRunRecordFiles:
         assert (out / "cycles.csv").read_text() == (
             "cycle,time_s,sigma_r1,sigma_r2,sigma_prop_r1,sigma_prop_r2,q_f,K_e,"
             "kappa_r1,kappa_r2,v_r1,v_r2,transition_error,note\n"
-            "0,0,1,1,nan,0,1,0,0,\n"
+            "0,0,1,nan,1,nan,nan,0,1,nan,0,nan,0,\n"
             '1,0.5,0.5,-0,nan,0.3,inf,-inf,4.94065645841e-324,1e+16,2,-1.5e-07,1,'
             '"no agent: a, ""b"""\n'
             "2,1,0.5,0.5,0.5,0.5,0.25,1,1,1,0.8,0.8,1e-300,\n"
@@ -612,6 +641,21 @@ class TestRunRecordFiles:
             '  "max_t_l": null,\n  "name": "x"\n}\n'
         )
 
+    def test_rows_from_before_an_added_robot_are_padded(self, tmp_path):
+        runner = ScenarioRunner(builtin_script("s3"))
+        runner.run_until(10.0)
+        runner.apply_topology_edit(TopologyEdit("add_robot", 11))
+        record = runner.run()
+        with open(record.write(tmp_path / "out") / "cycles.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert len(header) == 50 and {len(row) for row in rows} == {50}
+        # Robot 11's four cells are nan up to the edit, and numbers from then on.
+        columns = [i for i, name in enumerate(header) if name.endswith("_r11")]
+        before = [row for row in rows if float(row[1]) <= 10.0]
+        assert len(before) == 21
+        assert all(row[i] == "nan" for row in before for i in columns)
+        assert all(row[i] != "nan" for row in rows[21:] for i in columns)
+
     @settings(max_examples=50, deadline=None)
     @given(m=st.integers(1, 3), data=st.data())
     def test_every_cell_is_format_12g(self, tmp_path_factory, m, data):
@@ -626,7 +670,7 @@ class TestRunRecordFiles:
         row = CycleRow(7, x(), xs(), xs(), x(), x(), xs(), xs(), x())
         lap = LapRow(2, 1, x(), False)
         tr = TrajectoryRow(x(), 3, x(), x(), x())
-        record = RunRecord(script=builtin_script("s3"), robot_ids=tuple(range(1, m + 1)))
+        record = RunRecord(robot_ids=tuple(range(1, m + 1)))
         record.cycles, record.laps, record.trajectory = [row], [lap], [tr]
         out = record.write(tmp_path_factory.mktemp("cells"))
 

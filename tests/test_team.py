@@ -33,12 +33,6 @@ def assert_matches_scan(team, probe_ids):
     for rid in probe_ids:
         assert team.operators_of(rid) == scan_operators_of(team, rid)
         assert team.is_autonomous(rid) == scan_is_autonomous(team, rid)
-    assert team.autonomous_ids == tuple(
-        r for r in team.robot_ids if scan_is_autonomous(team, r)
-    )
-    assert team.human_operated_ids == tuple(
-        r for r in team.robot_ids if not scan_is_autonomous(team, r)
-    )
 
 
 @st.composite
@@ -141,6 +135,6 @@ class TestRunnerTopology:
         )
         assert team.operators_of(4) == (2, 3)
         assert team.operator_ids == (1, 2, 3)
-        assert team.human_operated_ids == (2, 3, 4)
+        assert [r for r in team.robot_ids if not team.is_autonomous(r)] == [2, 3, 4]
         assert_matches_scan(team, (1, 2, 3, 4, 5))
         assert runner.topology is team

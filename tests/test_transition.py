@@ -11,7 +11,6 @@ from mhmr.geometry import GlobalWorkspace, partition_from_workload
 from mhmr.team import ConditionSnapshot, TeamTopology, WorkloadVector
 from mhmr.transition import (
     ZERO_SNAP,
-    TransitionParams,
     allocation_cycle,
     compute_q_f,
     step_transition,
@@ -166,10 +165,11 @@ class TestComputeQf:
 
 class TestParams:
     def test_rejects_nonpositive(self):
-        with pytest.raises(ConfigurationError):
-            TransitionParams(K=0.0, tau=0.5)
-        with pytest.raises(ConfigurationError):
-            TransitionParams(K=0.5, tau=0.0)
+        ws = GlobalWorkspace(origin=(0.0, 0.0), width=10.0, height=4.0)
+        uniform = WorkloadVector.uniform(2)
+        for K in (0.0, -0.5):
+            with pytest.raises(ConfigurationError, match="K must be positive"):
+                allocation_cycle(uniform, [(2.0, 2.0), (8.0, 2.0)], uniform, K, ws)
 
 
 class TestAllocationCycle:
@@ -182,15 +182,15 @@ class TestAllocationCycle:
         )
         ws = GlobalWorkspace(origin=(0.0, 0.0), width=10.0, height=4.0, safety_gap=0.0)
         current = WorkloadVector.uniform(2)
-        params = TransitionParams(K=0.5, tau=0.5)
+        K = 0.5
         proposed = propose_allocation(team, snap)
         # Both robots placed 2 m inside their future strips.
-        state = allocation_cycle(proposed, [(2.0, 2.0), (8.0, 2.0)], current, params, ws)
+        state = allocation_cycle(proposed, [(2.0, 2.0), (8.0, 2.0)], current, K, ws)
         # Proposal: scores (0.5/3*2.5, 1) -> (5/12, 1).
         s1 = 0.5 / 3 * 2.5
         total = s1 + 1.0
         assert proposed.shares[0] == pytest.approx(s1 / total, abs=1e-12)
-        assert state.K_e == pytest.approx(1.0 - math.exp(-params.K * state.q_f), abs=1e-15)
+        assert state.K_e == pytest.approx(1.0 - math.exp(-K * state.q_f), abs=1e-15)
         expected = 0.5 + state.K_e * (s1 / total - 0.5)
         assert state.sigma.shares[0] == pytest.approx(expected, abs=1e-12)
         assert state.sigma.shares[0] < 0.5  # deteriorated operator sheds load
@@ -204,11 +204,11 @@ class TestAllocationCycle:
         )
         ws = GlobalWorkspace(origin=(0.0, 0.0), width=10.0, height=4.0, safety_gap=0.0)
         current = WorkloadVector.uniform(2)
-        params = TransitionParams(K=5.0, tau=0.5)
+        K = 5.0
         proposed = propose_allocation(team, snap)
         part = partition_from_workload(ws, proposed)
-        boundary_x = part.regions[0].x_max
-        state = allocation_cycle(proposed, [(boundary_x, 2.0), (8.0, 2.0)], current, params, ws)
+        boundary_x = part[0].x_max
+        state = allocation_cycle(proposed, [(boundary_x, 2.0), (8.0, 2.0)], current, K, ws)
         assert state.q_f == 0.0 and state.K_e == 0.0
         assert state.sigma.shares.tolist() == current.shares.tolist()
 
@@ -216,9 +216,9 @@ class TestAllocationCycle:
         ws = GlobalWorkspace(origin=(0.0, 0.0), width=10.0, height=4.0)
         proposed = WorkloadVector(np.array([0.0, 0.5, 0.5]))
         current = WorkloadVector(np.array([1e-13, 0.5, 0.5 - 1e-13]))
-        params = TransitionParams(K=0.5, tau=0.5)
+        K = 0.5
         state = allocation_cycle(
-            proposed, [(1.0, 2.0), (2.5, 2.0), (7.5, 2.0)], current, params, ws
+            proposed, [(1.0, 2.0), (2.5, 2.0), (7.5, 2.0)], current, K, ws
         )
         assert 0.0 < state.K_e < 1.0
         assert state.sigma.shares[0] == 0.0
@@ -228,9 +228,9 @@ class TestAllocationCycle:
         ws = GlobalWorkspace(origin=(0.0, 0.0), width=10.0, height=4.0)
         proposed = WorkloadVector(np.array([0.0, 0.5, 0.5]))
         current = WorkloadVector(np.array([0.2, 0.4, 0.4]))
-        params = TransitionParams(K=0.5, tau=0.5)
+        K = 0.5
         state = allocation_cycle(
-            proposed, [(1.0, 2.0), (2.5, 2.0), (7.5, 2.0)], current, params, ws
+            proposed, [(1.0, 2.0), (2.5, 2.0), (7.5, 2.0)], current, K, ws
         )
         assert state.sigma.shares[0] == pytest.approx(0.2 * (1.0 - state.K_e), abs=1e-15)
 
@@ -262,16 +262,16 @@ def cycle_inputs(draw):
     point = st.tuples(st.floats(0.0, WIDTH), st.floats(0.0, HEIGHT))
     positions = draw(st.lists(point, min_size=m, max_size=m))
     K = draw(st.floats(0.01, 20.0))
-    return proposed, positions, current, TransitionParams(K=K, tau=0.5)
+    return proposed, positions, current, K
 
 
 class TestAllocationCycleProperties:
     @settings(max_examples=200, deadline=None)
     @given(cycle_inputs())
     def test_conserves_snaps_and_repeats(self, inputs):
-        proposed, positions, current, params = inputs
+        proposed, positions, current, K = inputs
         ws = GlobalWorkspace(origin=(0.0, 0.0), width=WIDTH, height=HEIGHT, safety_gap=0.01)
-        state = allocation_cycle(proposed, positions, current, params, ws)
+        state = allocation_cycle(proposed, positions, current, K, ws)
         shares = state.sigma.shares
         assert np.all((shares >= 0.0) & (shares <= 1.0))
         assert abs(math.fsum(shares.tolist()) - 1.0) <= 1e-9
@@ -284,7 +284,7 @@ class TestAllocationCycleProperties:
             WorkloadVector(proposed.shares.copy()),
             [tuple(p) for p in positions],
             WorkloadVector(current.shares.copy()),
-            params,
+            K,
             ws,
         )
         assert again.sigma.shares.tobytes() == shares.tobytes()
