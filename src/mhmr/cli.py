@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -119,9 +120,19 @@ def _run_sweep_worker(data: dict, base_dir: Path) -> RunRecord:
     return run_scenario(ScenarioScript.from_dict(data), base_dir=base_dir)
 
 
+def _sweep_value(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigurationError(f"sweep value {text.strip()!r} is not a finite number")
+    return value
+
+
 def _cmd_sweep(args) -> int:
     script = _load_script(args)
-    values = [float(v) for v in args.values.split(",") if v.strip()]
+    values = [_sweep_value(v) for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigurationError("no sweep values given")
     outroot = Path(args.out) if args.out else _default_out(f"{script.name}_sweep_{args.axis}")

@@ -206,54 +206,43 @@ class ConditionTimeline:
                 except (OSError, ValueError, csv.Error, MhmrError) as exc:
                     raise ConfigurationError(f"{kind} for {ev}: cannot load {path}: {exc}") from exc
 
-    def value_at(self, t: float) -> float:
-        """The metric at time ``t``."""
-        value = 1.0
+    def at(self, t: float) -> tuple[float, float]:
+        """The metric at time ``t``, and a time before which it keeps that value.
+
+        The time is the next event time, or sooner the next sample of the
+        trace that sets the value, or ``t`` itself while a ramp is still
+        moving; ``inf`` when the value can no longer change.  A ramp blends
+        in the value before it, so the breakpoints of an earlier trace still
+        count after the ramp ends; a step or a trace replaces everything
+        before it.  Before a trace's first sample the bound is that sample,
+        which is early for a binary stress trace (it holds its first sample)
+        but safe.
+        """
+        # Comparisons, not ``min``: this runs for every timeline of every evaluation.
+        value, until = 1.0, math.inf
         for i, ev in enumerate(self.events):
             if t < ev.time_s:
-                break
+                return value, ev.time_s if ev.time_s < until else until
             kind = ev.profile["type"]
             if kind == "step":
-                value = float(ev.profile["value"])
+                value, until = float(ev.profile["value"]), math.inf
             elif kind == "ramp":
                 target = float(ev.profile["value"])
-                duration = float(ev.profile["duration"])
-                frac = min(1.0, (t - ev.time_s) / duration)
+                frac = (t - ev.time_s) / float(ev.profile["duration"])
+                if frac < 1.0:
+                    until = t
+                else:
+                    frac = 1.0
                 value = value + (target - value) * frac
             else:
                 trace = self._traces[i]
                 offset = t - ev.time_s
+                end = int(np.searchsorted(trace.times, offset, side="right"))
+                until = ev.time_s + float(trace.times[end]) if end < trace.times.size else math.inf
                 if isinstance(trace, StressTrace):
                     lo, hi = trace.span
                     clamped = min(max(offset, lo), hi)
                     value = stress_to_condition(trace, self.window, clamped)
                 else:
                     value = trace.value_at(offset)
-        return value
-
-    def constant_until(self, t: float) -> float:
-        """A time before which ``value_at`` keeps returning ``value_at(t)``.
-
-        It is the next event time, or sooner the next sample of the trace
-        that sets the value, or ``t`` itself while a ramp is still moving;
-        ``inf`` when the value can no longer change.  A ramp folds in the
-        value before it, so the breakpoints of an earlier trace still count
-        after the ramp ends; a step or a trace replaces everything before it.
-        Before a trace's first sample the bound is that sample, which is
-        early for a binary stress trace (it holds its first sample) but safe.
-        """
-        until = math.inf
-        for i, ev in enumerate(self.events):
-            if t < ev.time_s:
-                return min(until, ev.time_s)
-            kind = ev.profile["type"]
-            if kind == "step":
-                until = math.inf
-            elif kind == "ramp":
-                if t - ev.time_s < float(ev.profile["duration"]):
-                    return t
-            else:
-                times = self._traces[i].times
-                end = int(np.searchsorted(times, t - ev.time_s, side="right"))
-                until = ev.time_s + float(times[end]) if end < times.size else math.inf
-        return until
+        return value, until

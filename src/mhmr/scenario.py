@@ -42,14 +42,15 @@ CONVERGENCE_EPS = 1e-3
 CONVERGENCE_STREAK = 5
 #: How far ``tau / sim_dt`` may sit from a whole number of steps.
 TAU_STEP_TOL = 1e-9
-#: Step velocities are recomputed from this far (s) before their condition
-#: timelines may change, so rounding in a breakpoint time can only make the
-#: recomputation early, never late.
+#: Conditions are evaluated again from this far (s) before their timelines
+#: may change, so rounding in a breakpoint time can only make the evaluation
+#: early, never late.
 BREAKPOINT_TOL = 1e-9
 
 #: Event metrics, in the order of a snapshot's value array.
 VALID_METRICS = ("robot_condition", "performance", "operator_condition")
 VALID_MODES = ("full-sim", "allocation-only")
+VALID_PLACEMENTS = ("center", "left", "perimeter")
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +149,11 @@ class ScenarioScript:
                 f"duration_s = {self.duration_s!r} is shorter than "
                 f"params.sim_dt = {self.params.sim_dt!r}"
             )
+        if math.isinf(self.duration_s / self.params.sim_dt):
+            raise ConfigurationError(
+                f"duration_s = {self.duration_s!r} holds too many steps of "
+                f"params.sim_dt = {self.params.sim_dt!r}"
+            )
 
     def build_topology(self) -> TeamTopology:
         return build_topology(self.topology)
@@ -157,6 +163,14 @@ class ScenarioScript:
 
         Returns the topology it checked, so callers need not build it again.
         """
+        # The strips must fit before a team of that size is built.
+        m = _topology_count(self.topology, "m", 1)
+        gap = self.workspace.safety_gap
+        if (m - 1) * gap >= self.workspace.width:
+            raise ConfigurationError(
+                f"workspace.safety_gap = {gap!r} is infeasible: {m - 1} gaps "
+                f"between {m} strips exceed workspace width {self.workspace.width!r} m"
+            )
         topology = self.build_topology()
         robots = set(topology.robot_ids)
         operators = set(topology.operator_ids)
@@ -197,12 +211,8 @@ class ScenarioScript:
                     raise ConfigurationError(
                         f"placement entry {point!r} is not an (x, y) pair of finite numbers"
                     )
-        gap = self.workspace.safety_gap
-        if (topology.m - 1) * gap >= self.workspace.width:
-            raise ConfigurationError(
-                f"workspace.safety_gap = {gap!r} is infeasible: {topology.m - 1} gaps "
-                f"between {topology.m} strips exceed workspace width {self.workspace.width!r} m"
-            )
+        elif self.placement not in VALID_PLACEMENTS:
+            raise ConfigurationError(f"unknown placement {self.placement!r}")
         return topology
 
     # -- serialization ------------------------------------------------------
@@ -244,10 +254,14 @@ class ScenarioScript:
 
     @staticmethod
     def from_dict(data: dict[str, Any]) -> "ScenarioScript":
+        if not isinstance(data, dict):
+            raise ConfigurationError(
+                f"a scenario script must be a JSON object, not {type(data).__name__}"
+            )
+        version = data.get("schema_version", SCHEMA_VERSION)
+        if not (_is_integer(version) and version == SCHEMA_VERSION):
+            raise ConfigurationError(f"unsupported schema_version {version!r}")
         try:
-            version = int(data.get("schema_version", SCHEMA_VERSION))
-            if version != SCHEMA_VERSION:
-                raise ConfigurationError(f"unsupported schema_version {version}")
             events = []
             for raw in data.get("events", []):
                 kind, _, ident = str(raw["target"]).partition(":")
@@ -261,6 +275,8 @@ class ScenarioScript:
                     )
                 )
             ws = data["workspace"]
+            if not isinstance(ws, dict):
+                raise ConfigurationError(f"workspace must be a JSON object, got {ws!r}")
             params = ScenarioParams(**data.get("params", {}))
             return ScenarioScript(
                 name=str(data.get("name", "unnamed")),
@@ -285,7 +301,11 @@ class ScenarioScript:
     @staticmethod
     def from_json(path: str | Path) -> "ScenarioScript":
         with open(path) as fh:
-            return ScenarioScript.from_dict(json.load(fh))
+            try:
+                data = json.load(fh)
+            except ValueError as exc:  # bad JSON or bad UTF-8
+                raise ConfigurationError(f"{path} is not a JSON file: {exc}") from exc
+        return ScenarioScript.from_dict(data)
 
     def to_json(self, path: str | Path) -> None:
         with open(path, "w") as fh:
@@ -503,11 +523,13 @@ class ScenarioRunner:
         self._initial_error: Optional[float] = None
         self._allocation_errors = 0
         self._traj_every = max(1, int(round(0.5 / self.dt)))
-        # Commanded velocities of the last condition evaluation (made at step
-        # ``_step_v_step``), valid for steps before ``_step_v_until``.
+        self._snapshot_until = -math.inf  # kept by each ``snapshot_at`` call
+        # (time, snapshot, until) of the runner's last condition evaluation;
+        # ``None`` after a team edit.
+        self._evaluated: Optional[tuple[float, ConditionSnapshot, float]] = None
+        # Commanded velocities, computed from the snapshot ``_step_v_of``.
         self._step_v = np.zeros(0)
-        self._step_v_step = -1
-        self._step_v_until = -math.inf
+        self._step_v_of: Optional[ConditionSnapshot] = None
 
     # -- helpers ------------------------------------------------------------
 
@@ -525,8 +547,6 @@ class ScenarioRunner:
             x, y = x + width / 2.0, y + self.workspace.height / 2.0
         elif placement == "left":
             x, y = x + 0.1 * width, y + self.workspace.height / 2.0
-        elif placement != "perimeter":
-            raise ConfigurationError(f"unknown placement {placement!r}")
         positions = np.empty((x.size, 2))
         positions[:, 0] = x
         positions[:, 1] = y
@@ -555,15 +575,20 @@ class ScenarioRunner:
 
     def snapshot_at(self, t: float) -> ConditionSnapshot:
         """Every metric at 1.0 except those a timeline sets; failed and
-        disconnected robots have condition 0."""
+        disconnected robots have condition 0.  Also keeps, for the runner, a
+        time before which no timeline changes its value."""
         mappings = [healthy.copy() for healthy in self._healthy_mappings]
         values = self._healthy_values.copy()
+        until = math.inf
         for target, ident, slot, timeline in self._timelines:
-            value = timeline.value_at(t)
+            value, value_until = timeline.at(t)
             # Written so that NaN fails the check.
             if not 0.0 <= value <= 1.0:
                 raise MetricDomainError(f"{timeline.events[0]} = {value!r} outside [0, 1]")
             mappings[target][ident] = values[slot] = value
+            if value_until < until:
+                until = value_until
+        self._snapshot_until = until
         robot_condition, robot_performance, operator_condition = mappings
         for rid in self.forced_failed | self.disconnected:
             robot_condition[rid] = values[self._robot_slot[rid]] = 0.0
@@ -580,16 +605,22 @@ class ScenarioRunner:
             return self.fleet.positions()
         return self.positions
 
-    def _kappas(self, snapshot: ConditionSnapshot) -> np.ndarray:
-        """Condition factors; a failed or disconnected robot's is 0, since
-        its condition in the snapshot is."""
-        return snapshot.columns(self.topology).kappa
+    def _conditions(self, t: float) -> ConditionSnapshot:
+        """The snapshot at ``t``, evaluated again only once a timeline may
+        have changed or the team has, and never twice at the same time."""
+        evaluated = self._evaluated
+        if evaluated is None or (t != evaluated[0] and t + BREAKPOINT_TOL >= evaluated[2]):
+            evaluated = self._evaluated = (t, self.snapshot_at(t), self._snapshot_until)
+        return evaluated[1]
 
-    def _velocities(self, kappa: np.ndarray) -> np.ndarray:
+    def _set_velocities(self, snapshot: ConditionSnapshot) -> None:
         """Each robot moves at whichever limit binds first: its condition,
         ``kappa * v_max`` (the bits of ``able_velocity(..., v_max)``), or its
-        lap-time requirement ``v_req``."""
-        return np.minimum(kappa * self.params.v_max, self.fleet.v_req)
+        lap-time requirement ``v_req``.  A failed or disconnected robot's
+        ``kappa`` is 0, since its condition in the snapshot is."""
+        kappa = snapshot.columns(self.topology).kappa
+        self._step_v = np.minimum(kappa * self.params.v_max, self.fleet.v_req)
+        self._step_v_of = snapshot
 
     def _assign_regions(self) -> None:
         """Point every robot at its strip of the current shares.
@@ -611,8 +642,7 @@ class ScenarioRunner:
     # -- core loop ----------------------------------------------------------
 
     def _allocation_cycle(self, t: float) -> None:
-        snapshot = self.snapshot_at(t)
-        kappa = self._kappas(snapshot)
+        snapshot = self._conditions(t)
         note = ""
         q_f = float("nan")
         K_e = 0.0
@@ -645,9 +675,7 @@ class ScenarioRunner:
         velocities = [0.0] * self.topology.m
         if self.robots:
             self._assign_regions()
-            self._step_v = self._velocities(kappa)
-            self._step_v_step = self.step_index
-            self._step_v_until = self._conditions_until(t)
+            self._set_velocities(snapshot)
             velocities = self._step_v.tolist()
 
         self.record.cycles.append(
@@ -658,7 +686,7 @@ class ScenarioRunner:
                 sigma_proposed=tuple(self.sigma_proposed.tolist()),
                 q_f=q_f,
                 K_e=K_e,
-                kappa=tuple(kappa.tolist()),
+                kappa=tuple(snapshot.columns(self.topology).kappa.tolist()),
                 v=tuple(velocities),
                 transition_error=error,
                 note=note,
@@ -666,15 +694,10 @@ class ScenarioRunner:
         )
         self.cycle_index += 1
 
-    def _conditions_until(self, t: float) -> float:
-        """A time before which no condition timeline changes its value."""
-        return min((tl.constant_until(t) for _, _, _, tl in self._timelines), default=math.inf)
-
     def _step_robots(self, t: float) -> None:
-        if self.step_index != self._step_v_step and t + BREAKPOINT_TOL >= self._step_v_until:
-            self._step_v = self._velocities(self._kappas(self.snapshot_at(t)))
-            self._step_v_step = self.step_index
-            self._step_v_until = self._conditions_until(t)
+        snapshot = self._conditions(t)
+        if snapshot is not self._step_v_of:
+            self._set_velocities(snapshot)
         step_all(self.fleet, self._step_v, self.dt)
         if self.script.record_trajectory and self.step_index % self._traj_every == 0:
             rows = zip(
@@ -711,7 +734,7 @@ class ScenarioRunner:
         any operator marks that robot failed until reconnected.
         """
         t = self.topology
-        self._step_v_until = -math.inf
+        self._evaluated = None
         if edit.kind == "add_robot":
             if edit.robot_id in t.robot_ids:
                 raise ConfigurationError(f"robot {edit.robot_id} already exists")
@@ -842,9 +865,9 @@ def sweep_scripts(
                 )
             )
         else:
+            if not (is_finite_number(value) and value >= 1 and float(value).is_integer()):
+                raise ConfigurationError(f"m must be a whole number >= 1, got {value!r}")
             m = int(value)
-            if m < 1:
-                raise ConfigurationError(f"m must be at least 1, got {value}")
             if "edges" in base.topology:
                 raise ConfigurationError(
                     "m sweep requires a pattern-based topology, not explicit edges"

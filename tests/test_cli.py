@@ -44,6 +44,37 @@ class TestValidate:
         bad.write_text(json.dumps(data))
         assert main(["validate", "--script", str(bad)]) == 1
 
+    @pytest.mark.parametrize(
+        "edit, text",
+        [
+            (None, "[]"),
+            (None, '{"name": '),
+            (None, b"\xff{}"),
+            ({"workspace": [20, 5]}, None),
+            ({"workspace": None}, None),
+            ({"schema_version": 1.9}, None),
+            ({"schema_version": "1"}, None),
+            ({"schema_version": True}, None),
+            ({"schema_version": 1.0}, None),
+        ],
+        ids=[
+            "list", "broken_json", "not_utf8", "workspace_list", "workspace_null",
+            "version_fraction", "version_text", "version_bool", "version_float",
+        ],
+    )
+    def test_malformed_file_is_an_error_line(self, tmp_path, capsys, edit, text):
+        bad = tmp_path / "bad.json"
+        if edit is not None:
+            bad.write_text(json.dumps({**builtin_script("s3").to_dict(), **edit}))
+        elif isinstance(text, bytes):
+            bad.write_bytes(text)
+        else:
+            bad.write_text(text)
+        assert main(["validate", "--script", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "valid=true" not in captured.out
+
 
 class TestRun:
     def test_run_writes_outputs(self, s3_script, tmp_path, capsys):
@@ -443,6 +474,25 @@ class TestSweep:
         assert (
             main(["sweep", "--script", str(s3_script), "--axis", "K", "--values", ","]) == 1
         )
+
+    @pytest.mark.parametrize(
+        "axis, values, message",
+        [
+            ("m", "8.7", "m must be a whole number >= 1, got 8.7"),
+            ("m", "10,0", "m must be a whole number >= 1, got 0.0"),
+            ("m", "abc", "sweep value 'abc' is not a finite number"),
+            ("m", "10, nan", "sweep value 'nan' is not a finite number"),
+            ("m", "inf", "sweep value 'inf' is not a finite number"),
+            ("K", "1e999", "sweep value '1e999' is not a finite number"),
+        ],
+    )
+    def test_bad_values(self, s3_script, tmp_path, capsys, axis, values, message):
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--script", str(s3_script), "--axis", axis, "--values", values,
+                "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 class TestDemo:

@@ -1,7 +1,7 @@
 """The runner evaluates conditions only at timeline breakpoints.
 
-``ConditionTimeline.constant_until`` must never promise a value that changes before
-the promised time, and a runner that reuses step velocities between
+``ConditionTimeline.at`` must never promise a value that holds until a time
+the value changes before, and a runner that reuses step velocities between
 breakpoints must write the same bytes as one that evaluates them on every
 step (``PerStepRunner``, the reference kept here).
 """
@@ -146,29 +146,28 @@ def test_value_holds_until_breakpoint(tmp_path_factory, specs, window, starts):
     timeline = build_timeline(specs, tmp_path_factory.mktemp("traces"), window)
     for k in starts:
         t = k * SIM_DT
-        value = timeline.value_at(t)
-        until = timeline.constant_until(t)
+        value, until = timeline.at(t)
         assert until >= t
         # The runner reuses the value on every step it would not recompute.
         for k2 in itertools.count(k):
             t2 = k2 * SIM_DT
             if k2 > HORIZON_STEPS or t2 + BREAKPOINT_TOL >= until:
                 break
-            assert timeline.value_at(t2) == value, (t, t2, until)
+            assert timeline.at(t2)[0] == value, (t, t2, until)
 
 
 def test_breakpoints_of_simple_timelines(tmp_path):
     specs = [(2.0, "step", 0.5), (5.0, "ramp", (1.0, 4.0)), (12.0, "step", 0.2)]
     timeline = build_timeline(specs, tmp_path, 1)
-    assert timeline.constant_until(0.0) == 2.0
-    assert timeline.constant_until(3.0) == 5.0
-    assert timeline.constant_until(6.0) == 6.0  # the ramp moves every step
-    assert timeline.constant_until(9.0) == 12.0
-    assert timeline.constant_until(13.0) == math.inf
+    assert timeline.at(0.0) == (1.0, 2.0)
+    assert timeline.at(3.0) == (0.5, 5.0)
+    assert timeline.at(6.0) == (0.5 + 0.5 * 0.25, 6.0)  # the ramp moves every step
+    assert timeline.at(9.0) == (1.0, 12.0)
+    assert timeline.at(13.0) == (0.2, math.inf)
     trace = [(1.0, "stress_trace", (0.0, 0.5, list("0101")))]
     timeline = build_timeline(trace, tmp_path, 2)
-    assert timeline.constant_until(1.2) == 1.5
-    assert timeline.constant_until(2.5) == math.inf  # past the last sample
+    assert timeline.at(1.2)[1] == 1.5
+    assert timeline.at(2.5)[1] == math.inf  # past the last sample
 
 
 # ---------------------------------------------------------------------------
@@ -211,12 +210,23 @@ class CountingRunner(ScenarioRunner):
 
 
 def test_cycle_step_evaluates_conditions_once():
-    # s1 has 1 401 cycles; its ramp runs for 70 s, so the 1 400 steps of the
-    # ramp evaluate the conditions, and the 140 of them that are cycle steps
-    # reuse the cycle's snapshot instead of taking a second one.
+    # s1's ramp runs for 70 s, so its 1 400 steps evaluate the conditions,
+    # and the 140 of them that are cycle steps reuse the cycle's snapshot
+    # instead of taking a second one.  Outside the ramp, conditions are
+    # evaluated at t = 0, at the three step events before the ramp and once
+    # as it ends; every other cycle and step reuses the last snapshot.
     runner = CountingRunner(builtin_script("s1"))
     runner.run()
-    assert runner.snapshots == 1401 + 1400 - 140
+    assert runner.snapshots == 4 + 1400 + 1
+
+
+def test_unchanged_conditions_are_evaluated_once():
+    # s3 is allocation-only with every event at t = 0: its 241 cycles all
+    # see the conditions of the first.
+    runner = CountingRunner(builtin_script("s3"))
+    record = runner.run()
+    assert len(record.cycles) == 241
+    assert runner.snapshots == 1
 
 
 def stress_patrol_script(m, trace_dir, period, duration_s=60.0):

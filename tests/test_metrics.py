@@ -205,7 +205,7 @@ class TestConditionTimeline:
     def test_human_stress_pipeline(self, tmp_path):
         write_trace_csv(tmp_path / "op.csv", [0] * 20 + [1] * 10 + [0] * 10)
         timeline = stress_timeline(tmp_path / "op.csv", DEFAULT_STRESS_WINDOW)
-        assert timeline.value_at(39.0) == pytest.approx(1.0 - 10 / 30, abs=1e-12)
+        assert timeline.at(39.0)[0] == pytest.approx(1.0 - 10 / 30, abs=1e-12)
 
     def test_fuzz_values_in_unit_interval(self, rng, tmp_path):
         for k in range(100):
@@ -213,7 +213,7 @@ class TestConditionTimeline:
             write_trace_csv(tmp_path / f"op{k}.csv", rng.integers(0, 2, size=n))
             timeline = stress_timeline(tmp_path / f"op{k}.csv", int(rng.integers(1, 40)))
             t = float(rng.uniform(0, n - 1))
-            assert 0.0 <= timeline.value_at(t) <= 1.0
+            assert 0.0 <= timeline.at(t)[0] <= 1.0
 
     @pytest.mark.parametrize(
         "profile",

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mhmr.scenario
@@ -108,6 +108,20 @@ class TestValidation:
         script = allocation_only_script(m=3)
         script = ScenarioScript.from_dict({**script.to_dict(), "placement": [[0, 0]]})
         with pytest.raises(ConfigurationError):
+            script.validate()
+
+    def test_infeasible_team_fails_before_it_is_built(self, monkeypatch):
+        data = builtin_script("s3").to_dict()
+        data["topology"]["m"] = 2**64
+        script = ScenarioScript.from_dict(data)
+        monkeypatch.setattr(mhmr.scenario, "build_topology", lambda spec: pytest.fail("built"))
+        with pytest.raises(ConfigurationError, match="safety_gap"):
+            script.validate()
+
+    @pytest.mark.parametrize("placement", ["bogus", None, 3, {"x": 1}])
+    def test_unknown_placement_rejected(self, placement):
+        script = allocation_only_script(placement=placement)
+        with pytest.raises(ConfigurationError, match="unknown placement"):
             script.validate()
 
 
@@ -233,6 +247,64 @@ class TestSerialization:
         data["events"][0].update(time_s=0, profile={"type": "ramp", "value": 1, "duration": 2})
         [event, *_] = ScenarioScript.from_dict(data).events
         assert (event.time_s, event.profile["value"], event.profile["duration"]) == (0, 1, 2)
+
+
+#: s3 plus a ramp event: every kind of field a script has.
+FUZZ_BASE = builtin_script("s3").to_dict()
+FUZZ_BASE["events"].append(
+    {"time_s": 10.0, "target": "robot:3", "metric": "robot_condition",
+     "profile": {"type": "ramp", "value": 0.2, "duration": 5.0}}
+)
+
+
+def json_paths(node, path=()):
+    """Every path into a JSON document, the root ``()`` included."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from json_paths(child, path + (key,))
+
+
+DELETE = object()
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    path=st.sampled_from(list(json_paths(FUZZ_BASE))),
+    value=st.one_of(st.just(DELETE), json_values),
+)
+@example(path=(), value=[])
+@example(path=("workspace",), value=[20, 5])
+@example(path=("workspace",), value=None)
+@example(path=("schema_version",), value="1")
+@example(path=("duration_s",), value=1e308)
+def test_fuzzed_script_loads_or_is_rejected(path, value):
+    """One field of a script, at any depth, replaced or deleted: loading,
+    validating and setting up a run succeed or raise ``ConfigurationError``."""
+    data = copy.deepcopy(FUZZ_BASE)
+    if not path:
+        data = {} if value is DELETE else value
+    else:
+        *parents, key = path
+        node = data
+        for part in parents:
+            node = node[part]
+        if value is DELETE:
+            del node[key]
+        else:
+            node[key] = value
+    try:
+        script = ScenarioScript.from_dict(data)
+        script.validate()
+        ScenarioRunner(script)
+    except ConfigurationError:
+        pass
 
 
 class TestScenarioParams:
@@ -509,7 +581,7 @@ class TestTimelines:
         )
         runner = ScenarioRunner(script)
         ((*_, timeline),) = runner._timelines
-        monkeypatch.setattr(timeline, "value_at", lambda t: value)
+        monkeypatch.setattr(timeline, "at", lambda t: (value, math.inf))
         with pytest.raises(MetricDomainError, match="robot 2 performance"):
             runner.snapshot_at(0.0)
 
@@ -573,8 +645,14 @@ class TestSweeps:
         assert len({s.name for s in scripts}) == 2
 
     def test_m_sweep_scales_team(self):
-        scripts = sweep_scripts(builtin_script("s3"), "m", [4, 20])
-        assert [s.build_topology().m for s in scripts] == [4, 20]
+        scripts = sweep_scripts(builtin_script("s3"), "m", [4, 20, 20.0])
+        assert [s.build_topology().m for s in scripts] == [4, 20, 20]
+        assert [s.name for s in scripts] == ["s3_m4", "s3_m20", "s3_m20"]
+
+    @pytest.mark.parametrize("value", [8.7, 0, -1.0, 0.5, math.nan, math.inf, True, "20"])
+    def test_m_sweep_rejects_non_whole_values(self, value):
+        with pytest.raises(ConfigurationError, match="whole number"):
+            sweep_scripts(builtin_script("s3"), "m", [value])
 
     def test_m_sweep_rejects_explicit_edges(self):
         with pytest.raises(ConfigurationError):
