@@ -25,7 +25,6 @@ from .metrics import (
     ConditionTimeline,
     ScriptedTrace,
     StressTrace,
-    crosstrack_performance,
     discrete_stress_to_condition,
     stress_to_condition,
 )

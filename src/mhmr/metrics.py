@@ -2,9 +2,8 @@
 
 A :class:`ConditionTimeline` drives one agent metric through step, ramp and
 trace profiles; human stress traces are smoothed with a moving average and
-inverted into a condition value; robot patrolling performance is derived
-from cross-track adherence to the region perimeter.  Out-of-range inputs
-raise instead of clamping.
+inverted into a condition value.  Out-of-range inputs raise instead of
+clamping.
 """
 
 from __future__ import annotations
@@ -13,12 +12,12 @@ import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Iterable, Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, EmptyRegionError, MetricDomainError, MhmrError
-from .geometry import Rect, boundary_distance, is_finite_number, perimeter
+from .errors import ConfigurationError, MetricDomainError, MhmrError
+from .geometry import is_finite_number
 
 #: Discrete stress level to condition value.
 DISCRETE_STRESS_CONDITION = {"low": 0.75, "medium": 0.5, "high": 0.25}
@@ -88,29 +87,6 @@ def discrete_stress_to_condition(level: str) -> float:
         return DISCRETE_STRESS_CONDITION[level.lower()]
     except KeyError:
         raise MetricDomainError(f"unknown stress level {level!r}") from None
-
-
-def crosstrack_performance(
-    actual_path: Sequence[Sequence[float]], reference: Rect, margin: float
-) -> float:
-    """Patrolling performance from mean cross-track error.
-
-    Unity while the mean distance to the reference perimeter stays within
-    ``margin``; beyond it, linear falloff reaching zero at twice the margin.
-    The falloff shape is a library choice, not a measured calibration.
-    """
-    if margin <= 0:
-        raise ConfigurationError("cross-track margin must be positive")
-    if not actual_path:
-        raise ConfigurationError("cross-track window is empty")
-    if perimeter(reference) <= 0:
-        raise EmptyRegionError("degenerate reference perimeter")
-    error = math.fsum(boundary_distance(p, reference) for p in actual_path) / len(
-        actual_path
-    )
-    if error <= margin:
-        return 1.0
-    return max(0.0, 1.0 - (error - margin) / margin)
 
 
 @dataclass(frozen=True)

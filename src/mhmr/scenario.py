@@ -31,7 +31,7 @@ from .patrol import (
     step_all,
     system_patrol_time,
 )
-from .team import ConditionSnapshot, TeamTopology, WorkloadVector
+from .team import ConditionSnapshot, TeamTopology, ValueView, WorkloadVector
 from .transition import allocation_cycle
 
 SCHEMA_VERSION = 1
@@ -490,11 +490,11 @@ class ScenarioRunner:
         grouped: dict[tuple[str, int], list[Event]] = {}
         for ev in script.events:
             grouped.setdefault((ev.metric, ev.target_id), []).append(ev)
-        # (target, id, snapshot slot, timeline); ``_lay_out_conditions`` sets the slot.
+        # (target, id, timeline) of every agent metric that has events.
         self._timelines = []
         for (metric, ident), events in grouped.items():
             timeline = ConditionTimeline(events, script.params.window, base_dir)
-            self._timelines.append((VALID_METRICS.index(metric), ident, None, timeline))
+            self._timelines.append((VALID_METRICS.index(metric), ident, timeline))
         self._lay_out_conditions()
 
         self.sigma = WorkloadVector.uniform(self.topology.m)
@@ -553,50 +553,61 @@ class ScenarioRunner:
         return positions
 
     def _lay_out_conditions(self) -> None:
-        """Where each timeline writes in a snapshot of the current team: a
-        key of one of the three healthy mappings, and a slot of the value
-        array that ``TeamTopology.value_tables`` indexes."""
+        """Lay out the current team's metrics in one running value array,
+        indexed as ``TeamTopology.value_tables`` says and healthy until a
+        timeline sets them, and mark every timeline to be walked at the next
+        evaluation."""
         top = self.topology
-        m = top.m
-        self._healthy_mappings = (
-            dict.fromkeys(top.robot_ids, 1.0),
-            dict.fromkeys(top.robot_ids, 1.0),
-            dict.fromkeys(top.operator_ids, 1.0),
+        m, h = top.m, top.h
+        # Agent id -> slot of the value array, per metric in ``VALID_METRICS`` order.
+        self._slots = (
+            dict(zip(top.robot_ids, range(m))),
+            dict(zip(top.robot_ids, range(m, 2 * m))),
+            dict(zip(top.operator_ids, range(2 * m, 2 * m + h))),
         )
-        self._healthy_values = np.ones(2 * m + top.h + 1)
-        self._healthy_values[-1] = 0.0
-        self._robot_slot = dict(zip(top.robot_ids, range(m)))
-        operator_slot = dict(zip(top.operator_ids, range(2 * m, 2 * m + top.h)))
-        timelines = []
-        for target, ident, _, timeline in self._timelines:
-            slot = operator_slot[ident] if target == 2 else target * m + self._robot_slot[ident]
-            timelines.append((target, ident, slot, timeline))
-        self._timelines = timelines
+        self._timeline_slots = [self._slots[target][ident] for target, ident, _ in self._timelines]
+        self._values = np.ones(2 * m + h + 1)
+        self._values[-1] = 0.0
+        # Each timeline's bound, and the time of the last evaluation.
+        self._until = [-math.inf] * len(self._timelines)
+        self._walked_at = -math.inf
 
     def snapshot_at(self, t: float) -> ConditionSnapshot:
         """Every metric at 1.0 except those a timeline sets; failed and
         disconnected robots have condition 0.  Also keeps, for the runner, a
-        time before which no timeline changes its value."""
-        mappings = [healthy.copy() for healthy in self._healthy_mappings]
-        values = self._healthy_values.copy()
-        until = math.inf
-        for target, ident, slot, timeline in self._timelines:
+        time before which no timeline changes its value.
+
+        Only the timelines whose bound has come are walked again; the others
+        still hold the value of their last walk.  An evaluation earlier than
+        the last one walks them all.  The snapshot's mappings are read-only
+        views over its own copy of the values.
+        """
+        until, values, slots = self._until, self._values, self._timeline_slots
+        if t < self._walked_at:
+            rows = range(len(until))
+        else:
+            bound = t + BREAKPOINT_TOL
+            rows = [i for i, row_until in enumerate(until) if row_until <= bound]
+        for i in rows:
+            timeline = self._timelines[i][2]
             value, value_until = timeline.at(t)
             # Written so that NaN fails the check.
             if not 0.0 <= value <= 1.0:
                 raise MetricDomainError(f"{timeline.events[0]} = {value!r} outside [0, 1]")
-            mappings[target][ident] = values[slot] = value
-            if value_until < until:
-                until = value_until
-        self._snapshot_until = until
-        robot_condition, robot_performance, operator_condition = mappings
+            values[slots[i]] = value
+            until[i] = value_until
+        self._walked_at = t
+        self._snapshot_until = min(until, default=math.inf)
+        values = values.copy()
+        robot_slot, performance_slot, operator_slot = self._slots
         for rid in self.forced_failed | self.disconnected:
-            robot_condition[rid] = values[self._robot_slot[rid]] = 0.0
+            values[robot_slot[rid]] = 0.0
+        values.setflags(write=False)
         return ConditionSnapshot._from_values(
             self.topology,
-            robot_condition,
-            operator_condition,
-            robot_performance,
+            ValueView(values, robot_slot),
+            ValueView(values, operator_slot),
+            ValueView(values, performance_slot),
             values,
         )
 
@@ -788,29 +799,22 @@ class ScenarioRunner:
     # -- summary ------------------------------------------------------------
 
     def _finalize(self) -> None:
-        active = [s > 0.0 for s in self.sigma.shares.tolist()]
-        lap_times = []
-        lap_flags = []
-        for i, rid in enumerate(self.topology.robot_ids):
-            if self.robots:
-                state = self.robots[i]
-                times, flags = state.lap_times, state.lap_transitional
-            else:
-                times, flags = [], []
-            lap_times.append(times)
-            lap_flags.append(flags)
-            for lap, (lt, flag) in enumerate(zip(times, flags)):
-                self.record.laps.append(
-                    LapRow(robot_id=rid, lap=lap, lap_time_s=lt, transitional=flag)
-                )
+        # Without a fleet there are no laps, so no ``T_L`` either.
         t_l_series = []
-        lap = 0
-        while True:
-            t_l = system_patrol_time(lap, lap_times, active)
-            if t_l is None:
-                break
-            t_l_series.append([lap, float(t_l)])
-            lap += 1
+        if self.robots:
+            active = [s > 0.0 for s in self.sigma.shares.tolist()]
+            lap_times = []
+            for rid, state in zip(self.topology.robot_ids, self.robots):
+                times, flags = state.lap_times, state.lap_transitional
+                lap_times.append(times)
+                for lap, (lt, flag) in enumerate(zip(times, flags)):
+                    self.record.laps.append(
+                        LapRow(robot_id=rid, lap=lap, lap_time_s=lt, transitional=flag)
+                    )
+            lap = 0
+            while (t_l := system_patrol_time(lap, lap_times, active)) is not None:
+                t_l_series.append([lap, float(t_l)])
+                lap += 1
         self.record.summary = {
             "name": self.script.name,
             "m": self.topology.m,

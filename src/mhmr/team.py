@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -181,12 +181,11 @@ class ConditionSnapshot:
         ``TeamTopology.value_tables`` says."""
         m = topology.m
         tables = topology.value_tables
-        result = ConditionColumns(
-            values[:m],
-            values[m : 2 * m],
-            values[tables.operators],
-            np.minimum.reduce(values[tables.kappa], axis=1),
-        )
+        own, *others = tables.kappa.T
+        kappa = values[own]
+        for column in others:
+            np.minimum(kappa, values[column], out=kappa)
+        result = ConditionColumns(values[:m], values[m : 2 * m], values[tables.operators], kappa)
         object.__setattr__(self, "_columns", (topology, result))
         return result
 
@@ -226,6 +225,27 @@ class ConditionSnapshot:
             operator_condition={o: 1.0 for o in topology.operator_ids},
             robot_performance={r: 1.0 for r in topology.robot_ids},
         )
+
+
+class ValueView(Mapping[int, float]):
+    """A read-only mapping from agent id to a metric in a value array laid
+    out as ``TeamTopology.value_tables`` says; ``slots`` maps each id to its
+    index in ``values``."""
+
+    __slots__ = ("_values", "_slots")
+
+    def __init__(self, values: np.ndarray, slots: Mapping[int, int]):
+        self._values = values
+        self._slots = slots
+
+    def __getitem__(self, agent_id: int) -> float:
+        return float(self._values[self._slots[agent_id]])
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._slots)
+
+    def __len__(self) -> int:
+        return len(self._slots)
 
 
 class ConditionColumns(NamedTuple):

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mhmr.errors import ConfigurationError
 from mhmr.metrics import ConditionTimeline
 from mhmr.patrol import able_velocity, commanded_velocity, required_velocity, step_robot
 from mhmr.scenario import (
@@ -104,8 +105,10 @@ event_specs = st.lists(
 )
 
 
-def build_timeline(specs, directory, window):
-    events = []
+def build_profiles(specs, directory, prefix=""):
+    """``(time_s, profile)`` of each spec of ``event_specs``; trace files are
+    written to ``directory``."""
+    profiles = []
     for n, (time_s, kind, arg) in enumerate(specs):
         if kind == "step":
             profile = {"type": "step", "value": arg}
@@ -114,9 +117,18 @@ def build_timeline(specs, directory, window):
         else:
             start, period, samples = arg
             rows = [f"{start + i * period:.6g},{v}" for i, v in enumerate(samples)]
-            (directory / f"trace{n}.csv").write_text("\n".join(["time_s,stress", *rows]) + "\n")
-            profile = {"type": kind, "path": f"trace{n}.csv"}
-        events.append(Event(time_s, "operator", 1, "operator_condition", profile))
+            name = f"{prefix}trace{n}.csv"
+            (directory / name).write_text("\n".join(["time_s,stress", *rows]) + "\n")
+            profile = {"type": kind, "path": name}
+        profiles.append((time_s, profile))
+    return profiles
+
+
+def build_timeline(specs, directory, window):
+    events = [
+        Event(time_s, "operator", 1, "operator_condition", profile)
+        for time_s, profile in build_profiles(specs, directory)
+    ]
     return ConditionTimeline(events, window, directory)
 
 
@@ -293,3 +305,155 @@ def test_stress_trace_patrol_matches_per_step(period, tmp_path):
 def test_topology_edits_match_per_step(edits, tmp_path):
     script = dataclasses.replace(builtin_script("s1"), record_trajectory=True)
     assert_same_records(script, tmp_path, edits=edits)
+
+
+# ---------------------------------------------------------------------------
+# (c) Incremental evaluation against a full walk
+
+#: (target, metric) pairs a timeline of ``incremental_script`` may drive.
+AGENT_METRICS = [
+    ("robot:1", "robot_condition"),
+    ("robot:1", "performance"),
+    ("robot:2", "robot_condition"),
+    ("robot:4", "performance"),
+    ("operator:1", "operator_condition"),
+    ("operator:3", "operator_condition"),
+]
+#: Edits tried between evaluations; one that does not fit the team of the
+#: moment (an absent edge, a robot that exists) is skipped.
+EDITS = [
+    TopologyEdit(kind="remove_robot", robot_id=2),
+    TopologyEdit(kind="remove_edge", robot_id=1, operator_ids=(1,)),
+    TopologyEdit(kind="add_edge", robot_id=1, operator_ids=(1,)),
+    TopologyEdit(kind="add_edge", robot_id=4, operator_ids=(3, 7)),
+    TopologyEdit(kind="add_robot", robot_id=9, operator_ids=(1,)),
+]
+time_step = st.one_of(
+    st.just(0.0),  # the same time again
+    st.integers(1, 40).map(lambda k: k * SIM_DT),
+    st.floats(0.0, 3.0).map(lambda x: round(x, 3)),
+    st.floats(-10.0, 0.0),  # back in time
+)
+operations = st.lists(
+    st.one_of(st.tuples(st.just("at"), time_step), st.tuples(st.just("edit"), st.sampled_from(EDITS))),
+    min_size=1,
+    max_size=25,
+)
+
+
+def incremental_script(timelines, directory, window):
+    """Allocation-only team of four robots, robots 1 and 3 operated by
+    operators 1 and 3, with a timeline of ``specs`` for each
+    ``AGENT_METRICS[agent]`` in ``timelines``."""
+    events = []
+    for n, (agent, specs) in enumerate(timelines.items()):
+        target, metric = AGENT_METRICS[agent]
+        for time_s, profile in build_profiles(specs, directory, f"{n}_"):
+            events.append({"time_s": time_s, "target": target, "metric": metric, "profile": profile})
+    return ScenarioScript.from_dict(
+        {
+            "name": "incremental",
+            "topology": {"m": 4, "pattern": "alternating"},
+            "workspace": {"origin": [0.0, 0.0], "width": 8.0, "height": 4.0, "safety_gap": 0.01},
+            "params": {"K": 0.5, "tau": 0.5, "tau_star": 20.0, "v_max": 0.8,
+                       "window": window, "sim_dt": SIM_DT},
+            "mode": "allocation-only",
+            "duration_s": 40.0,
+            "events": events,
+        }
+    )
+
+
+def snapshot_bits(snapshot, topology):
+    """Everything a snapshot shows, floats by their bits: the value array,
+    the columns (``kappa`` among them) and each mapping in its key order."""
+    mappings = (snapshot.robot_condition, snapshot.operator_condition, snapshot.robot_performance)
+    return (
+        snapshot.robot_condition._values.tobytes(),
+        [column.tobytes() for column in snapshot.columns(topology)],
+        [[(key, value.hex()) for key, value in dict(mapping).items()] for mapping in mappings],
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    timelines=st.dictionaries(st.integers(0, len(AGENT_METRICS) - 1), event_specs, max_size=5),
+    window=st.integers(1, 6),
+    ops=operations,
+)
+@example(  # a step and a ramp, evaluated forwards, again, backwards and past a disconnection
+    timelines={
+        0: [(2.0, "step", 0.5)],
+        4: [(1.0, "ramp", (0.2, 3.0))],
+        5: [(0.0, "stress_trace", (0.0, 0.5, list("0110100111")))],
+    },
+    window=2,
+    ops=[
+        ("at", 0.0), ("at", 1.5), ("at", 0.0), ("at", 1.95), ("at", 0.05), ("at", -3.0),
+        ("edit", EDITS[1]), ("at", 0.5), ("edit", EDITS[2]), ("at", 0.0), ("at", 2.0),
+    ],
+)
+def test_incremental_snapshot_is_a_full_walk(tmp_path_factory, timelines, window, ops):
+    directory = tmp_path_factory.mktemp("traces")
+    script = incremental_script(timelines, directory, window)
+    runner = ScenarioRunner(script, base_dir=directory)
+    applied, taken, t = [], [], 0.0
+    for op, arg in ops:
+        if op == "edit":
+            try:
+                runner.apply_topology_edit(arg)
+            except ConfigurationError:
+                continue
+            applied.append(arg)
+            continue
+        t = max(0.0, t + arg)
+        fresh = ScenarioRunner(script, base_dir=directory)
+        for edit in applied:
+            fresh.apply_topology_edit(edit)
+        snapshot, expected = runner.snapshot_at(t), fresh.snapshot_at(t)
+        bits = snapshot_bits(snapshot, runner.topology)
+        assert bits == snapshot_bits(expected, fresh.topology), (t, applied)
+        assert runner._snapshot_until == fresh._snapshot_until, t
+        taken.append((snapshot, runner.topology, bits))
+    # Later evaluations and edits leave an earlier snapshot as it was.
+    for snapshot, topology, bits in taken:
+        assert snapshot_bits(snapshot, topology) == bits
+
+
+def test_snapshot_mappings_are_read_only():
+    runner = ScenarioRunner(builtin_script("s3"))
+    snapshot = runner.snapshot_at(0.0)
+    with pytest.raises(TypeError):
+        snapshot.robot_condition[3] = 1.0
+    with pytest.raises(ValueError):
+        snapshot.columns(runner.topology).condition[0] = 1.0
+
+
+def test_only_expired_timelines_are_walked(monkeypatch):
+    # Each robot's condition steps once, between two cycles (every 0.5 s):
+    # its timeline is walked at t = 0 and at the first cycle after its
+    # event, and at no other evaluation.
+    n = 6
+    events = [
+        {"time_s": 1.2 + i, "target": f"robot:{i + 1}", "metric": "robot_condition",
+         "profile": {"type": "step", "value": 0.5}}
+        for i in range(n)
+    ]
+    script = ScenarioScript.from_dict(
+        {
+            "name": "steps",
+            "topology": {"m": n, "pattern": "alternating"},
+            "workspace": {"origin": [0.0, 0.0], "width": 12.0, "height": 4.0, "safety_gap": 0.01},
+            "params": {"K": 0.5, "tau": 0.5, "tau_star": 20.0, "v_max": 0.8, "sim_dt": SIM_DT},
+            "mode": "allocation-only",
+            "duration_s": 10.0,
+            "events": events,
+        }
+    )
+    walks = []
+    at = ConditionTimeline.at
+    monkeypatch.setattr(ConditionTimeline, "at", lambda self, t: walks.append(t) or at(self, t))
+    record = ScenarioRunner(script).run()
+    assert len(record.cycles) == 21
+    assert record.cycles[-1].kappa == (0.5,) * n
+    assert len(walks) == 2 * n

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mhmr.errors import ConfigurationError, MetricDomainError
-from mhmr.geometry import Rect
 from mhmr.metrics import (
     DEFAULT_STRESS_WINDOW,
     DISCRETE_STRESS_CONDITION,
@@ -14,7 +13,6 @@ from mhmr.metrics import (
     ScriptedTrace,
     StressTrace,
     check_profile,
-    crosstrack_performance,
     discrete_stress_to_condition,
     load_stress_trace,
     stress_to_condition,
@@ -100,48 +98,6 @@ class TestStressCondition:
         with pytest.raises(MetricDomainError):
             discrete_stress_to_condition("extreme")
         assert set(DISCRETE_STRESS_CONDITION) == {"low", "medium", "high"}
-
-
-class TestCrosstrack:
-    rect = Rect(0.0, 0.0, 4.0, 2.0)
-
-    def test_on_perimeter_is_unity(self):
-        path = [(0.0, 0.0), (1.0, 0.0), (4.0, 1.0), (2.0, 2.0)]
-        assert crosstrack_performance(path, self.rect, margin=0.1) == 1.0
-
-    def test_within_margin_is_unity(self):
-        path = [(2.0, 0.05), (2.0, -0.05)]
-        assert crosstrack_performance(path, self.rect, margin=0.1) == 1.0
-
-    def test_linear_falloff(self):
-        # Mean error 0.15 with margin 0.1 -> 1 - 0.05/0.1 = 0.5.
-        path = [(2.0, 0.15)]
-        assert crosstrack_performance(path, self.rect, margin=0.1) == pytest.approx(0.5)
-
-    def test_clamped_at_zero(self):
-        path = [(2.0, 1.0)]  # center of the rect, far off track
-        assert crosstrack_performance(path, self.rect, margin=0.1) == 0.0
-
-    def test_mean_not_max(self):
-        # One bad point averaged with many good ones stays within margin.
-        path = [(2.0, 0.0)] * 9 + [(2.0, 0.5)]
-        assert crosstrack_performance(path, self.rect, margin=0.1) == 1.0
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ConfigurationError):
-            crosstrack_performance([], self.rect, margin=0.1)
-        with pytest.raises(ConfigurationError):
-            crosstrack_performance([(0.0, 0.0)], self.rect, margin=0.0)
-
-    @given(
-        offset=st.floats(0.0, 3.0),
-        margin=st.floats(0.01, 1.0),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_output_in_unit_interval(self, offset, margin):
-        path = [(2.0, -offset)]
-        value = crosstrack_performance(path, self.rect, margin=margin)
-        assert 0.0 <= value <= 1.0
 
 
 class TestScriptedTrace:
