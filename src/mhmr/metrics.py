@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Optional
@@ -27,8 +28,9 @@ DEFAULT_STRESS_WINDOW = 30
 
 
 def _freeze_series(trace: Any, kind: str) -> np.ndarray:
-    """Store a trace's times and values as read-only float arrays, check the
-    times, and return the values."""
+    """Store a trace's times and values as read-only float arrays, and its
+    times as the list ``grid`` and the pair ``span`` of Python floats; check
+    the times, and return the values."""
     times = np.asarray(trace.times, dtype=float)
     values = np.asarray(trace.values, dtype=float)
     times.setflags(write=False)
@@ -41,6 +43,11 @@ def _freeze_series(trace: Any, kind: str) -> np.ndarray:
         raise ConfigurationError(f"{kind} trace times/values length mismatch")
     if np.any(np.diff(times) <= 0):
         raise ConfigurationError(f"{kind} trace timestamps must strictly increase")
+    if not np.isfinite(times).all():
+        raise ConfigurationError(f"{kind} trace timestamps must be finite")
+    grid = times.tolist()
+    object.__setattr__(trace, "grid", grid)
+    object.__setattr__(trace, "span", (grid[0], grid[-1]))
     return values
 
 
@@ -50,6 +57,8 @@ class StressTrace:
 
     times: np.ndarray
     values: np.ndarray
+    grid: list[float] = field(init=False, compare=False, repr=False)
+    span: tuple[float, float] = field(init=False, compare=False, repr=False)
     # stressed[k]: number of stressed samples among the first k.
     stressed: list[int] = field(init=False, compare=False, repr=False)
 
@@ -58,10 +67,6 @@ class StressTrace:
         if not ((values == 0.0) | (values == 1.0)).all():
             raise MetricDomainError("stress trace samples must be binary 0/1")
         object.__setattr__(self, "stressed", [0, *np.cumsum(values, dtype=np.int64).tolist()])
-
-    @property
-    def span(self) -> tuple[float, float]:
-        return (float(self.times[0]), float(self.times[-1]))
 
 
 def stress_to_condition(trace: StressTrace, window: int, t: float) -> float:
@@ -76,9 +81,32 @@ def stress_to_condition(trace: StressTrace, window: int, t: float) -> float:
     lo, hi = trace.span
     if not (lo <= t <= hi):
         raise ConfigurationError(f"time {t} outside trace span [{lo}, {hi}]")
-    end = int(np.searchsorted(trace.times, t, side="right"))
+    end = bisect_right(trace.grid, t)
     start = max(0, end - window)
     return 1.0 - (trace.stressed[end] - trace.stressed[start]) / (end - start)
+
+
+def _sample_conditions(trace: StressTrace, window: int) -> np.ndarray:
+    """``stress_to_condition(trace, window, t)`` at each sample time ``t``,
+    with the same bits, computed as one array."""
+    if window < 1:
+        raise ConfigurationError("moving-average window must be >= 1")
+    stressed = np.asarray(trace.stressed)
+    end = np.arange(1, stressed.size)
+    start = np.maximum(end - window, 0)
+    return 1.0 - (stressed[end] - stressed[start]) / (end - start)
+
+
+def _next_change_times(grid: list[float], held: np.ndarray) -> list[float]:
+    """Entry ``k``, for ``k`` from 0 to ``len(grid)``, is the first sample
+    time of ``grid`` at which a trace's value changes once ``k`` of its
+    samples have passed, or ``inf`` if it never does.  ``held[j]`` is the
+    value from sample ``j`` on; ``held[0]`` is also the value before the
+    first sample.  The entries are ``grid``'s own float objects, so the list
+    costs only its references."""
+    changes = np.flatnonzero(held[1:] != held[:-1]) + 1
+    ends = np.array([*grid, math.inf], dtype=object)[np.append(changes, len(grid))]
+    return ends[np.searchsorted(changes, np.arange(len(grid) + 1))].tolist()
 
 
 def discrete_stress_to_condition(level: str) -> float:
@@ -95,6 +123,8 @@ class ScriptedTrace:
 
     times: np.ndarray
     values: np.ndarray
+    grid: list[float] = field(init=False, compare=False, repr=False)
+    span: tuple[float, float] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         _freeze_series(self, "scripted")
@@ -102,8 +132,7 @@ class ScriptedTrace:
     def value_at(self, t: float) -> float:
         """Value of the most recent row at or before ``t`` (first row before
         the schedule starts, last row after it ends)."""
-        idx = int(np.searchsorted(self.times, t, side="right")) - 1
-        return float(self.values[max(0, idx)])
+        return float(self.values[max(0, bisect_right(self.grid, t) - 1)])
 
 
 def load_stress_trace(path: str | Path) -> StressTrace | ScriptedTrace:
@@ -111,27 +140,37 @@ def load_stress_trace(path: str | Path) -> StressTrace | ScriptedTrace:
 
     Binary rows (0/1) produce a :class:`StressTrace`; discrete level rows
     (low/medium/high) are mapped to condition values and returned as a
-    :class:`ScriptedTrace` ready for direct use.
+    :class:`ScriptedTrace` ready for direct use.  Rows are read as
+    ``csv.DictReader`` reads them: empty rows are skipped, a missing field
+    is ``""``, extra fields are ignored and a duplicated column name means
+    its last column.
     """
     times: list[float] = []
     raw: list[str] = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh, restval="")
-        if reader.fieldnames is None or "time_s" not in reader.fieldnames or "stress" not in reader.fieldnames:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or "time_s" not in header or "stress" not in header:
             raise ConfigurationError(f"{path}: expected header 'time_s,stress'")
+        last = {name: i for i, name in enumerate(header)}
+        t_col, s_col = last["time_s"], last["stress"]
+        width = max(t_col, s_col) + 1
         for row in reader:
-            times.append(float(row["time_s"]))
-            raw.append(row["stress"].strip())
+            if not row:
+                continue
+            if len(row) < width:
+                row += [""] * (width - len(row))
+            times.append(float(row[t_col]))
+            raw.append(row[s_col].strip())
     if not raw:
         raise ConfigurationError(f"{path}: stress trace has no rows")
-    if all(v in ("0", "1") for v in raw):
-        values = np.array([float(v) for v in raw])
-        periods = np.diff(np.asarray(times))
+    if set(raw) <= {"0", "1"}:
+        periods = np.diff(times)
         if periods.size and not np.allclose(periods, periods[0]):
             raise ConfigurationError(f"{path}: stress trace sample period is not uniform")
-        return StressTrace(np.asarray(times), values)
+        return StressTrace(np.array(times), np.array(raw, dtype=float))
     values = np.array([discrete_stress_to_condition(v) for v in raw])
-    return ScriptedTrace(np.asarray(times), values)
+    return ScriptedTrace(np.array(times), values)
 
 
 def check_profile(profile: dict[str, Any], target: Any) -> None:
@@ -171,28 +210,35 @@ class ConditionTimeline:
     def __init__(self, events: Iterable[Any], window: int, base_dir: Optional[Path] = None):
         self.events = sorted(events, key=lambda e: e.time_s)
         self.window = window
-        self._traces: dict[int, StressTrace | ScriptedTrace] = {}
+        # Event index -> its trace and, per sample index, the sample time
+        # at which the trace's value next changes (see ``at``).
+        self._traces: dict[int, tuple[StressTrace | ScriptedTrace, list[float]]] = {}
         for i, ev in enumerate(self.events):
             kind = ev.profile["type"]
             if kind in ("trace", "stress_trace"):
                 # An absolute path ignores ``base_dir``.
                 path = Path(base_dir or ".", ev.profile["path"])
                 try:
-                    self._traces[i] = load_stress_trace(path)
+                    trace = load_stress_trace(path)
                 except (OSError, ValueError, csv.Error, MhmrError) as exc:
                     raise ConfigurationError(f"{kind} for {ev}: cannot load {path}: {exc}") from exc
+                if isinstance(trace, StressTrace):
+                    held = _sample_conditions(trace, window)
+                else:
+                    held = trace.values
+                self._traces[i] = (trace, _next_change_times(trace.grid, held))
 
     def at(self, t: float) -> tuple[float, float]:
         """The metric at time ``t``, and a time before which it keeps that value.
 
-        The time is the next event time, or sooner the next sample of the
-        trace that sets the value, or ``t`` itself while a ramp is still
-        moving; ``inf`` when the value can no longer change.  A ramp blends
-        in the value before it, so the breakpoints of an earlier trace still
-        count after the ramp ends; a step or a trace replaces everything
-        before it.  Before a trace's first sample the bound is that sample,
-        which is early for a binary stress trace (it holds its first sample)
-        but safe.
+        The time is the next event time, or sooner the first later sample at
+        which the trace that sets the value changes it, or ``t`` itself while
+        a ramp is still moving; ``inf`` when the value can no longer change.
+        A ramp blends in the value before it, so the changes of an earlier
+        trace still count after the ramp ends; a step or a trace replaces
+        everything before it.  Before a trace's first sample the value is
+        that of the first sample, so the bound is the first later sample
+        with another value.
         """
         # Comparisons, not ``min``: this runs for every timeline of every evaluation.
         value, until = 1.0, math.inf
@@ -211,13 +257,12 @@ class ConditionTimeline:
                     frac = 1.0
                 value = value + (target - value) * frac
             else:
-                trace = self._traces[i]
+                trace, next_change = self._traces[i]
                 offset = t - ev.time_s
-                end = int(np.searchsorted(trace.times, offset, side="right"))
-                until = ev.time_s + float(trace.times[end]) if end < trace.times.size else math.inf
+                until = ev.time_s + next_change[bisect_right(trace.grid, offset)]
                 if isinstance(trace, StressTrace):
                     lo, hi = trace.span
-                    clamped = min(max(offset, lo), hi)
+                    clamped = lo if offset < lo else hi if offset > hi else offset
                     value = stress_to_condition(trace, self.window, clamped)
                 else:
                     value = trace.value_at(offset)

@@ -253,6 +253,24 @@ class TestScriptCheckedAtLoad:
         assert "op.csv" in captured.err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "rows", ["0,low\nnan,high\n2,medium\n", "-inf,1\n"], ids=["nan_level", "inf_binary"]
+    )
+    def test_validate_rejects_non_finite_trace_time(self, tmp_path, capsys, rows):
+        # A NaN sample time passed the strictly-increasing check and made the
+        # timeline's bound NaN, so robot 3 kept its first level for the run.
+        (tmp_path / "health.csv").write_text("time_s,stress\n" + rows)
+        data = builtin_script("s3").to_dict()
+        data["events"].append(
+            {"time_s": 0.0, "target": "robot:3", "metric": "robot_condition",
+             "profile": {"type": "trace", "path": "health.csv"}}
+        )
+        assert main(["validate", "--script", str(write_script(tmp_path, data))]) == 1
+        captured = capsys.readouterr()
+        assert "valid=true" not in captured.out
+        assert captured.err.startswith("error: trace for robot 3 ")
+        assert "timestamps must be finite" in captured.err
+
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_infeasible_safety_gap(self, tmp_path, capsys, command):
         # Allocation-only with explicit placement builds no partition at load,

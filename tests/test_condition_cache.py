@@ -182,6 +182,107 @@ def test_breakpoints_of_simple_timelines(tmp_path):
     assert timeline.at(2.5)[1] == math.inf  # past the last sample
 
 
+#: Times of the tightness property are multiples of 1/8 s, so that an event
+#: time plus a sample time is exact and a bound can be compared with the
+#: time at which the value changes.
+EIGHTH = 0.125
+exact_time = st.integers(0, 80).map(lambda k: k * EIGHTH)
+exact_trace_arg = st.tuples(
+    st.sampled_from([0.0, 0.25, 2.0]),
+    st.sampled_from([0.125, 0.25, 0.5, 1.0, 0.375]),
+)
+exact_specs = st.lists(
+    st.one_of(
+        st.tuples(exact_time, st.just("step"), st.floats(0.0, 1.0)),
+        st.tuples(
+            exact_time,
+            st.just("ramp"),
+            st.tuples(st.floats(0.0, 1.0), st.integers(1, 40).map(lambda k: k * EIGHTH)),
+        ),
+        st.tuples(
+            exact_time,
+            st.just("stress_trace"),
+            exact_trace_arg.flatmap(
+                lambda a: st.lists(st.sampled_from("01"), min_size=1, max_size=30).map(lambda v: (*a, v))
+            ),
+        ),
+        st.tuples(
+            exact_time,
+            st.just("trace"),
+            exact_trace_arg.flatmap(
+                lambda a: st.lists(st.sampled_from(LEVELS), min_size=1, max_size=30).map(lambda v: (*a, v))
+            ),
+        ),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(specs=exact_specs, window=st.integers(1, 8))
+@example(  # a ramp that follows a binary trace and ends while it still changes
+    specs=[
+        (0.0, "stress_trace", (0.25, 0.5, list("0110100111000011"))),
+        (1.0, "ramp", (0.5, 1.0)),
+    ],
+    window=2,
+)
+@example(  # a ramp that outlives a level trace
+    specs=[
+        (0.5, "trace", (0.0, 0.25, ["low", "low", "high", "medium", "medium", "low"])),
+        (0.75, "ramp", (0.3, 4.0)),
+    ],
+    window=1,
+)
+@example(  # a binary trace whose first sample is after its event, then a step
+    specs=[(1.0, "stress_trace", (2.0, 0.375, list("00011101"))), (6.0, "step", 0.5)],
+    window=3,
+)
+def test_bound_is_the_next_change(tmp_path_factory, specs, window):
+    """``at(t)[1]`` is ``t`` while a ramp moves; otherwise it is the first
+    later time at which the value set by the last step or trace in force
+    changes, capped by the next event time.  With no ramp after that step or
+    trace, this is the first later time at which ``at`` itself changes."""
+    directory = tmp_path_factory.mktemp("traces")
+    timeline = build_timeline(specs, directory, window)
+    # Every time at which a value may change: event times and trace samples.
+    changes = sorted(
+        {time_s for time_s, _, _ in specs}
+        | {
+            time_s + arg[0] + j * arg[1]
+            for time_s, kind, arg in specs
+            if kind in ("trace", "stress_trace")
+            for j in range(len(arg[2]))
+        }
+    )
+    midpoints = [(a + b) / 2 for a, b in zip(changes, changes[1:])]
+    queries = [0.0, *changes, *midpoints, changes[-1] + 1.0]
+    # Per count of events in force, the timeline of those up to the last
+    # step or trace among them, and its value at each time of ``changes``.
+    setters = {}
+    for t in queries:
+        value, until = timeline.at(t)
+        in_force = [ev for ev in timeline.events if ev.time_s <= t]
+        cap = min((ev.time_s for ev in timeline.events if ev.time_s > t), default=math.inf)
+        n_set = max((n + 1 for n, ev in enumerate(in_force) if ev.profile["type"] != "ramp"), default=0)
+        ramps = in_force[n_set:]
+        if any((t - ev.time_s) / ev.profile["duration"] < 1.0 for ev in ramps):
+            assert until == t, t
+            continue
+        if n_set not in setters:
+            setter = ConditionTimeline(in_force[:n_set], window, directory)
+            setters[n_set] = (setter, [setter.at(c)[0] for c in changes])
+        setter, setter_values = setters[n_set]
+        held = setter.at(t)[0]
+        if not ramps:
+            assert held == value, t
+        change = next(
+            (c for c, v in zip(changes, setter_values) if c > t and v != held), math.inf
+        )
+        assert until == min(change, cap), (t, value, until, change, cap)
+
+
 # ---------------------------------------------------------------------------
 # (b) Cached runner against the per-step reference
 

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -143,6 +144,76 @@ class TestLoaders:
         p.write_text("t,s\n0,0\n")
         with pytest.raises(ConfigurationError):
             load_stress_trace(p)
+
+    @pytest.mark.parametrize(
+        "rows", ["0,low\nnan,high\n2,medium\n", "-inf,1\n", "0,0\ninf,1\n"], ids=["nan", "-inf", "inf"]
+    )
+    def test_non_finite_time_rejected(self, tmp_path, rows):
+        p = tmp_path / "bad.csv"
+        p.write_text("time_s,stress\n" + rows)
+        with pytest.raises(ConfigurationError, match="finite"):
+            load_stress_trace(p)
+
+
+def dictreader_load_stress_trace(path):
+    """Reference: ``load_stress_trace`` as it was written with ``csv.DictReader``."""
+    times, raw = [], []
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh, restval="")
+        if reader.fieldnames is None or "time_s" not in reader.fieldnames or "stress" not in reader.fieldnames:
+            raise ConfigurationError(f"{path}: expected header 'time_s,stress'")
+        for row in reader:
+            times.append(float(row["time_s"]))
+            raw.append(row["stress"].strip())
+    if not raw:
+        raise ConfigurationError(f"{path}: stress trace has no rows")
+    if all(v in ("0", "1") for v in raw):
+        values = np.array([float(v) for v in raw])
+        periods = np.diff(np.asarray(times))
+        if periods.size and not np.allclose(periods, periods[0]):
+            raise ConfigurationError(f"{path}: stress trace sample period is not uniform")
+        return StressTrace(np.asarray(times), values)
+    values = np.array([discrete_stress_to_condition(v) for v in raw])
+    return ScriptedTrace(np.asarray(times), values)
+
+
+def load_outcome(loader, path):
+    """What ``loader`` makes of ``path``: the trace's type, times and values,
+    or the type and message of what it raises."""
+    try:
+        trace = loader(path)
+    except Exception as exc:  # every outcome is compared
+        return type(exc), str(exc)
+    return type(trace), trace.times.tolist(), trace.values.tolist()
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        "time_s,stress\n\n0,1\n\n1,0\n2,1\n\n",
+        "\ntime_s,stress\n0,1\n",
+        "stress,time_s\n1,0\n0,1\n",
+        "time_s,stress,note\n0,1,calm\n1,0,\n",
+        "time_s,stress,stress\n0,0,1\n1,1,0\n",
+        "time_s,stress,stress\n0,0,1\n1,1\n",
+        "time_s,stress\n0,1\n1\n",
+        "time_s,stress\n0, 1 \n1,0 \n",
+        "time_s,level\n0,1\n",
+        "",
+        "time_s,stress\n",
+        "time_s,stress\n0,low\n30, HIGH\n60,medium\n",
+    ],
+    ids=[
+        "blank_lines", "blank_first_line", "stress_first", "extra_column", "duplicated_stress",
+        "duplicated_stress_short_row", "row_missing_stress", "spaces", "no_stress_header",
+        "empty_file", "header_only", "levels",
+    ],
+)
+def test_loader_reads_rows_as_dictreader_does(tmp_path, content):
+    path = tmp_path / "trace.csv"
+    path.write_text(content)
+    expected = load_outcome(dictreader_load_stress_trace, path)
+    assert load_outcome(load_stress_trace, path) == expected
 
 
 def write_trace_csv(path, values, period=1.0):
