@@ -41,10 +41,10 @@ def _freeze_series(trace: Any, kind: str) -> np.ndarray:
         raise ConfigurationError(f"{kind} trace is empty")
     if times.size != values.size:
         raise ConfigurationError(f"{kind} trace times/values length mismatch")
-    if np.any(np.diff(times) <= 0):
-        raise ConfigurationError(f"{kind} trace timestamps must strictly increase")
     if not np.isfinite(times).all():
         raise ConfigurationError(f"{kind} trace timestamps must be finite")
+    if np.any(np.diff(times) <= 0):
+        raise ConfigurationError(f"{kind} trace timestamps must strictly increase")
     grid = times.tolist()
     object.__setattr__(trace, "grid", grid)
     object.__setattr__(trace, "span", (grid[0], grid[-1]))
@@ -165,10 +165,11 @@ def load_stress_trace(path: str | Path) -> StressTrace | ScriptedTrace:
     if not raw:
         raise ConfigurationError(f"{path}: stress trace has no rows")
     if set(raw) <= {"0", "1"}:
-        periods = np.diff(times)
+        trace = StressTrace(np.array(times), np.array(raw, dtype=float))
+        periods = np.diff(trace.times)
         if periods.size and not np.allclose(periods, periods[0]):
             raise ConfigurationError(f"{path}: stress trace sample period is not uniform")
-        return StressTrace(np.array(times), np.array(raw, dtype=float))
+        return trace
     values = np.array([discrete_stress_to_condition(v) for v in raw])
     return ScriptedTrace(np.array(times), values)
 

@@ -220,21 +220,17 @@ class PatrolFleet:
         return self.position
 
 
-def _array_field(name: str, invalidates: bool = False) -> property:
+def _array_field(name: str) -> property:
     def get(self):
         return getattr(self.fleet, name).item(self.index)
 
-    def set(self, value):
-        getattr(self.fleet, name)[self.index] = value
-        if invalidates:
-            self.fleet._invalidate()
-
-    return property(get, set)
+    return property(get)
 
 
 class RobotKinematicState:
-    """Mutable per-robot simulation state: a view of one robot of a
-    :class:`PatrolFleet`.  ``RobotKinematicState(position=...)`` is a
+    """Per-robot simulation state: a view of one robot of a
+    :class:`PatrolFleet`, read-only except for ``region``, which
+    :func:`assign_region` sets.  ``RobotKinematicState(position=...)`` is a
     fleet of one robot."""
 
     __slots__ = ("fleet", "index")
@@ -256,17 +252,12 @@ class RobotKinematicState:
     lap_start_time = _array_field("lap_start_time")
     time = _array_field("time")
     transitional = _array_field("transitional")
-    in_transit = _array_field("in_transit", invalidates=True)
+    in_transit = _array_field("in_transit")
 
     @property
     def position(self) -> np.ndarray:
         self.fleet._refresh(self.index)
         return np.array(self.fleet.position[self.index])
-
-    @position.setter
-    def position(self, value: Sequence[float]) -> None:
-        self.fleet.position[self.index] = (float(value[0]), float(value[1]))
-        self.fleet.stale[self.index] = False
 
     @property
     def region(self) -> Optional[Rect]:

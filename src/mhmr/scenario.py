@@ -495,7 +495,9 @@ class ScenarioRunner:
         for (metric, ident), events in grouped.items():
             timeline = ConditionTimeline(events, script.params.window, base_dir)
             self._timelines.append((VALID_METRICS.index(metric), ident, timeline))
-        self._lay_out_conditions()
+        # The last snapshot; ``None`` until the first evaluation lays out the
+        # conditions, and again after each topology edit.
+        self._snapshot: Optional[ConditionSnapshot] = None
 
         self.sigma = WorkloadVector.uniform(self.topology.m)
         self.sigma_proposed = self.sigma.shares
@@ -507,15 +509,16 @@ class ScenarioRunner:
         self.forced_failed: set[int] = set()
         self.disconnected: set[int] = set()
 
-        self.positions = self._initial_positions()
         self.fleet: Optional[PatrolFleet] = None
         self.robots: list[RobotKinematicState] = []
         # The shares the fleet's regions were last built from.
         self._regions_sigma: Optional[np.ndarray] = None
         if script.mode == "full-sim":
-            self.fleet = PatrolFleet(self.positions)
+            self.fleet = PatrolFleet(self._initial_positions())
             self.robots = self.fleet.robots
             self._assign_regions()
+        else:
+            self._fixed_positions = self._initial_positions()
 
         self.record = RunRecord(robot_ids=self.topology.robot_ids)
         self._streak = 0
@@ -523,15 +526,17 @@ class ScenarioRunner:
         self._initial_error: Optional[float] = None
         self._allocation_errors = 0
         self._traj_every = max(1, int(round(0.5 / self.dt)))
-        self._snapshot_until = -math.inf  # kept by each ``snapshot_at`` call
-        # (time, snapshot, until) of the runner's last condition evaluation;
-        # ``None`` after a team edit.
-        self._evaluated: Optional[tuple[float, ConditionSnapshot, float]] = None
         # Commanded velocities, computed from the snapshot ``_step_v_of``.
         self._step_v = np.zeros(0)
         self._step_v_of: Optional[ConditionSnapshot] = None
 
     # -- helpers ------------------------------------------------------------
+
+    @property
+    def positions(self) -> Sequence[Sequence[float]]:
+        """Every robot's ``(x, y)``: the fleet's, valid until the next step, in
+        full-sim; the fixed ``(m, 2)`` start positions in allocation-only."""
+        return self.fleet.positions() if self.fleet is not None else self._fixed_positions
 
     def _initial_positions(self) -> np.ndarray:
         """``(m, 2)`` start positions: explicit, or a point of each robot's
@@ -555,33 +560,38 @@ class ScenarioRunner:
     def _lay_out_conditions(self) -> None:
         """Lay out the current team's metrics in one running value array,
         indexed as ``TeamTopology.value_tables`` says and healthy until a
-        timeline sets them, and mark every timeline to be walked at the next
-        evaluation."""
-        top = self.topology
-        m, h = top.m, top.h
+        timeline sets them, index the failed and disconnected robots, and
+        mark every timeline to be walked."""
+        tables = self.topology.value_tables
         # Agent id -> slot of the value array, per metric in ``VALID_METRICS`` order.
-        self._slots = (
-            dict(zip(top.robot_ids, range(m))),
-            dict(zip(top.robot_ids, range(m, 2 * m))),
-            dict(zip(top.operator_ids, range(2 * m, 2 * m + h))),
-        )
+        self._slots = (tables.robot_slots, tables.performance_slots, tables.operator_slots)
         self._timeline_slots = [self._slots[target][ident] for target, ident, _ in self._timelines]
-        self._values = np.ones(2 * m + h + 1)
-        self._values[-1] = 0.0
-        # Each timeline's bound, and the time of the last evaluation.
+        self._values = tables.healthy.copy()
+        self._failed_slots = np.array(
+            [tables.robot_slots[rid] for rid in self.forced_failed | self.disconnected], np.intp
+        )
+        # Each timeline's bound, and the time of the last walk.
         self._until = [-math.inf] * len(self._timelines)
         self._walked_at = -math.inf
 
     def snapshot_at(self, t: float) -> ConditionSnapshot:
         """Every metric at 1.0 except those a timeline sets; failed and
-        disconnected robots have condition 0.  Also keeps, for the runner, a
-        time before which no timeline changes its value.
+        disconnected robots have condition 0.
 
-        Only the timelines whose bound has come are walked again; the others
-        still hold the value of their last walk.  An evaluation earlier than
-        the last one walks them all.  The snapshot's mappings are read-only
-        views over its own copy of the values.
+        The last snapshot is returned again at the time of its walk and at a
+        later time before the earliest timeline bound, until a topology edit,
+        after which the conditions are laid out anew.  Otherwise only the
+        timelines whose bound has come are walked again; the others still
+        hold the value of their last walk, and a time earlier than the last
+        walk walks them all.  The snapshot's mappings are read-only views
+        over its own copy of the values.
         """
+        if self._snapshot is None:
+            self._lay_out_conditions()
+        elif t == self._walked_at or (
+            t > self._walked_at and t + BREAKPOINT_TOL < self._snapshot_until
+        ):
+            return self._snapshot
         until, values, slots = self._until, self._values, self._timeline_slots
         if t < self._walked_at:
             rows = range(len(until))
@@ -599,30 +609,13 @@ class ScenarioRunner:
         self._walked_at = t
         self._snapshot_until = min(until, default=math.inf)
         values = values.copy()
-        robot_slot, performance_slot, operator_slot = self._slots
-        for rid in self.forced_failed | self.disconnected:
-            values[robot_slot[rid]] = 0.0
+        values[self._failed_slots] = 0.0
         values.setflags(write=False)
-        return ConditionSnapshot._from_values(
-            self.topology,
-            ValueView(values, robot_slot),
-            ValueView(values, operator_slot),
-            ValueView(values, performance_slot),
-            values,
+        robot, performance, operator = (ValueView(values, agents) for agents in self._slots)
+        self._snapshot = ConditionSnapshot._from_values(
+            self.topology, robot, operator, performance, values
         )
-
-    def _current_positions(self) -> Sequence[Sequence[float]]:
-        if self.robots:
-            return self.fleet.positions()
-        return self.positions
-
-    def _conditions(self, t: float) -> ConditionSnapshot:
-        """The snapshot at ``t``, evaluated again only once a timeline may
-        have changed or the team has, and never twice at the same time."""
-        evaluated = self._evaluated
-        if evaluated is None or (t != evaluated[0] and t + BREAKPOINT_TOL >= evaluated[2]):
-            evaluated = self._evaluated = (t, self.snapshot_at(t), self._snapshot_until)
-        return evaluated[1]
+        return self._snapshot
 
     def _set_velocities(self, snapshot: ConditionSnapshot) -> None:
         """Each robot moves at whichever limit binds first: its condition,
@@ -653,7 +646,7 @@ class ScenarioRunner:
     # -- core loop ----------------------------------------------------------
 
     def _allocation_cycle(self, t: float) -> None:
-        snapshot = self._conditions(t)
+        snapshot = self.snapshot_at(t)
         note = ""
         q_f = float("nan")
         K_e = 0.0
@@ -666,7 +659,7 @@ class ScenarioRunner:
                         math.fsum(np.abs(self.sigma.shares - self.sigma_proposed).tolist())
                     )
                 state = allocation_cycle(
-                    proposed, self._current_positions(), self.sigma, self.params.K, self.workspace
+                    proposed, self.positions, self.sigma, self.params.K, self.workspace
                 )
                 self.sigma = state.sigma
                 q_f, K_e = state.q_f, state.K_e
@@ -706,7 +699,7 @@ class ScenarioRunner:
         self.cycle_index += 1
 
     def _step_robots(self, t: float) -> None:
-        snapshot = self._conditions(t)
+        snapshot = self.snapshot_at(t)
         if snapshot is not self._step_v_of:
             self._set_velocities(snapshot)
         step_all(self.fleet, self._step_v, self.dt)
@@ -745,7 +738,6 @@ class ScenarioRunner:
         any operator marks that robot failed until reconnected.
         """
         t = self.topology
-        self._evaluated = None
         if edit.kind == "add_robot":
             if edit.robot_id in t.robot_ids:
                 raise ConfigurationError(f"robot {edit.robot_id} already exists")
@@ -763,9 +755,10 @@ class ScenarioRunner:
                 else self.workspace.bounds.center,
                 dtype=float,
             )
-            self.positions = np.vstack([self.positions, pos])
             if self.robots:
                 self.fleet.add(pos)
+            else:
+                self._fixed_positions = np.vstack([self._fixed_positions, pos])
             self.record.robot_ids = self.topology.robot_ids
         elif edit.kind == "remove_robot":
             if edit.robot_id not in t.robot_ids:
@@ -793,7 +786,7 @@ class ScenarioRunner:
             )
             if self.topology.operators_of(edit.robot_id):
                 self.disconnected.discard(edit.robot_id)
-        self._lay_out_conditions()
+        self._snapshot = None
         return self.topology
 
     # -- summary ------------------------------------------------------------

@@ -98,11 +98,17 @@ class TeamTopology:
             operators = [row + [2 * m + h] * (k - len(row)) for row in rows]
             kappa = [[i, *row, *[i] * (k - len(row))] for i, row in enumerate(rows)]
             counts = np.array([len(row) for row in rows], dtype=np.intp)
+            healthy = np.append(np.ones(2 * m + h), 0.0)
+            healthy.setflags(write=False)
             tables = ValueTables(
                 np.array(kappa, dtype=np.intp).reshape(m, k + 1),
                 np.array(operators, dtype=np.intp).reshape(m, k),
                 counts + 2.0,
                 [counts > j for j in range(k)],
+                dict(zip(self.robot_ids, range(m))),
+                dict(zip(self.robot_ids, range(m, 2 * m))),
+                slot,
+                healthy,
             )
             object.__setattr__(self, "_tables", tables)
         return self._tables
@@ -122,6 +128,13 @@ class ValueTables(NamedTuple):
     terms: np.ndarray
     #: ``more[j]``: whether the robot has more than ``j`` operators.
     more: list[np.ndarray]
+    #: Agent id -> index of its robot condition, its performance and its
+    #: operator condition.
+    robot_slots: dict[int, int]
+    performance_slots: dict[int, int]
+    operator_slots: dict[int, int]
+    #: The read-only value array with every metric at 1.0 (and the 0.0).
+    healthy: np.ndarray
 
 
 def _check_unit_interval(value: float, label: str) -> float:

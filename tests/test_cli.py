@@ -254,7 +254,9 @@ class TestScriptCheckedAtLoad:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
-        "rows", ["0,low\nnan,high\n2,medium\n", "-inf,1\n"], ids=["nan_level", "inf_binary"]
+        "rows",
+        ["0,low\nnan,high\n2,medium\n", "-inf,1\n", "0,0\nnan,1\n1,0\n"],
+        ids=["nan_level", "inf_binary", "nan_binary"],
     )
     def test_validate_rejects_non_finite_trace_time(self, tmp_path, capsys, rows):
         # A NaN sample time passed the strictly-increasing check and made the

@@ -313,13 +313,19 @@ def test_builtin_full_sim_matches_per_step(name, tmp_path):
 
 
 class CountingRunner(ScenarioRunner):
+    """Counts the snapshots ``snapshot_at`` creates, not those it returns again."""
+
     def __init__(self, *args, **kwargs):
         self.snapshots = 0
+        self._returned = None
         super().__init__(*args, **kwargs)
 
     def snapshot_at(self, t):
-        self.snapshots += 1
-        return super().snapshot_at(t)
+        snapshot = super().snapshot_at(t)
+        if snapshot is not self._returned:
+            self.snapshots += 1
+            self._returned = snapshot
+        return snapshot
 
 
 def test_cycle_step_evaluates_conditions_once():
@@ -499,6 +505,9 @@ def test_incremental_snapshot_is_a_full_walk(tmp_path_factory, timelines, window
     script = incremental_script(timelines, directory, window)
     runner = ScenarioRunner(script, base_dir=directory)
     applied, taken, t = [], [], 0.0
+    # The last snapshot, the time of its walk and the bound it holds until;
+    # ``None`` after an edit.
+    last = None
     for op, arg in ops:
         if op == "edit":
             try:
@@ -506,12 +515,18 @@ def test_incremental_snapshot_is_a_full_walk(tmp_path_factory, timelines, window
             except ConfigurationError:
                 continue
             applied.append(arg)
+            last = None
             continue
         t = max(0.0, t + arg)
         fresh = ScenarioRunner(script, base_dir=directory)
         for edit in applied:
             fresh.apply_topology_edit(edit)
         snapshot, expected = runner.snapshot_at(t), fresh.snapshot_at(t)
+        if last is not None and (t == last[1] or (t > last[1] and t + BREAKPOINT_TOL < last[2])):
+            assert snapshot is last[0], t
+        else:
+            assert all(snapshot is not kept for kept, _, _ in taken), (t, applied)
+            last = (snapshot, t, runner._snapshot_until)
         bits = snapshot_bits(snapshot, runner.topology)
         assert bits == snapshot_bits(expected, fresh.topology), (t, applied)
         assert runner._snapshot_until == fresh._snapshot_until, t

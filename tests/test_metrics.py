@@ -146,12 +146,22 @@ class TestLoaders:
             load_stress_trace(p)
 
     @pytest.mark.parametrize(
-        "rows", ["0,low\nnan,high\n2,medium\n", "-inf,1\n", "0,0\ninf,1\n"], ids=["nan", "-inf", "inf"]
+        "rows",
+        [
+            "0,low\nnan,high\n2,medium\n",
+            "-inf,1\n",
+            "0,0\ninf,1\n",
+            # Checked before the uniform-period and increasing-time checks.
+            "0,0\nnan,1\n1,0\n",
+            "0,low\ninf,high\n2,medium\n",
+        ],
+        ids=["nan", "-inf", "inf", "nan_binary", "inf_level"],
     )
     def test_non_finite_time_rejected(self, tmp_path, rows):
         p = tmp_path / "bad.csv"
         p.write_text("time_s,stress\n" + rows)
-        with pytest.raises(ConfigurationError, match="finite"):
+        # The message, not the path: pytest's directory names the test.
+        with pytest.raises(ConfigurationError, match="timestamps must be finite"):
             load_stress_trace(p)
 
 

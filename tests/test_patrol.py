@@ -271,6 +271,18 @@ class TestStepAll:
         step_all(fleet, np.array([0.8, 0.8]), 0.05)
         assert added.time == 0.05
 
+    @pytest.mark.parametrize(
+        "name", ["arc", "lap_progress", "lap_start_time", "time", "transitional", "in_transit", "position"]
+    )
+    def test_views_are_read_only(self, name):
+        # Writing through a view skipped the fleet's bookkeeping (an arc
+        # written this way left the stored position where it was).
+        fleet = PatrolFleet([(0.0, 0.0)])
+        assign_region(fleet.robots[0], REGIONS[1])
+        before = getattr(fleet.robots[0], name)
+        with pytest.raises(AttributeError):
+            setattr(fleet.robots[0], name, before)
+
     def test_rejects_bad_arguments(self):
         fleet = PatrolFleet([(0.0, 0.0), (1.0, 0.0)])
         with pytest.raises(ConfigurationError):

@@ -452,6 +452,26 @@ class TestFullSim:
         # Decimated to twice a second, not every integration step.
         assert len(times) <= 41
 
+    def test_positions_follow_the_fleet(self):
+        runner = ScenarioRunner(builtin_script("s1"))
+        start = [tuple(p) for p in runner.positions]
+        runner.run_until(10.0)
+        moved = [tuple(p) for p in runner.positions]
+        assert moved == runner.fleet.positions()
+        # Robots patrol their strips' bottom edges to the right.
+        assert all(x > x0 for (x, _), (x0, _) in zip(moved, start))
+
+
+def test_allocation_only_positions_stay_an_array():
+    runner = ScenarioRunner(builtin_script("s3"))
+    start = runner.positions.copy()
+    runner.run_until(10.0)
+    assert runner.positions.shape == (10, 2)
+    np.testing.assert_array_equal(runner.positions, start)
+    runner.apply_topology_edit(TopologyEdit(kind="add_robot", robot_id=11, position=(1.0, 2.0)))
+    assert runner.positions.shape == (11, 2)
+    np.testing.assert_array_equal(runner.positions[-1], (1.0, 2.0))
+
 
 class RebuildingRunner(ScenarioRunner):
     """Reference: rebuilds the partition and reassigns every robot's region
