@@ -139,7 +139,8 @@ def _cmd_sweep(args) -> int:
 
     scripts = sweep_scripts(script, args.axis, values)
     base_dir = Path(args.script).parent
-    jobs = max(1, args.jobs)
+    # A process pool may start all its workers at once, so start no idle ones.
+    jobs = max(1, min(args.jobs, len(scripts)))
     if jobs > 1:
         # Runs are independent and deterministic, so parallel execution
         # gives the same records as the sequential path.

@@ -106,15 +106,13 @@ class PatrolFleet:
     array, so that one addition advances all three.  ``position`` is a list
     of ``(x, y)`` tuples.  A robot that has moved along its perimeter since
     its position was last stored is ``stale``: its position is
-    ``_arc_point(region, arc)``, computed only when read.
-    ``v_req`` is each robot's lap-time velocity cap, which the fleet's owner
-    keeps up to date on region changes.
+    ``_arc_point(region, arc)``, computed only when read.  A robot without
+    a region has perimeter 0.0; only :func:`assign_region` changes a region.
     """
 
     #: Arrays with one row per robot.
     _PER_ROBOT = (
-        "motion", "lap_start_time", "perimeter", "v_req",
-        "stale", "has_region", "in_transit", "transitional",
+        "motion", "lap_start_time", "perimeter", "stale", "in_transit", "transitional",
     )
 
     def __init__(self, positions: Sequence[Sequence[float]] = ()):
@@ -123,9 +121,7 @@ class PatrolFleet:
         self.motion = np.zeros((n, 3))
         self.lap_start_time = np.zeros(n)
         self.perimeter = np.zeros(n)
-        self.v_req = np.zeros(n)
         self.stale = np.zeros(n, dtype=bool)
-        self.has_region = np.zeros(n, dtype=bool)
         self.in_transit = np.zeros(n, dtype=bool)
         self.transitional = np.zeros(n, dtype=bool)
         self.regions: list[Optional[Rect]] = [None] * n
@@ -191,7 +187,7 @@ class PatrolFleet:
         Every other robot (``_scalar``) advances by zero with limit ``inf``,
         and takes the scalar path.
         """
-        self._go = go = (v > 0) & (self.has_region > self.in_transit)
+        self._go = go = (v > 0) & ((self.perimeter > 0.0) > self.in_transit)
         self._scalar = (~go).nonzero()[0].tolist()
         self._advance = np.multiply.outer(go, (0.0, 0.0, dt))
         self._fill_advance(v, dt)
@@ -229,9 +225,8 @@ def _array_field(name: str) -> property:
 
 class RobotKinematicState:
     """Per-robot simulation state: a view of one robot of a
-    :class:`PatrolFleet`, read-only except for ``region``, which
-    :func:`assign_region` sets.  ``RobotKinematicState(position=...)`` is a
-    fleet of one robot."""
+    :class:`PatrolFleet`, read-only.  ``RobotKinematicState(position=...)``
+    is a fleet of one robot."""
 
     __slots__ = ("fleet", "index")
 
@@ -263,15 +258,6 @@ class RobotKinematicState:
     def region(self) -> Optional[Rect]:
         return self.fleet.regions[self.index]
 
-    @region.setter
-    def region(self, region: Optional[Rect]) -> None:
-        fleet, i = self.fleet, self.index
-        fleet._refresh(i)  # a stale position lies on the old perimeter
-        fleet.regions[i] = region
-        fleet.has_region[i] = region is not None
-        fleet.perimeter[i] = 0.0 if region is None else perimeter(region)
-        fleet._invalidate()
-
     @property
     def lap_times(self) -> list[float]:
         return self.fleet.lap_times[self.index]
@@ -302,7 +288,10 @@ def assign_region(state: RobotKinematicState, region: Optional[Rect]) -> bool:
     old = fleet.regions[i]
     if _same_region(old, region):
         return False
-    state.region = region  # stores the position on the old perimeter first
+    fleet._refresh(i)  # a stale position lies on the old perimeter
+    fleet.regions[i] = region
+    fleet.perimeter[i] = 0.0 if region is None else perimeter(region)
+    fleet._invalidate()
     if old is not None:
         fleet.transitional[i] = True
     if region is None:

@@ -27,7 +27,6 @@ from .patrol import (
     PatrolFleet,
     RobotKinematicState,
     assign_region,
-    required_velocity,
     step_all,
     system_patrol_time,
 )
@@ -425,6 +424,9 @@ class RunRecord:
             with open(outdir / "trajectory.csv", "w", newline="") as fh:
                 fh.write("time_s,robot,x,y,v\n")
                 fh.writelines("%.12g,%s,%.12g,%.12g,%.12g\n" % tr for tr in self.trajectory)
+        else:
+            # Leave no earlier run's trajectory beside this run's records.
+            (outdir / "trajectory.csv").unlink(missing_ok=True)
         with open(outdir / "summary.json", "w") as fh:
             fh.write(json.dumps(self.summary, indent=2, sort_keys=True) + "\n")
         return outdir
@@ -620,10 +622,15 @@ class ScenarioRunner:
     def _set_velocities(self, snapshot: ConditionSnapshot) -> None:
         """Each robot moves at whichever limit binds first: its condition,
         ``kappa * v_max`` (the bits of ``able_velocity(..., v_max)``), or its
-        lap-time requirement ``v_req``.  A failed or disconnected robot's
-        ``kappa`` is 0, since its condition in the snapshot is."""
+        lap-time cap ``perimeter / tau_star``.  That is the bits of
+        ``min(kappa * v_max, required_velocity(region, tau_star, v_max))``:
+        ``kappa <= 1``, so the ``v_max`` clamp never binds; a robot without a
+        region has perimeter and cap 0.0; and ``assign_region`` keeps the
+        perimeters current.  A failed or disconnected robot's ``kappa`` is 0,
+        since its condition in the snapshot is."""
         kappa = snapshot.columns(self.topology).kappa
-        self._step_v = np.minimum(kappa * self.params.v_max, self.fleet.v_req)
+        cap = self.fleet.perimeter / self.params.tau_star
+        self._step_v = np.minimum(kappa * self.params.v_max, cap)
         self._step_v_of = snapshot
 
     def _assign_regions(self) -> None:
@@ -637,10 +644,8 @@ class ScenarioRunner:
         if np.array_equal(shares, self._regions_sigma):
             return
         regions = partition_from_workload(self.workspace, self.sigma)
-        v_req, tau_star, v_max = self.fleet.v_req, self.params.tau_star, self.params.v_max
-        for i, (state, region) in enumerate(zip(self.robots, regions)):
-            if assign_region(state, region):
-                v_req[i] = required_velocity(region, tau_star, v_max)
+        for state, region in zip(self.robots, regions):
+            assign_region(state, region)
         self._regions_sigma = shares
 
     # -- core loop ----------------------------------------------------------
@@ -796,14 +801,13 @@ class ScenarioRunner:
         t_l_series = []
         if self.robots:
             active = [s > 0.0 for s in self.sigma.shares.tolist()]
-            lap_times = []
-            for rid, state in zip(self.topology.robot_ids, self.robots):
-                times, flags = state.lap_times, state.lap_transitional
-                lap_times.append(times)
-                for lap, (lt, flag) in enumerate(zip(times, flags)):
-                    self.record.laps.append(
-                        LapRow(robot_id=rid, lap=lap, lap_time_s=lt, transitional=flag)
-                    )
+            lap_times = self.fleet.lap_times
+            robots = zip(self.topology.robot_ids, lap_times, self.fleet.lap_transitional)
+            self.record.laps = [
+                LapRow(robot_id=rid, lap=lap, lap_time_s=lt, transitional=flag)
+                for rid, times, flags in robots
+                for lap, (lt, flag) in enumerate(zip(times, flags))
+            ]
             lap = 0
             while (t_l := system_patrol_time(lap, lap_times, active)) is not None:
                 t_l_series.append([lap, float(t_l)])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mhmr import cli
 from mhmr.cli import main
 from mhmr.errors import MhmrError
 from mhmr.scenario import ScenarioScript, builtin_script, run_scenario
@@ -489,6 +490,32 @@ class TestSweep:
                 "--values", "1,5", "--out", "sweep", "--jobs", jobs]
         assert main(argv) == 0
         assert len((tmp_path / "sweep" / "sweep_summary.csv").read_text().splitlines()) == 3
+
+    def test_jobs_never_exceed_scripts(self, s3_script, tmp_path, capsys, monkeypatch):
+        # A process pool may start all ``max_workers`` processes up front.
+        started = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        argv = ["sweep", "--script", str(s3_script), "--axis", "K", "--values", "1,5"]
+        assert main(argv + ["--out", str(tmp_path / "j64"), "--jobs", "64"]) == 0
+        assert started == [2]
+        assert main(argv + ["--out", str(tmp_path / "j1"), "--jobs", "1"]) == 0
+        assert started == [2]
+        summary = "sweep_summary.csv"
+        assert (tmp_path / "j64" / summary).read_bytes() == (tmp_path / "j1" / summary).read_bytes()
 
     def test_empty_values(self, s3_script, capsys):
         assert (

@@ -272,11 +272,14 @@ class TestStepAll:
         assert added.time == 0.05
 
     @pytest.mark.parametrize(
-        "name", ["arc", "lap_progress", "lap_start_time", "time", "transitional", "in_transit", "position"]
+        "name",
+        ["arc", "lap_progress", "lap_start_time", "time", "transitional", "in_transit", "position",
+         "region"],
     )
     def test_views_are_read_only(self, name):
         # Writing through a view skipped the fleet's bookkeeping (an arc
-        # written this way left the stored position where it was).
+        # written this way left the stored position where it was);
+        # ``assign_region`` alone changes a region.
         fleet = PatrolFleet([(0.0, 0.0)])
         assign_region(fleet.robots[0], REGIONS[1])
         before = getattr(fleet.robots[0], name)

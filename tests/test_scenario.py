@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import mhmr.scenario
 from mhmr.errors import ConfigurationError, MetricDomainError
 from mhmr.geometry import partition_from_workload
-from mhmr.patrol import assign_region, required_velocity
+from mhmr.patrol import assign_region
 from mhmr.scenario import (
     BUILTIN_SCRIPT_NAMES,
     CycleRow,
@@ -441,6 +441,17 @@ class TestFullSim:
         # threshold plus tolerance.
         assert record.summary["max_t_l"] <= 65.0 + 10.0
 
+    def test_second_run_gives_the_same_laps(self):
+        data = builtin_script("s1").to_dict()
+        data["duration_s"] = 150.0
+        data["events"] = []
+        runner = ScenarioRunner(ScenarioScript.from_dict(data))
+        laps = list(runner.run().laps)
+        summary = dict(runner.record.summary)
+        assert len(laps) == 6
+        assert runner.run().laps == laps
+        assert runner.record.summary == summary
+
     def test_trajectory_recording(self):
         data = builtin_script("s1").to_dict()
         data["duration_s"] = 20.0
@@ -479,10 +490,8 @@ class RebuildingRunner(ScenarioRunner):
 
     def _assign_regions(self):
         regions = partition_from_workload(self.workspace, self.sigma)
-        v_req, tau_star, v_max = self.fleet.v_req, self.params.tau_star, self.params.v_max
-        for i, (state, region) in enumerate(zip(self.robots, regions)):
-            if assign_region(state, region):
-                v_req[i] = required_velocity(region, tau_star, v_max)
+        for state, region in zip(self.robots, regions):
+            assign_region(state, region)
 
 
 class TestRegionsFollowShares:
@@ -785,6 +794,15 @@ class TestRunRecordFiles:
         ]
         assert body("laps.csv") == [["2", "1", g(lap.lap_time_s), "0"]]
         assert body("trajectory.csv") == [[g(tr.time_s), "3", g(tr.x), g(tr.y), g(tr.v)]]
+
+    def test_write_without_trajectory_removes_an_earlier_one(self, tmp_path):
+        record = RunRecord(robot_ids=(1,))
+        record.trajectory = [TrajectoryRow(0.0, 1, 0.0, 0.0, 0.0)]
+        out = record.write(tmp_path / "out")
+        assert (out / "trajectory.csv").exists()
+        record.trajectory = []
+        record.write(out)
+        assert sorted(f.name for f in out.iterdir()) == ["cycles.csv", "laps.csv", "summary.json"]
 
     def test_s1_trajectory_bytes_pinned(self, tmp_path):
         script = dataclasses.replace(builtin_script("s1"), record_trajectory=True)
