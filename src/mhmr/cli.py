@@ -74,7 +74,6 @@ def _load_script(args) -> ScenarioScript:
         script = _apply_overrides(script, args.override)
     if getattr(args, "trajectory", False):
         script = replace(script, record_trajectory=True)
-    script.validate()
     return script
 
 

@@ -13,7 +13,7 @@ import copy
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Any, Iterator, NamedTuple, Optional, Sequence
 
@@ -115,22 +115,29 @@ class ScenarioParams:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ScenarioScript:
-    """Everything needed to reproduce one run."""
+    """Everything needed to reproduce one run.
 
-    name: str
+    The whole script is checked when it is built, by ``from_dict``,
+    ``from_json`` or ``dataclasses.replace`` alike, and ``team`` holds the
+    team its topology spec describes.
+    """
+
+    name: str = "unnamed"
     topology: dict[str, Any]
     workspace: GlobalWorkspace
-    params: ScenarioParams
-    events: tuple[Event, ...]
+    params: ScenarioParams = field(default_factory=ScenarioParams)
+    events: tuple[Event, ...] = ()
     duration_s: float
     mode: str = "full-sim"
     placement: Any = "center"
     allocation_enabled: bool = True
     record_trajectory: bool = False
+    team: TeamTopology = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "name", str(self.name))
         if self.mode not in VALID_MODES:
             raise ConfigurationError(f"unknown mode {self.mode!r}")
         for name in ("allocation_enabled", "record_trajectory"):
@@ -153,66 +160,43 @@ class ScenarioScript:
                 f"duration_s = {self.duration_s!r} holds too many steps of "
                 f"params.sim_dt = {self.params.sim_dt!r}"
             )
-
-    def build_topology(self) -> TeamTopology:
-        return build_topology(self.topology)
-
-    def validate(self) -> TeamTopology:
-        """Cross-check events against the topology; raise naming offenders.
-
-        Returns the topology it checked, so callers need not build it again.
-        """
         # The strips must fit before a team of that size is built.
-        m = _topology_count(self.topology, "m", 1)
+        m = _topology_count(_section(self.topology, "topology", _TOPOLOGY_KEYS), "m", 1)
         gap = self.workspace.safety_gap
         if (m - 1) * gap >= self.workspace.width:
             raise ConfigurationError(
                 f"workspace.safety_gap = {gap!r} is infeasible: {m - 1} gaps "
                 f"between {m} strips exceed workspace width {self.workspace.width!r} m"
             )
-        topology = self.build_topology()
-        robots = set(topology.robot_ids)
-        operators = set(topology.operator_ids)
+        team = build_topology(self.topology)
+        object.__setattr__(self, "team", team)
+        robots, operators = set(team.robot_ids), set(team.operator_ids)
         for ev in self.events:
             if not (0.0 <= ev.time_s <= self.duration_s):
                 raise ConfigurationError(
                     f"event at {ev.time_s}s outside run duration {self.duration_s}s"
                 )
-            if ev.target_kind == "robot":
-                if ev.target_id not in robots:
-                    raise ConfigurationError(
-                        f"event targets nonexistent robot {ev.target_id}"
-                    )
-                if ev.metric == "operator_condition":
-                    raise ConfigurationError(
-                        f"operator_condition event cannot target robot {ev.target_id}"
-                    )
-            else:
-                if ev.target_id not in operators:
-                    raise ConfigurationError(
-                        f"event targets nonexistent operator {ev.target_id}"
-                    )
-                if ev.metric != "operator_condition":
-                    raise ConfigurationError(
-                        f"{ev.metric} event cannot target operator {ev.target_id}"
-                    )
-        if isinstance(self.placement, (list, tuple)):
-            if len(self.placement) != topology.m:
+            agents = robots if ev.target_kind == "robot" else operators
+            if ev.target_id not in agents:
                 raise ConfigurationError(
-                    f"{len(self.placement)} explicit positions for {topology.m} robots"
+                    f"event targets nonexistent {ev.target_kind} {ev.target_id}"
+                )
+            if (ev.metric == "operator_condition") != (ev.target_kind == "operator"):
+                raise ConfigurationError(
+                    f"{ev.metric} event cannot target {ev.target_kind} {ev.target_id}"
+                )
+        if isinstance(self.placement, (list, tuple)):
+            if len(self.placement) != team.m:
+                raise ConfigurationError(
+                    f"{len(self.placement)} explicit positions for {team.m} robots"
                 )
             for point in self.placement:
-                if not (
-                    isinstance(point, (list, tuple))
-                    and len(point) == 2
-                    and all(is_finite_number(v) for v in point)
-                ):
+                if not _is_point(point):
                     raise ConfigurationError(
                         f"placement entry {point!r} is not an (x, y) pair of finite numbers"
                     )
         elif self.placement not in VALID_PLACEMENTS:
             raise ConfigurationError(f"unknown placement {self.placement!r}")
-        return topology
 
     # -- serialization ------------------------------------------------------
 
@@ -221,20 +205,8 @@ class ScenarioScript:
             "schema_version": SCHEMA_VERSION,
             "name": self.name,
             "topology": copy.deepcopy(self.topology),
-            "workspace": {
-                "origin": list(self.workspace.origin),
-                "width": self.workspace.width,
-                "height": self.workspace.height,
-                "safety_gap": self.workspace.safety_gap,
-            },
-            "params": {
-                "K": self.params.K,
-                "tau": self.params.tau,
-                "tau_star": self.params.tau_star,
-                "v_max": self.params.v_max,
-                "window": self.params.window,
-                "sim_dt": self.params.sim_dt,
-            },
+            "workspace": {**asdict(self.workspace), "origin": list(self.workspace.origin)},
+            "params": asdict(self.params),
             "placement": copy.deepcopy(self.placement),
             "events": [
                 {
@@ -253,47 +225,28 @@ class ScenarioScript:
 
     @staticmethod
     def from_dict(data: dict[str, Any]) -> "ScenarioScript":
+        """The script of a JSON object.  Each section is built by its
+        dataclass, which rejects an unknown key and gives a key left out its
+        default."""
         if not isinstance(data, dict):
             raise ConfigurationError(
                 f"a scenario script must be a JSON object, not {type(data).__name__}"
             )
-        version = data.get("schema_version", SCHEMA_VERSION)
+        args = dict(data)
+        version = args.pop("schema_version", SCHEMA_VERSION)
         if not (_is_integer(version) and version == SCHEMA_VERSION):
             raise ConfigurationError(f"unsupported schema_version {version!r}")
         try:
-            events = []
-            for raw in data.get("events", []):
-                kind, _, ident = str(raw["target"]).partition(":")
-                events.append(
-                    Event(
-                        time_s=raw["time_s"],
-                        target_kind=kind,
-                        target_id=int(ident),
-                        metric=str(raw["metric"]),
-                        profile=dict(raw["profile"]),
-                    )
-                )
-            ws = data["workspace"]
+            if "events" in args:
+                args["events"] = tuple([_event_from_dict(raw) for raw in args["events"]])
+            ws = args["workspace"]
             if not isinstance(ws, dict):
                 raise ConfigurationError(f"workspace must be a JSON object, got {ws!r}")
-            params = ScenarioParams(**data.get("params", {}))
-            return ScenarioScript(
-                name=str(data.get("name", "unnamed")),
-                topology=dict(data["topology"]),
-                workspace=GlobalWorkspace(
-                    origin=ws.get("origin", (0.0, 0.0)),
-                    width=ws["width"],
-                    height=ws["height"],
-                    safety_gap=ws.get("safety_gap", 0.0),
-                ),
-                params=params,
-                events=tuple(events),
-                duration_s=data["duration_s"],
-                mode=str(data.get("mode", "full-sim")),
-                placement=data.get("placement", "center"),
-                allocation_enabled=data.get("allocation_enabled", True),
-                record_trajectory=data.get("record_trajectory", False),
-            )
+            # A script may leave out ``origin``, which ``GlobalWorkspace`` requires.
+            args["workspace"] = GlobalWorkspace(**{"origin": (0.0, 0.0), **ws})
+            if "params" in args:
+                args["params"] = ScenarioParams(**args["params"])
+            return ScenarioScript(**args)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigurationError(f"malformed scenario script: {exc}") from exc
 
@@ -310,6 +263,39 @@ class ScenarioScript:
         with open(path, "w") as fh:
             json.dump(self.to_dict(), fh, indent=2)
             fh.write("\n")
+
+
+# The keys of the script sections that no dataclass takes as its fields.
+_TOPOLOGY_KEYS = frozenset(("m", "h", "edges", "pattern"))
+_EVENT_KEYS = frozenset(("time_s", "target", "metric", "profile"))
+
+
+def _section(value: Any, where: str, keys: frozenset[str]) -> dict[str, Any]:
+    """``value`` if it is a JSON object whose keys all are in ``keys``."""
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"{where} must be a JSON object, not {type(value).__name__}")
+    if not value.keys() <= keys:
+        key = next(key for key in value if key not in keys)
+        raise ConfigurationError(f"unknown key {key!r} in {where}; expected one of {sorted(keys)}")
+    return value
+
+
+def _event_from_dict(raw: Any) -> Event:
+    kind, _, ident = str(_section(raw, "an event", _EVENT_KEYS)["target"]).partition(":")
+    return Event(
+        time_s=raw["time_s"],
+        target_kind=kind,
+        target_id=int(ident),
+        metric=str(raw["metric"]),
+        profile=dict(raw["profile"]),
+    )
+
+
+def _is_point(value: Any) -> bool:
+    """An ``(x, y)`` pair of finite numbers."""
+    return (
+        isinstance(value, (list, tuple)) and len(value) == 2 and all(map(is_finite_number, value))
+    )
 
 
 def build_topology(spec: dict[str, Any]) -> TeamTopology:
@@ -471,6 +457,14 @@ class TopologyEdit:
     def __post_init__(self):
         if self.kind not in ("add_robot", "remove_robot", "add_edge", "remove_edge"):
             raise ConfigurationError(f"unknown topology edit {self.kind!r}")
+        if not (
+            _is_integer(self.robot_id)
+            and isinstance(self.operator_ids, (list, tuple))
+            and all(map(_is_integer, self.operator_ids))
+        ):
+            raise ConfigurationError(f"{self} needs integer robot and operator ids")
+        if not (self.position is None or _is_point(self.position)):
+            raise ConfigurationError(f"{self} needs a position of two finite numbers or None")
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +479,7 @@ class ScenarioRunner:
     """
 
     def __init__(self, script: ScenarioScript, base_dir: Optional[Path] = None):
-        self.topology = script.validate()
+        self.topology = script.team
         self.script = script
         self.workspace = script.workspace
         self.params = script.params

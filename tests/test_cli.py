@@ -335,6 +335,29 @@ class TestScriptCheckedAtLoad:
         assert captured.err.startswith(f"error: {profile['type']} for operator 1 ")
         assert not (tmp_path / "out").exists()
 
+    # One misspelled key per section: each used to load with the default.
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ((), "mdoe", "allocation-only"),
+            (("workspace",), "safetygap", 0.5),
+            (("params",), "sim_td", 0.1),
+            (("topology",), "patern", "none"),
+            (("events", 0), "profle", {"type": "step", "value": 0.5}),
+        ],
+        ids=["script", "workspace", "params", "topology", "event"],
+    )
+    def test_validate_rejects_unknown_key(self, tmp_path, capsys, section, key, value):
+        data = builtin_script("s3").to_dict()
+        node = data
+        for part in section:
+            node = node[part]
+        node[key] = value
+        assert main(["validate", "--script", str(write_script(tmp_path, data))]) == 1
+        captured = capsys.readouterr()
+        assert "valid=true" not in captured.out
+        assert captured.err.startswith("error: ") and f"'{key}'" in captured.err
+
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize(
         "topology, key",
@@ -516,6 +539,25 @@ class TestSweep:
         assert started == [2]
         summary = "sweep_summary.csv"
         assert (tmp_path / "j64" / summary).read_bytes() == (tmp_path / "j1" / summary).read_bytes()
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            # s3's events name operator 5, which a team of 4 does not have.
+            ("20,4", "event targets nonexistent operator 5"),
+            ("10,2001", "workspace.safety_gap = 0.01 is infeasible"),
+        ],
+    )
+    def test_bad_variant_fails_before_any_run(
+        self, s3_script, tmp_path, capsys, monkeypatch, values, message
+    ):
+        monkeypatch.setattr(cli, "run_scenario", lambda *args, **kwargs: pytest.fail("ran"))
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--script", str(s3_script), "--axis", "m", "--values", values,
+                "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
 
     def test_empty_values(self, s3_script, capsys):
         assert (

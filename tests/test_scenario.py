@@ -78,25 +78,18 @@ class TestBuildTopology:
 
 class TestValidation:
     def test_nonexistent_robot_named(self):
-        script = allocation_only_script(
-            events=[step_event(1.0, "robot:99", "robot_condition", 0.5)]
-        )
         with pytest.raises(ConfigurationError, match="robot 99"):
-            script.validate()
+            allocation_only_script(events=[step_event(1.0, "robot:99", "robot_condition", 0.5)])
 
     def test_operator_metric_on_robot_rejected(self):
-        script = allocation_only_script(
-            events=[step_event(1.0, "robot:1", "operator_condition", 0.5)]
-        )
         with pytest.raises(ConfigurationError):
-            script.validate()
+            allocation_only_script(events=[step_event(1.0, "robot:1", "operator_condition", 0.5)])
 
     def test_event_after_duration_rejected(self):
-        script = allocation_only_script(
-            duration_s=10.0, events=[step_event(20.0, "robot:1", "robot_condition", 0.5)]
-        )
         with pytest.raises(ConfigurationError):
-            script.validate()
+            allocation_only_script(
+                duration_s=10.0, events=[step_event(20.0, "robot:1", "robot_condition", 0.5)]
+            )
 
     def test_out_of_range_event_value_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -105,24 +98,38 @@ class TestValidation:
             )
 
     def test_placement_length_mismatch(self):
-        script = allocation_only_script(m=3)
-        script = ScenarioScript.from_dict({**script.to_dict(), "placement": [[0, 0]]})
+        data = allocation_only_script(m=3).to_dict()
         with pytest.raises(ConfigurationError):
-            script.validate()
+            ScenarioScript.from_dict({**data, "placement": [[0, 0]]})
 
     def test_infeasible_team_fails_before_it_is_built(self, monkeypatch):
         data = builtin_script("s3").to_dict()
         data["topology"]["m"] = 2**64
-        script = ScenarioScript.from_dict(data)
         monkeypatch.setattr(mhmr.scenario, "build_topology", lambda spec: pytest.fail("built"))
         with pytest.raises(ConfigurationError, match="safety_gap"):
-            script.validate()
+            ScenarioScript.from_dict(data)
 
     @pytest.mark.parametrize("placement", ["bogus", None, 3, {"x": 1}])
     def test_unknown_placement_rejected(self, placement):
-        script = allocation_only_script(placement=placement)
         with pytest.raises(ConfigurationError, match="unknown placement"):
-            script.validate()
+            allocation_only_script(placement=placement)
+
+    def test_replace_checks_the_new_script(self):
+        script = builtin_script("s3")
+        with pytest.raises(ConfigurationError, match="nonexistent operator 5"):
+            dataclasses.replace(script, topology={"m": 4, "pattern": "alternating"})
+        with pytest.raises(ConfigurationError, match="unknown placement"):
+            dataclasses.replace(script, placement="bogus")
+
+    def test_left_out_keys_take_the_dataclass_defaults(self):
+        script = ScenarioScript.from_dict(
+            {"topology": {"m": 2}, "workspace": {"width": 4, "height": 1}, "duration_s": 1}
+        )
+        assert (script.name, script.events, script.params) == ("unnamed", (), ScenarioParams())
+        assert script.workspace.origin == (0.0, 0.0) and script.workspace.safety_gap == 0.0
+        assert (script.mode, script.placement) == ("full-sim", "center")
+        assert (script.allocation_enabled, script.record_trajectory) == (True, False)
+        assert script.team == build_topology({"m": 2, "pattern": "none"})
 
 
 class TestSerialization:
@@ -284,9 +291,11 @@ json_values = st.recursive(
 @example(path=("workspace",), value=None)
 @example(path=("schema_version",), value="1")
 @example(path=("duration_s",), value=1e308)
+@example(path=("events", 0), value=None)
+@example(path=("mdoe",), value="allocation-only")
 def test_fuzzed_script_loads_or_is_rejected(path, value):
-    """One field of a script, at any depth, replaced or deleted: loading,
-    validating and setting up a run succeed or raise ``ConfigurationError``."""
+    """One field of a script, at any depth, replaced, added or deleted:
+    loading and setting up a run succeed or raise ``ConfigurationError``."""
     data = copy.deepcopy(FUZZ_BASE)
     if not path:
         data = {} if value is DELETE else value
@@ -300,9 +309,7 @@ def test_fuzzed_script_loads_or_is_rejected(path, value):
         else:
             node[key] = value
     try:
-        script = ScenarioScript.from_dict(data)
-        script.validate()
-        ScenarioRunner(script)
+        ScenarioRunner(ScenarioScript.from_dict(data))
     except ConfigurationError:
         pass
 
@@ -601,6 +608,35 @@ class TestDynamicTopology:
                 TopologyEdit(kind="remove_edge", robot_id=1, operator_ids=(7,))
             )
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            dict(kind="add_robot", robot_id=11.5),
+            dict(kind="add_robot", robot_id=True),
+            dict(kind="remove_robot", robot_id="3"),
+            dict(kind="add_edge", robot_id=1, operator_ids=(1.7,)),
+            dict(kind="add_edge", robot_id=1, operator_ids=(False,)),
+            dict(kind="remove_edge", robot_id=1, operator_ids=1),
+        ],
+        ids=["fractional_robot", "bool_robot", "text_robot", "fractional_operator",
+             "bool_operator", "bare_operator"],
+    )
+    def test_edit_ids_must_be_integers(self, edit):
+        with pytest.raises(ConfigurationError, match="integer robot and operator ids"):
+            TopologyEdit(**edit)
+
+    @pytest.mark.parametrize(
+        "position",
+        [(math.nan, 1.0), (1.0, math.inf), (1.0,), (1.0, 2.0, 3.0), ("1", 2.0), (True, 2.0), 5],
+    )
+    def test_edit_position_must_be_a_finite_point(self, position):
+        with pytest.raises(ConfigurationError, match="position of two finite numbers"):
+            TopologyEdit(kind="add_robot", robot_id=11, position=position)
+
+    def test_valid_edits_build(self):
+        assert TopologyEdit("add_robot", 11, [1, 2], [1, 2.5]).position == [1, 2.5]
+        assert TopologyEdit("remove_robot", 3).position is None
+
 
 class TestTimelines:
     @pytest.mark.parametrize("value", [1.5, -0.25, float("nan")])
@@ -674,9 +710,12 @@ class TestSweeps:
         assert len({s.name for s in scripts}) == 2
 
     def test_m_sweep_scales_team(self):
-        scripts = sweep_scripts(builtin_script("s3"), "m", [4, 20, 20.0])
-        assert [s.build_topology().m for s in scripts] == [4, 20, 20]
-        assert [s.name for s in scripts] == ["s3_m4", "s3_m20", "s3_m20"]
+        scripts = sweep_scripts(builtin_script("s3"), "m", [10, 20, 20.0])
+        assert [s.team.m for s in scripts] == [10, 20, 20]
+        assert [s.name for s in scripts] == ["s3_m10", "s3_m20", "s3_m20"]
+        # s3's events name operator 5, which a team of 4 does not have.
+        with pytest.raises(ConfigurationError, match="nonexistent operator 5"):
+            sweep_scripts(builtin_script("s3"), "m", [10, 4])
 
     @pytest.mark.parametrize("value", [8.7, 0, -1.0, 0.5, math.nan, math.inf, True, "20"])
     def test_m_sweep_rejects_non_whole_values(self, value):

@@ -86,9 +86,9 @@ class TestOperatorIndex:
 
 class TestRunnerTopology:
     @pytest.mark.parametrize("name", ["s1", "s3"])
-    def test_validate_returns_built_topology(self, name):
+    def test_script_team_is_built_topology(self, name):
         script = builtin_script(name)
-        assert script.validate() == script.build_topology()
+        assert script.team == build_topology(script.topology)
 
     def test_runner_builds_topology_once(self, monkeypatch):
         calls = []
@@ -97,11 +97,12 @@ class TestRunnerTopology:
             calls.append(spec)
             return build_topology(spec)
 
-        script = builtin_script("s3")
         monkeypatch.setattr(scenario, "build_topology", counting_build)
+        script = builtin_script("s3")
+        assert len(calls) == 1
         runner = ScenarioRunner(script)
         assert len(calls) == 1
-        assert runner.topology == script.build_topology()
+        assert runner.topology is script.team
 
     def test_edits_update_operator_lookups(self):
         script = ScenarioScript.from_dict(
