@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .errors import ConfigurationError, EmptyRegionError
 from .team import WorkloadVector
@@ -53,19 +54,47 @@ def perimeter(region: Rect) -> float:
 
 
 def boundary_distance(point: Sequence[float], region: Optional[Rect]) -> float:
-    """Shortest Euclidean distance from ``point`` to the rectangle perimeter.
+    """Shortest Euclidean distance from ``point`` to the rectangle perimeter,
+    as :func:`min_boundary_distance` gives it for one row.
 
     Zero on the perimeter, positive both inside and outside.
     """
     if region is None:
         raise EmptyRegionError("boundary distance to an empty region is undefined")
-    px, py = float(point[0]), float(point[1])
-    dx = max(region.x - px, 0.0, px - region.x_max)
-    dy = max(region.y - py, 0.0, py - region.y_max)
-    if dx > 0.0 or dy > 0.0:
-        return math.hypot(dx, dy)
-    # Inside (or on) the rectangle: nearest side.
-    return min(px - region.x, region.x_max - px, py - region.y, region.y_max - py)
+    return min_boundary_distance(
+        np.array([point], dtype=float), region.x, region.y, region.x_max, region.y_max
+    )
+
+
+def min_boundary_distance(
+    points: np.ndarray, x: ArrayLike, y: ArrayLike, x_max: ArrayLike, y_max: ArrayLike
+) -> float:
+    """Minimum over rows of the distance from ``points[i]`` to the perimeter
+    of rectangle ``i``, which spans ``[x[i], x_max[i]] x [y[i], y_max[i]]``
+    (each bound an array or one number for all rows).
+
+    A point outside its rectangle along one axis only is as far away as it
+    is outside along that axis; ``math.hypot`` runs only for the points
+    outside along both axes (diagonal to a corner).
+    """
+    px, py = points[:, 0], points[:, 1]
+    sides = np.empty((4, px.size))
+    np.subtract(px, x, out=sides[0])
+    np.subtract(x_max, px, out=sides[1])
+    np.subtract(py, y, out=sides[2])
+    np.subtract(y_max, py, out=sides[3])
+    nearest = np.minimum.reduce(sides, axis=None)
+    if nearest >= 0.0:
+        # Every point is inside or on its rectangle: its nearest side.
+        return float(nearest)
+    # Per point and axis, the distance to the nearer of the two sides,
+    # negative where the point lies outside along that axis.
+    axes = np.minimum(sides[0::2], sides[1::2])
+    # Inside, that is the nearest side; outside along one axis, how far out.
+    distance = np.abs(np.minimum.reduce(axes, axis=0))
+    for i in (np.maximum.reduce(axes, axis=0) < 0.0).nonzero()[0].tolist():
+        distance[i] = math.hypot(axes[0, i], axes[1, i])
+    return float(np.minimum.reduce(distance))
 
 
 def nearest_boundary_point(
@@ -102,6 +131,13 @@ def is_finite_number(value: Any) -> bool:
         return False
 
 
+def is_finite_point(value: Any) -> bool:
+    """An ``(x, y)`` list or tuple of finite numbers."""
+    return (
+        isinstance(value, (list, tuple)) and len(value) == 2 and all(map(is_finite_number, value))
+    )
+
+
 @dataclass(frozen=True)
 class GlobalWorkspace:
     """The full mission area: an axis-aligned rectangle plus a safety gap
@@ -114,11 +150,7 @@ class GlobalWorkspace:
 
     def __post_init__(self):
         origin = self.origin
-        if not (
-            isinstance(origin, (list, tuple))
-            and len(origin) == 2
-            and all(map(is_finite_number, origin))
-        ):
+        if not is_finite_point(origin):
             raise ConfigurationError(
                 f"workspace.origin must be an (x, y) pair of finite numbers, got {origin!r}"
             )

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError
-from .geometry import Rect, boundary_distance, nearest_boundary_point, perimeter
+from .geometry import Rect, nearest_boundary_point, perimeter
 from .team import ConditionSnapshot, TeamTopology
 
 #: Region corners closer than this (m) are treated as the same region.
@@ -31,14 +31,14 @@ def able_velocity(
     robot_id: int,
     v_max: float,
 ) -> float:
-    """Condition-limited top speed: worst contributing condition times v_max."""
-    cond = snapshot.robot_condition[robot_id]
-    operators = topology.operators_of(robot_id)
-    if operators:
-        kappa = min(cond, *(snapshot.operator_condition[o] for o in operators))
-    else:
-        kappa = cond
-    return kappa * v_max
+    """Condition-limited top speed: worst contributing condition times v_max.
+
+    Reads the robot's ``kappa`` from ``snapshot.columns(topology)``, which
+    checks the whole snapshot, so a missing agent or a metric outside [0, 1]
+    raises even when it is not this robot's.
+    """
+    i = topology.value_tables.robot_slots[robot_id]
+    return snapshot.columns(topology).kappa.item(i) * v_max
 
 
 def required_velocity(region: Optional[Rect], tau_star: float, v_max: float) -> float:
@@ -76,10 +76,9 @@ def _arc_point(region: Rect, s: float) -> tuple[float, float]:
     return (region.x, region.y_max - s)
 
 
-def _arc_of_point(region: Rect, point: Sequence[float]) -> float:
-    """Arc-length coordinate of a point assumed on (or snapped to) the
-    perimeter."""
-    px, py = nearest_boundary_point(point, region)
+def _arc_of_point(region: Rect, px: float, py: float) -> float:
+    """Arc-length coordinate of a point on the perimeter (snapped to it by
+    :func:`~mhmr.geometry.nearest_boundary_point`)."""
     w, h = region.width, region.height
     # Distances to each side decide which edge the point lies on.
     d_bottom = abs(py - region.y)
@@ -297,13 +296,14 @@ def assign_region(state: RobotKinematicState, region: Optional[Rect]) -> bool:
     if region is None:
         fleet.in_transit[i] = False
         return True
-    position = fleet.position[i]
-    if boundary_distance(position, region) > ON_PERIMETER_TOL:
+    px, py = fleet.position[i]
+    tx, ty = nearest_boundary_point((px, py), region)
+    if math.hypot(tx - px, ty - py) > ON_PERIMETER_TOL:
         fleet.in_transit[i] = True
         fleet.transitional[i] = True
     else:
         fleet.in_transit[i] = False
-        fleet.arc[i] = _arc_of_point(region, position)
+        fleet.arc[i] = _arc_of_point(region, tx, ty)
     return True
 
 
@@ -345,7 +345,7 @@ def step_robot(state: RobotKinematicState, v: float, dt: float) -> RobotKinemati
         budget -= gap
         fleet.in_transit[i] = False
         fleet._invalidate()
-        arc = _arc_of_point(region, (tx, ty))
+        arc = _arc_of_point(region, tx, ty)
 
     p = fleet.perimeter.item(i)
     while budget > 0.0:

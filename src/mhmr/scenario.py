@@ -21,7 +21,13 @@ import numpy as np
 
 from .allocation import propose_allocation
 from .errors import ConfigurationError, MetricDomainError, NoCapableAgentError
-from .geometry import GlobalWorkspace, is_finite_number, partition_from_workload, strips
+from .geometry import (
+    GlobalWorkspace,
+    is_finite_number,
+    is_finite_point,
+    partition_from_workload,
+    strips,
+)
 from .metrics import DEFAULT_STRESS_WINDOW, ConditionTimeline, check_profile
 from .patrol import (
     PatrolFleet,
@@ -191,7 +197,7 @@ class ScenarioScript:
                     f"{len(self.placement)} explicit positions for {team.m} robots"
                 )
             for point in self.placement:
-                if not _is_point(point):
+                if not is_finite_point(point):
                     raise ConfigurationError(
                         f"placement entry {point!r} is not an (x, y) pair of finite numbers"
                     )
@@ -281,20 +287,17 @@ def _section(value: Any, where: str, keys: frozenset[str]) -> dict[str, Any]:
 
 
 def _event_from_dict(raw: Any) -> Event:
-    kind, _, ident = str(_section(raw, "an event", _EVENT_KEYS)["target"]).partition(":")
+    target = str(_section(raw, "an event", _EVENT_KEYS)["target"])
+    kind, _, ident = target.partition(":")
+    # ``int`` would also take "1_0", " 8", "+3" and non-ASCII digits.
+    if not (ident.isascii() and ident.isdigit()):
+        raise ConfigurationError(f"event target {target!r} needs an id of ASCII digits")
     return Event(
         time_s=raw["time_s"],
         target_kind=kind,
         target_id=int(ident),
         metric=str(raw["metric"]),
         profile=dict(raw["profile"]),
-    )
-
-
-def _is_point(value: Any) -> bool:
-    """An ``(x, y)`` pair of finite numbers."""
-    return (
-        isinstance(value, (list, tuple)) and len(value) == 2 and all(map(is_finite_number, value))
     )
 
 
@@ -463,7 +466,7 @@ class TopologyEdit:
             and all(map(_is_integer, self.operator_ids))
         ):
             raise ConfigurationError(f"{self} needs integer robot and operator ids")
-        if not (self.position is None or _is_point(self.position)):
+        if not (self.position is None or is_finite_point(self.position)):
             raise ConfigurationError(f"{self} needs a position of two finite numbers or None")
 
 
@@ -615,13 +618,13 @@ class ScenarioRunner:
 
     def _set_velocities(self, snapshot: ConditionSnapshot) -> None:
         """Each robot moves at whichever limit binds first: its condition,
-        ``kappa * v_max`` (the bits of ``able_velocity(..., v_max)``), or its
-        lap-time cap ``perimeter / tau_star``.  That is the bits of
-        ``min(kappa * v_max, required_velocity(region, tau_star, v_max))``:
-        ``kappa <= 1``, so the ``v_max`` clamp never binds; a robot without a
-        region has perimeter and cap 0.0; and ``assign_region`` keeps the
-        perimeters current.  A failed or disconnected robot's ``kappa`` is 0,
-        since its condition in the snapshot is."""
+        ``kappa * v_max`` (what ``able_velocity`` reads from the same
+        ``columns``), or its lap-time cap ``perimeter / tau_star``.  That is
+        the bits of ``min(kappa * v_max, required_velocity(region, tau_star,
+        v_max))``: ``kappa <= 1``, so the ``v_max`` clamp never binds; a robot
+        without a region has perimeter and cap 0.0; and ``assign_region``
+        keeps the perimeters current.  A failed or disconnected robot's
+        ``kappa`` is 0, since its condition in the snapshot is."""
         kappa = snapshot.columns(self.topology).kappa
         cap = self.fleet.perimeter / self.params.tau_star
         self._step_v = np.minimum(kappa * self.params.v_max, cap)
@@ -736,16 +739,27 @@ class ScenarioRunner:
         operator edge removal that leaves a human-operated robot without
         any operator marks that robot failed until reconnected.
         """
-        t = self.topology
-        if edit.kind == "add_robot":
-            if edit.robot_id in t.robot_ids:
-                raise ConfigurationError(f"robot {edit.robot_id} already exists")
-            new_ops = tuple(o for o in edit.operator_ids if o not in t.operator_ids)
+        t, rid = self.topology, edit.robot_id
+        if edit.kind == "remove_robot":
+            if rid not in t.robot_ids:
+                raise ConfigurationError(f"robot {rid} does not exist")
+            self.forced_failed.add(rid)
+        else:
+            if edit.kind == "add_robot" and rid in t.robot_ids:
+                raise ConfigurationError(f"robot {rid} already exists")
+            edges = {(rid, o) for o in edit.operator_ids}
+            if edit.kind == "remove_edge":
+                if not edges <= t.edges:
+                    raise ConfigurationError(f"edge(s) {sorted(edges)} not present in topology")
+                edges = t.edges - edges
+            else:
+                edges |= t.edges
             self.topology = TeamTopology.build(
-                t.robot_ids + (edit.robot_id,),
-                t.operator_ids + new_ops,
-                set(t.edges) | {(edit.robot_id, o) for o in edit.operator_ids},
+                t.robot_ids + ((rid,) if edit.kind == "add_robot" else ()),
+                t.operator_ids + tuple(o for o in edit.operator_ids if o not in t.operator_ids),
+                edges,
             )
+        if edit.kind == "add_robot":
             self.sigma = WorkloadVector(np.append(self.sigma.shares, 0.0))
             self.sigma_proposed = np.append(self.sigma_proposed, 0.0)
             pos = np.asarray(
@@ -759,32 +773,12 @@ class ScenarioRunner:
             else:
                 self._fixed_positions = np.vstack([self._fixed_positions, pos])
             self.record.robot_ids = self.topology.robot_ids
-        elif edit.kind == "remove_robot":
-            if edit.robot_id not in t.robot_ids:
-                raise ConfigurationError(f"robot {edit.robot_id} does not exist")
-            self.forced_failed.add(edit.robot_id)
-        elif edit.kind == "remove_edge":
-            removed = {(edit.robot_id, o) for o in edit.operator_ids}
-            if not removed <= t.edges:
-                raise ConfigurationError(
-                    f"edge(s) {sorted(removed)} not present in topology"
-                )
-            self.topology = TeamTopology.build(
-                t.robot_ids, t.operator_ids, t.edges - removed
-            )
-            was_operated = bool(t.operators_of(edit.robot_id))
-            if was_operated and not self.topology.operators_of(edit.robot_id):
-                # Disconnected teleoperation is a failure, not autonomy.
-                self.disconnected.add(edit.robot_id)
-        elif edit.kind == "add_edge":
-            new_ops = tuple(o for o in edit.operator_ids if o not in t.operator_ids)
-            self.topology = TeamTopology.build(
-                t.robot_ids,
-                t.operator_ids + new_ops,
-                set(t.edges) | {(edit.robot_id, o) for o in edit.operator_ids},
-            )
-            if self.topology.operators_of(edit.robot_id):
-                self.disconnected.discard(edit.robot_id)
+        # Disconnected teleoperation is a failure, not autonomy, until an
+        # operator edge comes back.
+        if self.topology.operators_of(rid):
+            self.disconnected.discard(rid)
+        elif t.operators_of(rid):
+            self.disconnected.add(rid)
         self._snapshot = None
         return self.topology
 
@@ -852,24 +846,24 @@ def sweep_scripts(
     scripts = []
     for value in values:
         if axis == "K":
-            scripts.append(
-                replace(
-                    base,
-                    name=f"{base.name}_K{'%.12g' % value}",
-                    params=replace(base.params, K=float(value)),
-                )
-            )
+            label = "%.12g" % value
         else:
             if not (is_finite_number(value) and value >= 1 and float(value).is_integer()):
                 raise ConfigurationError(f"m must be a whole number >= 1, got {value!r}")
-            m = int(value)
             if "edges" in base.topology:
                 raise ConfigurationError(
                     "m sweep requires a pattern-based topology, not explicit edges"
                 )
-            topology = dict(base.topology)
-            topology["m"] = m
-            scripts.append(replace(base, name=f"{base.name}_m{m}", topology=topology))
+            label = str(int(value))
+        try:
+            if axis == "K":
+                params = replace(base.params, K=float(value))
+                scripts.append(replace(base, name=f"{base.name}_K{label}", params=params))
+            else:
+                topology = {**base.topology, "m": int(value)}
+                scripts.append(replace(base, name=f"{base.name}_m{label}", topology=topology))
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"sweep {axis} = {label}: {exc}") from exc
     return scripts
 
 

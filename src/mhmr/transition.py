@@ -13,10 +13,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from numpy.typing import ArrayLike
 
 from .errors import ConfigurationError, NoActiveAgentsError
-from .geometry import GlobalWorkspace, Rect, strips
+from .geometry import GlobalWorkspace, Rect, min_boundary_distance, strips
 from .team import WorkloadVector
 
 #: A share this small with a zero proposal snaps to exactly zero.
@@ -53,37 +52,6 @@ def compute_q_f(
     points = np.asarray(positions, dtype=float)[active]
     rects = np.array([(r.x, r.y, r.x_max, r.y_max) for r in map(regions.__getitem__, active)])
     return min_boundary_distance(points, *rects.T)
-
-
-def min_boundary_distance(
-    points: np.ndarray, x: ArrayLike, y: ArrayLike, x_max: ArrayLike, y_max: ArrayLike
-) -> float:
-    """Minimum over rows of ``geometry.boundary_distance(points[i], rect_i)``,
-    where rectangle ``i`` spans ``[x[i], x_max[i]] x [y[i], y_max[i]]`` (each
-    bound an array or one number for all rows), with the same bits.
-
-    A point outside its rectangle along one axis only is as far away as it
-    is outside along that axis; ``math.hypot`` runs only for the points
-    outside along both axes (diagonal to a corner).
-    """
-    px, py = points[:, 0], points[:, 1]
-    sides = np.empty((4, px.size))
-    np.subtract(px, x, out=sides[0])
-    np.subtract(x_max, px, out=sides[1])
-    np.subtract(py, y, out=sides[2])
-    np.subtract(y_max, py, out=sides[3])
-    nearest = np.minimum.reduce(sides, axis=None)
-    if nearest >= 0.0:
-        # Every point is inside or on its rectangle: its nearest side.
-        return float(nearest)
-    # Per point and axis, the distance to the nearer of the two sides,
-    # negative where the point lies outside along that axis.
-    axes = np.minimum(sides[0::2], sides[1::2])
-    # Inside, that is the nearest side; outside along one axis, how far out.
-    distance = np.abs(np.minimum.reduce(axes, axis=0))
-    for i in (np.maximum.reduce(axes, axis=0) < 0.0).nonzero()[0].tolist():
-        distance[i] = math.hypot(axes[0, i], axes[1, i])
-    return float(np.minimum.reduce(distance))
 
 
 def transition_coefficient(q_f: float, K: float) -> float:

@@ -556,7 +556,9 @@ class TestSweep:
         argv = ["sweep", "--script", str(s3_script), "--axis", "m", "--values", values,
                 "--out", str(out)]
         assert main(argv) == 1
-        assert capsys.readouterr().err.startswith(f"error: {message}")
+        # The error names the variant at fault, the last value.
+        variant = values.rpartition(",")[2]
+        assert capsys.readouterr().err.startswith(f"error: sweep m = {variant}: {message}")
         assert not out.exists()
 
     def test_empty_values(self, s3_script, capsys):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from mhmr.errors import ConfigurationError
 from mhmr.metrics import ConditionTimeline
-from mhmr.patrol import able_velocity, commanded_velocity, required_velocity, step_robot
+from mhmr.patrol import commanded_velocity, required_velocity, step_robot
 from mhmr.scenario import (
     BREAKPOINT_TOL,
     Event,
@@ -27,6 +27,7 @@ from mhmr.scenario import (
     TrajectoryRow,
     builtin_script,
 )
+from test_kernels import reference_kappa
 
 SIM_DT = 0.05
 #: Grid steps checked after each event list (40 s at ``SIM_DT``).
@@ -45,7 +46,7 @@ class PerStepRunner(ScenarioRunner):
             if rid in self.forced_failed:
                 velocities.append(0.0)
                 continue
-            v_able = able_velocity(snapshot, self.topology, rid, self.params.v_max)
+            v_able = reference_kappa(snapshot, self.topology, rid) * self.params.v_max
             v_req = required_velocity(
                 self.robots[i].region, self.params.tau_star, self.params.v_max
             )

@@ -1,6 +1,7 @@
 """The array kernels of the allocation cycle give the bits of the per-robot
 loops they replaced.  Those loops are kept here as the reference, and every
-comparison is ``==`` on floats.
+comparison is ``==`` on floats, or on their ``hex()``, which also tells -0.0
+from 0.0.
 """
 
 import math
@@ -15,16 +16,14 @@ from mhmr.geometry import (
     GlobalWorkspace,
     Rect,
     boundary_distance,
+    min_boundary_distance,
+    nearest_boundary_point,
     partition_from_workload,
     strips,
 )
 from mhmr.patrol import able_velocity
 from mhmr.team import ConditionSnapshot, TeamTopology, WorkloadVector
-from mhmr.transition import (
-    allocation_cycle,
-    compute_q_f,
-    min_boundary_distance,
-)
+from mhmr.transition import allocation_cycle, compute_q_f
 
 # ---------------------------------------------------------------------------
 # References
@@ -71,9 +70,28 @@ def reference_strips(workspace, shares):
     return strips_
 
 
+def reference_kappa(snapshot, topology, robot_id):
+    """The worst of the robot's own and its operators' conditions."""
+    cond = snapshot.robot_condition[robot_id]
+    operators = topology.operators_of(robot_id)
+    if operators:
+        return min(cond, *(snapshot.operator_condition[o] for o in operators))
+    return cond
+
+
+def reference_boundary_distance(point, region):
+    px, py = float(point[0]), float(point[1])
+    dx = max(region.x - px, 0.0, px - region.x_max)
+    dy = max(region.y - py, 0.0, py - region.y_max)
+    if dx > 0.0 or dy > 0.0:
+        return math.hypot(dx, dy)
+    # Inside (or on) the rectangle: nearest side.
+    return min(px - region.x, region.x_max - px, py - region.y, region.y_max - py)
+
+
 def reference_q_f(positions, regions, failed=frozenset()):
     return min(
-        boundary_distance(positions[i], regions[i])
+        reference_boundary_distance(positions[i], regions[i])
         for i in range(len(positions))
         if i not in failed and regions[i] is not None
     )
@@ -130,8 +148,12 @@ class TestScores:
         topology, snapshot = case
         expected = reference_input_vector(topology, snapshot).tolist()
         assert compute_input_vector(topology, snapshot).tolist() == expected
-        kappa = [able_velocity(snapshot, topology, r, 1.0) for r in topology.robot_ids]
+        kappa = [reference_kappa(snapshot, topology, r) for r in topology.robot_ids]
         assert snapshot.columns(topology).kappa.tolist() == kappa
+        v_max = 0.8
+        assert [able_velocity(snapshot, topology, r, v_max) for r in topology.robot_ids] == [
+            k * v_max for k in kappa
+        ]
 
     @pytest.mark.parametrize(
         "cond, perf, ops",
@@ -239,6 +261,16 @@ def points_around(draw, rect):
     return (x, y)
 
 
+#: Rectangles as the patrol and ``q_f`` see them.
+rects = st.builds(
+    Rect,
+    st.floats(-50.0, 50.0),
+    st.floats(-50.0, 50.0),
+    st.floats(0.01, 30.0),
+    st.floats(0.01, 30.0),
+)
+
+
 @st.composite
 def regions_and_points(draw):
     n = draw(st.integers(1, 20))
@@ -248,12 +280,7 @@ def regions_and_points(draw):
             regions.append(None)
             points.append((draw(st.floats(-50.0, 50.0)), draw(st.floats(-50.0, 50.0))))
             continue
-        rect = Rect(
-            draw(st.floats(-50.0, 50.0)),
-            draw(st.floats(-50.0, 50.0)),
-            draw(st.floats(0.01, 30.0)),
-            draw(st.floats(0.01, 30.0)),
-        )
+        rect = draw(rects)
         regions.append(rect)
         points.append(draw(points_around(rect)))
     if all(r is None for r in regions):
@@ -261,6 +288,39 @@ def regions_and_points(draw):
     active = [i for i, r in enumerate(regions) if r is not None]
     failed = set(draw(st.lists(st.sampled_from(active), max_size=len(active) - 1)))
     return regions, points, failed
+
+
+@st.composite
+def points_near_edges(draw, rect):
+    """A point on an edge or a corner of ``rect``, or inside it, moved by
+    up to 2e-9 along each axis: just inside, on or just outside."""
+    fx, fy = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
+    x = draw(st.sampled_from([rect.x, rect.x_max, rect.x + fx * rect.width]))
+    y = draw(st.sampled_from([rect.y, rect.y_max, rect.y + fy * rect.height]))
+    jitter = st.one_of(st.just(0.0), st.floats(-2e-9, 2e-9))
+    return (x + draw(jitter), y + draw(jitter))
+
+
+@st.composite
+def rect_and_point(draw):
+    rect = draw(rects)
+    return rect, draw(st.one_of(points_around(rect), points_near_edges(rect)))
+
+
+class TestBoundaryDistance:
+    @settings(max_examples=600, deadline=None)
+    @given(rect_and_point())
+    @example((Rect(0.0, 0.0, 4.0, 2.0), (-3.0, -4.0)))
+    @example((Rect(0.0, 0.0, 4.0, 2.0), (4.0, 1.0)))
+    @example((Rect(0.0, 0.0, 4.0, 2.0), (2.0, 1.0)))
+    @example((Rect(0.0, 0.0, 4.0, 2.0), (4.0 + 1e-9, 2.0 - 1e-9)))
+    def test_snap_distance_and_boundary_distance_match_scalar(self, case):
+        rect, point = case
+        expected = reference_boundary_distance(point, rect).hex()
+        assert boundary_distance(point, rect).hex() == expected
+        # How assign_region decides whether a robot is on its perimeter.
+        tx, ty = nearest_boundary_point(point, rect)
+        assert math.hypot(tx - point[0], ty - point[1]).hex() == expected
 
 
 class TestQf:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mhmr import patrol
-from mhmr.errors import ConfigurationError
+from mhmr.errors import ConfigurationError, MetricDomainError
 from mhmr.geometry import Rect, boundary_distance, perimeter
 from mhmr.patrol import (
     PatrolFleet,
@@ -46,6 +46,29 @@ class TestVelocityModel:
             robot_condition={1: 0.75}, operator_condition={}, robot_performance={1: 1.0}
         )
         assert able_velocity(snap, team, 1, v_max=0.8) == pytest.approx(0.6)
+
+    @pytest.mark.parametrize(
+        "robot_condition, operator_condition, message",
+        [
+            ({1: 0.75}, {1: 1.0}, "missing robot condition for robot 2"),
+            ({1: 0.75, 2: 1.5}, {1: 1.0}, "robot 2 condition"),
+            ({1: 0.75, 2: 1.0}, {}, "missing operator condition for operator 1"),
+        ],
+        ids=["missing_robot", "robot_out_of_range", "missing_operator"],
+    )
+    def test_able_velocity_checks_the_whole_snapshot(
+        self, robot_condition, operator_condition, message
+    ):
+        # Robot 1 is autonomous, but its kappa is a column of the checked
+        # snapshot, so a bad metric of any agent raises.
+        team = TeamTopology.build([1, 2], [1], [(2, 1)])
+        snap = ConditionSnapshot(
+            robot_condition=robot_condition,
+            operator_condition=operator_condition,
+            robot_performance={1: 1.0, 2: 1.0},
+        )
+        with pytest.raises((ConfigurationError, MetricDomainError), match=message):
+            able_velocity(snap, team, 1, v_max=0.8)
 
     def test_required_velocity_clamped_at_v_max(self):
         # Perimeter 52 m at a 65 s threshold asks exactly 0.8 m/s; a longer

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -237,16 +238,24 @@ class TestSerialization:
             {"profile": {"type": "step", "value": 10**309}},
             {"profile": {"type": "ramp", "value": 1.0, "duration": "70"}},
             {"profile": {"type": "ramp", "value": 1.0, "duration": True}},
+            # ``int`` reads these target ids as 10, 8, 3 and 1.
+            {"target": "robot:1_0"},
+            {"target": "robot: 8"},
+            {"target": "robot:+3"},
+            {"target": "robot:\u0661"},
         ],
         ids=[
             "text_time", "bool_time", "huge_time", "text_value", "bool_value", "huge_value",
-            "text_duration", "bool_duration",
+            "text_duration", "bool_duration", "underscore_id", "space_id", "plus_id",
+            "non_ascii_id",
         ],
     )
     def test_event_numbers_must_be_real_numbers(self, event):
         data = builtin_script("s3").to_dict()
         data["events"][0].update(event)
-        with pytest.raises(ConfigurationError, match="operator 3 operator_condition"):
+        # A bad target id is named by the target string: it has no agent yet.
+        named = repr(event["target"]) if "target" in event else "operator 3 operator_condition"
+        with pytest.raises(ConfigurationError, match=re.escape(named)):
             ScenarioScript.from_dict(data)
 
     def test_integer_event_numbers_load(self):
@@ -595,6 +604,29 @@ class TestDynamicTopology:
         record = runner.run()
         final = record.summary["final_sigma"]
         np.testing.assert_allclose(final, 0.5, atol=1e-3)
+
+    def test_operator_gained_then_lost_disconnects(self):
+        runner = ScenarioRunner(allocation_only_script(m=3))
+        runner.apply_topology_edit(TopologyEdit("add_edge", 2, operator_ids=(9,)))
+        assert runner.topology.operators_of(2) == (9,)
+        assert runner.disconnected == set()
+        # Robot 2 was autonomous at the start; losing the operator it gained
+        # is still a failure, not a return to autonomy.
+        runner.apply_topology_edit(TopologyEdit("remove_edge", 2, operator_ids=(9,)))
+        assert runner.topology.operators_of(2) == ()
+        assert runner.disconnected == {2}
+        assert runner.snapshot_at(0.0).robot_condition[2] == 0.0
+        runner.apply_topology_edit(TopologyEdit("add_edge", 2, operator_ids=(9,)))
+        assert runner.disconnected == set()
+
+    def test_remove_robot_adds_no_operator(self):
+        runner = ScenarioRunner(allocation_only_script(m=3))
+        team = runner.topology
+        edit = TopologyEdit("remove_robot", 3, operator_ids=(9,))
+        assert runner.apply_topology_edit(edit) is team
+        assert runner.forced_failed == {3}
+        assert runner.disconnected == set()
+        assert team.operator_ids == () and team.operators_of(3) == ()
 
     def test_add_existing_robot_rejected(self):
         runner = ScenarioRunner(allocation_only_script(m=3))
