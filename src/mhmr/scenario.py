@@ -14,6 +14,8 @@ import json
 import math
 import numbers
 from dataclasses import asdict, dataclass, field, replace
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, Iterator, NamedTuple, Optional, Sequence
 
@@ -346,14 +348,18 @@ def _topology_count(spec: dict[str, Any], key: str, least: int) -> int:
 
 @dataclass(frozen=True)
 class CycleRow:
+    """One allocation cycle.  A runner's rows hold the cycle's own read-only
+    arrays, which later rows share while they do not change; a hand-built
+    row may hold tuples."""
+
     cycle: int
     time_s: float
-    sigma: tuple[float, ...]
-    sigma_proposed: tuple[float, ...]
+    sigma: Sequence[float]
+    sigma_proposed: Sequence[float]
     q_f: float
     K_e: float
-    kappa: tuple[float, ...]
-    v: tuple[float, ...]
+    kappa: Sequence[float]
+    v: Sequence[float]
     transition_error: float
     note: str = ""
 
@@ -423,25 +429,47 @@ class RunRecord:
 
 #: Characters that make ``csv.QUOTE_MINIMAL`` quote a field.
 _CSV_SPECIAL = frozenset(',"\r\n')
+#: Most number cells of ``cycles.csv`` formatted at once (at least one row).
+WRITE_BLOCK_CELLS = 2**14
+#: The number fields of a cycle row, in the column order of ``cycles.csv``.
+_ROW_NUMBERS = attrgetter(
+    "time_s", "sigma", "sigma_proposed", "q_f", "K_e", "kappa", "v", "transition_error"
+)
 
 
 def _cycle_lines(rows: Sequence[CycleRow], m: int) -> Iterator[str]:
     """The rows of ``cycles.csv`` for a team of ``m`` robots, a note quoted as
     ``csv.QUOTE_MINIMAL`` would.  Robots join at the end of the team, so a
-    row from before one joined has ``nan`` at the end of each robot group."""
-    template = "%s," + "%.12g," * (4 * m + 4) + "%s\n"
-    for r in rows:
-        sigma, proposed, kappa, v = r.sigma, r.sigma_proposed, r.kappa, r.v
-        if len(sigma) < m:
-            pad = (math.nan,) * (m - len(sigma))
-            sigma, proposed, kappa, v = sigma + pad, proposed + pad, kappa + pad, v + pad
-        note = r.note
-        if not _CSV_SPECIAL.isdisjoint(note):
-            note = '"%s"' % note.replace('"', '""')
-        yield template % (
-            r.cycle, r.time_s, *sigma, *proposed, r.q_f, r.K_e, *kappa, *v,
-            r.transition_error, note,
-        )
+    row from before one joined has ``nan`` at the end of each robot group.
+
+    The numbers go into a float block of rows of one team size at a time,
+    and each distinct bit pattern of the block is formatted once; comparing
+    bits keeps ``-0`` apart from ``0``.
+    """
+    per_block = max(1, WRITE_BLOCK_CELLS // (4 * m + 4))
+    for n, group in groupby(rows, lambda r: len(r.sigma)):
+        group = list(group)
+        for start in range(0, len(group), per_block):
+            chunk = group[start : start + per_block]
+            time_s, sigma, proposed, q_f, K_e, kappa, v, error = zip(*map(_ROW_NUMBERS, chunk))
+            block = np.full((len(chunk), 4 * m + 4), math.nan)
+            block[:, 0] = time_s
+            block[:, 1 : n + 1] = sigma
+            block[:, m + 1 : m + n + 1] = proposed
+            block[:, 2 * m + 1] = q_f
+            block[:, 2 * m + 2] = K_e
+            block[:, 2 * m + 3 : 2 * m + n + 3] = kappa
+            block[:, 3 * m + 3 : 3 * m + n + 3] = v
+            block[:, -1] = error
+            bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
+            text = np.array(["%.12g" % x for x in bits.view(np.float64).tolist()], dtype=object)
+            # numpy 1.x gives a flat inverse here, 2.x one of the block's shape.
+            cells = text[inverse.reshape(block.shape)].tolist()
+            for r, numbers in zip(chunk, cells):
+                note = r.note
+                if not _CSV_SPECIAL.isdisjoint(note):
+                    note = '"%s"' % note.replace('"', '""')
+                yield "%s,%s,%s\n" % (r.cycle, ",".join(numbers), note)
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +553,8 @@ class ScenarioRunner:
         self._initial_error: Optional[float] = None
         self._allocation_errors = 0
         self._traj_every = max(1, int(round(0.5 / self.dt)))
-        # Commanded velocities, computed from the snapshot ``_step_v_of``.
+        # Commanded velocities, computed from the snapshot ``_step_v_of``;
+        # read-only, since cycle rows keep them.
         self._step_v = np.zeros(0)
         self._step_v_of: Optional[ConditionSnapshot] = None
 
@@ -627,7 +656,7 @@ class ScenarioRunner:
         ``kappa`` is 0, since its condition in the snapshot is."""
         kappa = snapshot.columns(self.topology).kappa
         cap = self.fleet.perimeter / self.params.tau_star
-        self._step_v = np.minimum(kappa * self.params.v_max, cap)
+        self._step_v = _read_only(np.minimum(kappa * self.params.v_max, cap))
         self._step_v_of = snapshot
 
     def _assign_regions(self) -> None:
@@ -678,22 +707,24 @@ class ScenarioRunner:
                 self._streak = 0
                 self._convergence_time = None
 
-        velocities = [0.0] * self.topology.m
         if self.robots:
             self._assign_regions()
             self._set_velocities(snapshot)
-            velocities = self._step_v.tolist()
+        elif len(self._step_v) != self.topology.m:
+            # Allocation-only robots stand still: one zero array per team size.
+            self._step_v = _read_only(np.zeros(self.topology.m))
 
+        # The row keeps the cycle's read-only arrays.
         self.record.cycles.append(
             CycleRow(
                 cycle=self.cycle_index,
                 time_s=t,
-                sigma=tuple(self.sigma.shares.tolist()),
-                sigma_proposed=tuple(self.sigma_proposed.tolist()),
+                sigma=self.sigma.shares,
+                sigma_proposed=self.sigma_proposed,
                 q_f=q_f,
                 K_e=K_e,
-                kappa=tuple(snapshot.columns(self.topology).kappa.tolist()),
-                v=tuple(velocities),
+                kappa=snapshot.columns(self.topology).kappa,
+                v=self._step_v,
                 transition_error=error,
                 note=note,
             )
@@ -740,13 +771,14 @@ class ScenarioRunner:
         any operator marks that robot failed until reconnected.
         """
         t, rid = self.topology, edit.robot_id
+        if edit.kind == "add_robot":
+            if rid in t.robot_ids:
+                raise ConfigurationError(f"robot {rid} already exists")
+        elif rid not in t.robot_ids:
+            raise ConfigurationError(f"robot {rid} does not exist")
         if edit.kind == "remove_robot":
-            if rid not in t.robot_ids:
-                raise ConfigurationError(f"robot {rid} does not exist")
             self.forced_failed.add(rid)
         else:
-            if edit.kind == "add_robot" and rid in t.robot_ids:
-                raise ConfigurationError(f"robot {rid} already exists")
             edges = {(rid, o) for o in edit.operator_ids}
             if edit.kind == "remove_edge":
                 if not edges <= t.edges:
@@ -761,7 +793,7 @@ class ScenarioRunner:
             )
         if edit.kind == "add_robot":
             self.sigma = WorkloadVector(np.append(self.sigma.shares, 0.0))
-            self.sigma_proposed = np.append(self.sigma_proposed, 0.0)
+            self.sigma_proposed = _read_only(np.append(self.sigma_proposed, 0.0))
             pos = np.asarray(
                 edit.position
                 if edit.position is not None
@@ -819,6 +851,12 @@ class ScenarioRunner:
             "t_l_series": t_l_series,
             "max_t_l": max((v for _, v in t_l_series), default=None),
         }
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """``array``, made read-only so that a cycle row can keep it."""
+    array.setflags(write=False)
+    return array
 
 
 def run_scenario(

@@ -198,6 +198,8 @@ class ConditionSnapshot:
         kappa = values[own]
         for column in others:
             np.minimum(kappa, values[column], out=kappa)
+        # Read-only, since a caller may keep it: a run record's cycle rows do.
+        kappa.setflags(write=False)
         result = ConditionColumns(values[:m], values[m : 2 * m], values[tables.operators], kappa)
         object.__setattr__(self, "_columns", (topology, result))
         return result

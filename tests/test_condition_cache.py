@@ -572,5 +572,5 @@ def test_only_expired_timelines_are_walked(monkeypatch):
     monkeypatch.setattr(ConditionTimeline, "at", lambda self, t: walks.append(t) or at(self, t))
     record = ScenarioRunner(script).run()
     assert len(record.cycles) == 21
-    assert record.cycles[-1].kappa == (0.5,) * n
+    assert record.cycles[-1].kappa.tolist() == [0.5] * n
     assert len(walks) == 2 * n

@@ -1,10 +1,12 @@
 """The array kernels of the allocation cycle give the bits of the per-robot
 loops they replaced.  Those loops are kept here as the reference, and every
 comparison is ``==`` on floats, or on their ``hex()``, which also tells -0.0
-from 0.0.
+from 0.0.  The block writer of ``cycles.csv`` gives the bytes of the per-row
+writer it replaced.
 """
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -21,7 +23,9 @@ from mhmr.geometry import (
     partition_from_workload,
     strips,
 )
+import mhmr.scenario
 from mhmr.patrol import able_velocity
+from mhmr.scenario import CycleRow, RunRecord, ScenarioRunner, TopologyEdit, builtin_script
 from mhmr.team import ConditionSnapshot, TeamTopology, WorkloadVector
 from mhmr.transition import allocation_cycle, compute_q_f
 
@@ -95,6 +99,26 @@ def reference_q_f(positions, regions, failed=frozenset()):
         for i in range(len(positions))
         if i not in failed and regions[i] is not None
     )
+
+
+def reference_cycle_lines(rows, m):
+    """The rows of ``cycles.csv``, one ``%.12g`` template per row; a row from
+    before a robot joined is padded with ``nan``."""
+    template = "%s," + "%.12g," * (4 * m + 4) + "%s\n"
+    for r in rows:
+        sigma, proposed, kappa, v = (
+            tuple(r.sigma), tuple(r.sigma_proposed), tuple(r.kappa), tuple(r.v)
+        )
+        if len(sigma) < m:
+            pad = (math.nan,) * (m - len(sigma))
+            sigma, proposed, kappa, v = sigma + pad, proposed + pad, kappa + pad, v + pad
+        note = r.note
+        if not frozenset(',"\r\n').isdisjoint(note):
+            note = '"%s"' % note.replace('"', '""')
+        yield template % (
+            r.cycle, r.time_s, *sigma, *proposed, r.q_f, r.K_e, *kappa, *v,
+            r.transition_error, note,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -353,3 +377,86 @@ class TestQf:
         state = allocation_cycle(proposed, positions, WorkloadVector.uniform(m), 0.5, workspace)
         regions = partition_from_workload(workspace, proposed)
         assert state.q_f == reference_q_f(positions, regions)
+
+
+# ---------------------------------------------------------------------------
+# cycles.csv
+
+
+def float_of_bits(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+#: Numbers whose cells are easy to get wrong: both zeros, NaNs of other
+#: payloads and signs, both infinities, the least subnormal, and values that
+#: ``%.12g`` rounds or writes with an exponent.
+awkward = st.sampled_from(
+    [
+        0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 0.1 + 0.2, 1e16, -1.5e-7,
+        math.nan, -math.nan, float_of_bits(0x7FF8000000000001), float_of_bits(0xFFF0000000000123),
+    ]
+)
+cell = st.one_of(awkward, st.floats(), st.sampled_from([0.5, 0.25, 1.0]))
+
+
+@st.composite
+def records(draw):
+    """A record of ``m`` robots whose first rows may be from before the last
+    robots joined, each row's groups as tuples or as read-only arrays."""
+    m = draw(st.integers(1, 4))
+    sizes = sorted(draw(st.lists(st.integers(1, m), min_size=1, max_size=12)))
+    rows = []
+    for cycle, n in enumerate(sizes):
+
+        def group():
+            values = tuple(draw(cell) for _ in range(n))
+            if draw(st.booleans()):
+                return values
+            array = np.array(values)
+            array.setflags(write=False)
+            return array
+
+        rows.append(
+            CycleRow(
+                cycle, draw(cell), group(), group(), draw(cell), draw(cell), group(), group(),
+                draw(cell), draw(st.text(st.sampled_from('ab ,"\r\n'), max_size=5)),
+            )
+        )
+    record = RunRecord(robot_ids=tuple(range(1, m + 1)))
+    record.cycles = rows
+    return record
+
+
+def cycle_lines_written(record, outdir, block_cells):
+    """The rows of the record's ``cycles.csv``, written in blocks of at most
+    ``block_cells`` number cells."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mhmr.scenario, "WRITE_BLOCK_CELLS", block_cells)
+        with open(record.write(outdir) / "cycles.csv", newline="") as fh:
+            return fh.read().split("\n", 1)[1]
+
+
+class TestCycleLines:
+    @settings(max_examples=300, deadline=None)
+    @given(records(), st.sampled_from([1, 7, 16, 40, mhmr.scenario.WRITE_BLOCK_CELLS]))
+    def test_block_writer_matches_row_template(self, tmp_path_factory, record, block_cells):
+        written = cycle_lines_written(record, tmp_path_factory.mktemp("cycles"), block_cells)
+        assert written == "".join(reference_cycle_lines(record.cycles, len(record.robot_ids)))
+
+    def test_zeros_and_nans_in_one_block(self, tmp_path):
+        record = RunRecord(robot_ids=(1, 2))
+        payload = float_of_bits(0x7FF8000000000001)
+        zeros, kappa, v = (0.0, -0.0), (math.nan, -math.nan), np.array([-math.nan, payload])
+        record.cycles = [CycleRow(0, 0.0, zeros, np.array(zeros[::-1]), -0.0, 0.0, kappa, v, payload)]
+        written = cycle_lines_written(record, tmp_path, 1 << 10)
+        assert written == "0,0,0,-0,-0,0,-0,0,nan,nan,nan,nan,nan,\n"
+        assert written == "".join(reference_cycle_lines(record.cycles, 2))
+
+    @pytest.mark.parametrize("block_cells", [1, 50, 2 * 46, mhmr.scenario.WRITE_BLOCK_CELLS])
+    def test_record_with_an_added_robot_matches_row_template(self, tmp_path, block_cells):
+        runner = ScenarioRunner(builtin_script("s3"))
+        runner.run_until(10.0)
+        runner.apply_topology_edit(TopologyEdit("add_robot", 11))
+        record = runner.run()
+        written = cycle_lines_written(record, tmp_path, block_cells)
+        assert written == "".join(reference_cycle_lines(record.cycles, 11))

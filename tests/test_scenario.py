@@ -545,7 +545,7 @@ class TestRegionsFollowShares:
             assert skipping == (records["rebuilding"] / file).read_bytes(), file
         # The skipping runner assigned regions at set-up and then once per
         # cycle whose shares differ from the cycle before.
-        sigmas = [(1 / 3,) * 3] + [row.sigma for row in runner.record.cycles]
+        sigmas = [(1 / 3,) * 3] + [tuple(row.sigma.tolist()) for row in runner.record.cycles]
         rebuilt = [b for a, b in zip(sigmas, sigmas[1:]) if a != b]
         assert len(calls) == 3 + sum(map(len, rebuilt))
         assert len(rebuilt) < len(sigmas) // 2
@@ -639,6 +639,17 @@ class TestDynamicTopology:
             runner.apply_topology_edit(
                 TopologyEdit(kind="remove_edge", robot_id=1, operator_ids=(7,))
             )
+
+    @pytest.mark.parametrize("kind", ["add_edge", "remove_edge", "remove_robot"])
+    @pytest.mark.parametrize("operator_ids", [(), (3,)])
+    def test_edit_of_an_unknown_robot_rejected(self, kind, operator_ids):
+        runner = ScenarioRunner(builtin_script("s3"))
+        runner.run_until(1.0)
+        team, snapshot = runner.topology, runner.snapshot_at(1.0)
+        with pytest.raises(ConfigurationError, match="^robot 42 does not exist$"):
+            runner.apply_topology_edit(TopologyEdit(kind, 42, operator_ids))
+        # The team and the kept snapshot are left as they were.
+        assert runner.topology is team and runner.snapshot_at(1.0) is snapshot
 
     @pytest.mark.parametrize(
         "edit",
@@ -865,6 +876,29 @@ class TestRunRecordFiles:
         ]
         assert body("laps.csv") == [["2", "1", g(lap.lap_time_s), "0"]]
         assert body("trajectory.csv") == [[g(tr.time_s), "3", g(tr.x), g(tr.y), g(tr.v)]]
+
+    @pytest.mark.parametrize(
+        "name, edit",
+        [("s1", None), ("s3", None), ("s1", TopologyEdit("add_robot", 4, (2,), (5.0, 5.0))),
+         ("s3", TopologyEdit("add_robot", 11))],
+        ids=["full-sim", "allocation-only", "full-sim-add_robot", "allocation-only-add_robot"],
+    )
+    def test_rows_keep_the_cycles_read_only_arrays(self, name, edit):
+        runner = ScenarioRunner(builtin_script(name))
+        runner.run_until(10.0)
+        if edit is not None:
+            runner.apply_topology_edit(edit)
+            # The proposed shares a row may keep if the next cycle proposes none.
+            assert not runner.sigma_proposed.flags.writeable
+            runner.run_until(10.5)
+        row = runner.record.cycles[-1]
+        assert row.sigma is runner.sigma.shares
+        assert row.sigma_proposed is runner.sigma_proposed
+        assert row.kappa is runner.snapshot_at(row.time_s).columns(runner.topology).kappa
+        assert len(row.v) == runner.topology.m
+        for values in (row.sigma, row.sigma_proposed, row.kappa, row.v):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 0.5
 
     def test_write_without_trajectory_removes_an_earlier_one(self, tmp_path):
         record = RunRecord(robot_ids=(1,))
