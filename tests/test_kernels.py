@@ -452,7 +452,8 @@ class TestCycleLines:
         assert written == "0,0,0,-0,-0,0,-0,0,nan,nan,nan,nan,nan,\n"
         assert written == "".join(reference_cycle_lines(record.cycles, 2))
 
-    @pytest.mark.parametrize("block_cells", [1, 50, 2 * 46, mhmr.scenario.WRITE_BLOCK_CELLS])
+    # One row (48 cells) per block, two, and the default.
+    @pytest.mark.parametrize("block_cells", [1, 100, mhmr.scenario.WRITE_BLOCK_CELLS])
     def test_record_with_an_added_robot_matches_row_template(self, tmp_path, block_cells):
         runner = ScenarioRunner(builtin_script("s3"))
         runner.run_until(10.0)
