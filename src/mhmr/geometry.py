@@ -101,23 +101,56 @@ def nearest_boundary_point(
     point: Sequence[float], region: Rect
 ) -> tuple[float, float]:
     """Closest point on the rectangle perimeter to ``point``."""
-    px, py = float(point[0]), float(point[1])
-    inside_x = region.x < px < region.x_max
-    inside_y = region.y < py < region.y_max
-    if not (inside_x and inside_y):
+    return nearest_perimeter_point(
+        float(point[0]), float(point[1]), region.x, region.y, region.x_max, region.y_max
+    )
+
+
+def nearest_perimeter_point(
+    px: float, py: float, x: float, y: float, x_max: float, y_max: float
+) -> tuple[float, float]:
+    """Closest point to ``(px, py)`` on the perimeter of ``[x, x_max] x [y,
+    y_max]``; :func:`nearest_perimeter_points` for one point."""
+    if not (x < px < x_max and y < py < y_max):
         # Outside or on the boundary: clamp onto the rectangle.
-        return (
-            min(max(px, region.x), region.x_max),
-            min(max(py, region.y), region.y_max),
-        )
+        return (min(max(px, x), x_max), min(max(py, y), y_max))
     # Strictly inside: project onto the nearest side.
     candidates = (
-        (px - region.x, (region.x, py)),
-        (region.x_max - px, (region.x_max, py)),
-        (py - region.y, (px, region.y)),
-        (region.y_max - py, (px, region.y_max)),
+        (px - x, (x, py)),
+        (x_max - px, (x_max, py)),
+        (py - y, (px, y)),
+        (y_max - py, (px, y_max)),
     )
     return min(candidates, key=lambda c: c[0])[1]
+
+
+def nearest_perimeter_points(points: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Closest point of the perimeter of rectangle ``i`` to ``points[i]``,
+    where rectangle ``i`` spans ``lo[i]`` to ``hi[i]`` (``(k, 2)`` arrays of
+    ``(x, y)``), as :func:`nearest_perimeter_point` gives it for each row.
+
+    A point outside or on its rectangle is clamped onto it; a clamp keeps
+    the point's own coordinate unless a bound is strictly beyond it, as
+    ``min(max(p, lo), hi)`` does, signed zeros included (``np.maximum`` and
+    ``np.minimum`` may return either of two equal zeros).  A point strictly
+    inside is projected onto its nearest side, the first of equally near
+    sides in the order left, right, bottom, top.
+    """
+    clamped = np.where(lo > points, lo, points)
+    clamped = np.where(hi < clamped, hi, clamped)
+    to_lo, to_hi = points - lo, hi - points
+    inside = (to_lo > 0.0) & (to_hi > 0.0)
+    inside = inside[:, 0] & inside[:, 1]
+    if not inside.any():
+        return clamped
+    # Per axis, the nearer side (the lower one of two equally near) and its
+    # distance; the x side wins a tie with the y side.
+    lower = to_lo <= to_hi
+    side = np.where(lower, lo, hi)
+    distance = np.where(lower, to_lo, to_hi)
+    on_x = distance[:, 0] <= distance[:, 1]
+    projected = np.where(np.column_stack((on_x, ~on_x)), side, points)
+    return np.where(inside[:, None], projected, clamped)
 
 
 def is_finite_number(value: Any) -> bool:

@@ -214,9 +214,22 @@ class ConditionTimeline:
         # Event index -> its trace and, per sample index, the sample time
         # at which the trace's value next changes (see ``at``).
         self._traces: dict[int, tuple[StressTrace | ScriptedTrace, list[float]]] = {}
+        # Ramps after a trace whose ended blend has one value, whichever
+        # value of the trace it starts from: the trace's distinct values,
+        # carried through the ended ramps between.
+        self._settled: set[int] = set()
+        reachable: Optional[Iterable[float]] = None
         for i, ev in enumerate(self.events):
             kind = ev.profile["type"]
-            if kind in ("trace", "stress_trace"):
+            if kind == "step":
+                reachable = None
+            elif kind == "ramp":
+                if reachable is not None:
+                    target = float(ev.profile["value"])
+                    reachable = {v + (target - v) * 1.0 for v in reachable}
+                    if len(reachable) == 1:
+                        self._settled.add(i)
+            else:
                 # An absolute path ignores ``base_dir``.
                 path = Path(base_dir or ".", ev.profile["path"])
                 try:
@@ -228,6 +241,7 @@ class ConditionTimeline:
                 else:
                     held = trace.values
                 self._traces[i] = (trace, _next_change_times(trace.grid, held))
+                reachable = held
 
     def at(self, t: float) -> tuple[float, float]:
         """The metric at time ``t``, and a time before which it keeps that value.
@@ -236,31 +250,34 @@ class ConditionTimeline:
         which the trace that sets the value changes it, or ``t`` itself while
         a ramp is still moving; ``inf`` when the value can no longer change.
         A ramp blends in the value before it, so the changes of an earlier
-        trace still count after the ramp ends; a step or a trace replaces
+        trace still count after the ramp ends, unless every value of that
+        trace blends to the same value; a step or a trace replaces
         everything before it.  Before a trace's first sample the value is
         that of the first sample, so the bound is the first later sample
         with another value.
         """
         # Comparisons, not ``min``: this runs for every timeline of every evaluation.
-        value, until = 1.0, math.inf
+        value, until, moving = 1.0, math.inf, False
         for i, ev in enumerate(self.events):
             if t < ev.time_s:
                 return value, ev.time_s if ev.time_s < until else until
             kind = ev.profile["type"]
             if kind == "step":
-                value, until = float(ev.profile["value"]), math.inf
+                value, until, moving = float(ev.profile["value"]), math.inf, False
             elif kind == "ramp":
                 target = float(ev.profile["value"])
                 frac = (t - ev.time_s) / float(ev.profile["duration"])
                 if frac < 1.0:
-                    until = t
+                    until, moving = t, True
                 else:
                     frac = 1.0
+                    if not moving and i in self._settled:
+                        until = math.inf
                 value = value + (target - value) * frac
             else:
                 trace, next_change = self._traces[i]
                 offset = t - ev.time_s
-                until = ev.time_s + next_change[bisect_right(trace.grid, offset)]
+                until, moving = ev.time_s + next_change[bisect_right(trace.grid, offset)], False
                 if isinstance(trace, StressTrace):
                     lo, hi = trace.span
                     clamped = lo if offset < lo else hi if offset > hi else offset

@@ -10,12 +10,13 @@ following; laps touched by a region change are marked transitional.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .geometry import Rect, nearest_boundary_point, perimeter
+from .geometry import Rect, nearest_perimeter_point, nearest_perimeter_points, perimeter
 from .team import ConditionSnapshot, TeamTopology
 
 #: Region corners closer than this (m) are treated as the same region.
@@ -23,6 +24,14 @@ REGION_CHANGE_TOL = 1e-6
 
 #: A robot within this distance (m) of a perimeter counts as on it.
 ON_PERIMETER_TOL = 1e-9
+
+#: Robots that change region together, or step in transit together, in
+#: at least this number take one pass of array operations; fewer take the
+#: per-robot scalar path.  The array pass has a nearly fixed cost, its numpy
+#: calls, which in a running m = 100 simulation equals the scalar path's at
+#: about 40-50 robots; so a team that changes a few regions at a time, such
+#: as the m = 3 scripts, runs as fast as before.
+ARRAY_MIN_ROBOTS = 40
 
 
 def able_velocity(
@@ -58,43 +67,53 @@ def commanded_velocity(v_able: float, v_req: float) -> float:
     return min(v_able, v_req)
 
 
-def _arc_point(region: Rect, s: float) -> tuple[float, float]:
-    """Point at arc length ``s`` along the perimeter, counterclockwise from
-    the bottom-left corner."""
-    p = perimeter(region)
+def _arc_point(
+    x: float, y: float, w: float, h: float, p: float, s: float
+) -> tuple[float, float]:
+    """Point at arc length ``s`` along the perimeter ``p`` of the rectangle
+    ``[x, x + w] x [y, y + h]``, counterclockwise from its bottom-left
+    corner."""
     s = s % p
-    w, h = region.width, region.height
     if s < w:
-        return (region.x + s, region.y)
+        return (x + s, y)
     s -= w
     if s < h:
-        return (region.x_max, region.y + s)
+        return (x + w, y + s)
     s -= h
     if s < w:
-        return (region.x_max - s, region.y_max)
+        return (x + w - s, y + h)
     s -= w
-    return (region.x, region.y_max - s)
+    return (x, y + h - s)
 
 
-def _arc_of_point(region: Rect, px: float, py: float) -> float:
-    """Arc-length coordinate of a point on the perimeter (snapped to it by
-    :func:`~mhmr.geometry.nearest_boundary_point`)."""
-    w, h = region.width, region.height
-    # Distances to each side decide which edge the point lies on.
-    d_bottom = abs(py - region.y)
-    d_right = abs(px - region.x_max)
-    d_top = abs(py - region.y_max)
-    d_left = abs(px - region.x)
-    side = min(
-        (d_bottom, 0), (d_right, 1), (d_top, 2), (d_left, 3), key=lambda c: c[0]
-    )[1]
-    if side == 0:
-        return px - region.x
-    if side == 1:
-        return w + (py - region.y)
-    if side == 2:
-        return w + h + (region.x_max - px)
-    return 2 * w + h + (region.y_max - py)
+def _arc_of_point(x: float, y: float, w: float, h: float, tx: float, ty: float) -> float:
+    """Arc-length coordinate of the point ``(tx, ty)`` on the perimeter of
+    the rectangle ``[x, x + w] x [y, y + h]``, measured along the first side
+    it lies on in the order bottom, right, top, left; :func:`_arc_of_points`
+    for one point."""
+    if ty == y:
+        return tx - x
+    if tx == x + w:
+        return w + (ty - y)
+    if ty == y + h:
+        return w + h + (x + w - tx)
+    return 2 * w + h + (y + h - ty)
+
+
+def _arc_of_points(target: np.ndarray, lo: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Arc-length coordinate of each point ``target[i]`` on the perimeter of
+    the rectangle of ``bounds[i]`` (``x, y, width, height``; ``lo`` is its
+    ``(x, y)`` columns), measured along the first side the point lies on in
+    the order bottom, right, top, left.  A point on the perimeter lies
+    exactly on one of its sides, which is where
+    :func:`~mhmr.geometry.nearest_perimeter_points` puts it."""
+    w, h = bounds[:, 2], bounds[:, 3]
+    hi = lo + bounds[:, 2:4]
+    # [tx - x, ty - y] and [x_max - tx, y_max - ty].
+    in_lo, in_hi = (target - lo).T, (hi - target).T
+    on_lo, on_hi = (target == lo).T, (target == hi).T
+    left = np.where(on_hi[1], w + h + in_hi[0], 2 * w + h + in_hi[1])
+    return np.where(on_lo[1], in_lo[0], np.where(on_hi[0], w + in_lo[1], left))
 
 
 class PatrolFleet:
@@ -102,36 +121,45 @@ class PatrolFleet:
 
     ``robots[i]`` is a :class:`RobotKinematicState` view of robot ``i``.
     ``arc``, ``lap_progress`` and ``time`` are columns of one ``motion``
-    array, so that one addition advances all three.  ``position`` is a list
-    of ``(x, y)`` tuples.  A robot that has moved along its perimeter since
-    its position was last stored is ``stale``: its position is
-    ``_arc_point(region, arc)``, computed only when read.  A robot without
-    a region has perimeter 0.0; only :func:`assign_region` changes a region.
+    array, so that one addition advances all three.  Robot ``i``'s region is
+    row ``i`` of ``bounds``: ``x, y, width, height`` and ``perimeter``, all
+    0.0 for a robot without a region; after construction only
+    :func:`change_regions` changes them.  ``position`` is a list of ``(x, y)`` tuples.  A robot that has
+    moved along its perimeter since its position was last stored is
+    ``stale``: its position is ``_arc_point`` of its bounds and arc,
+    computed only when read.  A robot in transit is never stale.
     """
 
     #: Arrays with one row per robot.
     _PER_ROBOT = (
-        "motion", "lap_start_time", "perimeter", "stale", "in_transit", "transitional",
+        "motion", "lap_start_time", "bounds", "stale", "in_transit", "transitional",
     )
 
-    def __init__(self, positions: Sequence[Sequence[float]] = ()):
+    def __init__(
+        self, positions: Sequence[Sequence[float]] = (), bounds: Optional[np.ndarray] = None
+    ):
+        """Robots at ``positions``, each with the region of its row of
+        ``bounds`` (as :func:`change_regions` takes them), or none."""
         n = len(positions)
         self.position = [(float(x), float(y)) for x, y in positions]
         self.motion = np.zeros((n, 3))
         self.lap_start_time = np.zeros(n)
-        self.perimeter = np.zeros(n)
+        self.bounds = np.zeros((n, 5))
         self.stale = np.zeros(n, dtype=bool)
         self.in_transit = np.zeros(n, dtype=bool)
         self.transitional = np.zeros(n, dtype=bool)
-        self.regions: list[Optional[Rect]] = [None] * n
         self.lap_times: list[list[float]] = [[] for _ in range(n)]
         self.lap_transitional: list[list[bool]] = [[] for _ in range(n)]
         self.robots = [RobotKinematicState._view(self, i) for i in range(n)]
         self._bind_columns()
+        if bounds is not None:
+            perimeters = _perimeters(bounds)
+            _enter_regions(self, perimeters > 0.0, bounds, perimeters)
 
     def _bind_columns(self) -> None:
         motion = self.motion
         self.arc, self.lap_progress, self.time = motion[:, 0], motion[:, 1], motion[:, 2]
+        self.perimeter = self.bounds[:, 4]
         # Step velocities and masks (see _set_velocities), set on the first step.
         self._v: Optional[np.ndarray] = None
         self._dt = 0.0
@@ -148,7 +176,6 @@ class PatrolFleet:
             row = np.zeros((1,) + value.shape[1:], value.dtype)
             setattr(self, name, np.concatenate([value, row]))
         self.position.append((float(position[0]), float(position[1])))
-        self.regions.append(None)
         self.lap_times.append([])
         self.lap_transitional.append([])
         self.robots.append(RobotKinematicState._view(self, len(self.robots)))
@@ -181,37 +208,53 @@ class PatrolFleet:
     def _build_step_masks(self, v: np.ndarray, dt: float) -> None:
         """What :func:`step_all` adds to ``motion`` and compares with.
 
-        A robot that moves along its perimeter advances by ``[v * dt,
-        v * dt, dt]``, and its lap limit and arc modulus is its perimeter.
-        Every other robot (``_scalar``) advances by zero with limit ``inf``,
-        and takes the scalar path.
+        A robot that moves along its perimeter (``_go``) advances by
+        ``[v * dt, v * dt, dt]``, and its lap limit and arc modulus is its
+        perimeter.  Every other robot advances by -0.0 (which changes no
+        number) with limit ``inf``:
+        moving robots in transit, if there are ``ARRAY_MIN_ROBOTS`` of them,
+        take the array transit step (``_transit``); the rest (still, without
+        a region, or in transit) take the scalar path (``_scalar``).
         """
-        self._go = go = (v > 0) & ((self.perimeter > 0.0) > self.in_transit)
-        self._scalar = (~go).nonzero()[0].tolist()
-        self._advance = np.multiply.outer(go, (0.0, 0.0, dt))
+        moving = v > 0
+        self._go = go = moving & ((self.perimeter > 0.0) > self.in_transit)
+        transit = moving & self.in_transit
+        self._off = (~go).nonzero()[0].tolist()
+        if np.count_nonzero(transit) >= ARRAY_MIN_ROBOTS:
+            self._transit: Optional[np.ndarray] = transit
+            self._scalar = (~(go | transit)).nonzero()[0].tolist()
+        else:
+            self._transit = None
+            self._scalar = self._off
+        # -0.0 leaves every number it is added to as it was, -0.0 included.
+        self._advance = np.where(go[:, None], (0.0, 0.0, dt), -0.0)
         self._fill_advance(v, dt)
         self._limit = np.where(go, self.perimeter, np.inf)
 
     def _fill_advance(self, v: np.ndarray, dt: float) -> None:
-        """Put ``v * dt`` of each robot on the array path into the arc and
-        lap-progress columns of ``_advance``."""
+        """Put ``v * dt`` of each robot of ``_go`` into the arc and
+        lap-progress columns of ``_advance``, and -0.0 for the others."""
         budget = self._advance[:, 0]
         np.multiply(v, dt, out=budget)
-        for i in self._scalar:
-            budget[i] = 0.0
+        for i in self._off:
+            budget[i] = -0.0
         self._advance[:, 1] = budget
 
     def _refresh(self, i: int) -> None:
         """Store robot ``i``'s position if it is stale."""
         if self.stale[i]:
-            self.position[i] = _arc_point(self.regions[i], self.arc.item(i))
+            self.position[i] = _arc_point(*self.bounds[i].tolist(), self.arc.item(i))
             self.stale[i] = False
 
     def positions(self) -> list[tuple[float, float]]:
         """``(x, y)`` of every robot, valid until the next step."""
-        for i in self.stale.nonzero()[0].tolist():
-            self.position[i] = _arc_point(self.regions[i], self.arc.item(i))
-        self.stale.fill(False)
+        stale = self.stale.nonzero()[0].tolist()
+        if stale:
+            arc, position = self.arc.tolist(), self.position
+            x, y, w, h, p = self.bounds.T.tolist()
+            for i in stale:
+                position[i] = _arc_point(x[i], y[i], w[i], h[i], p[i], arc[i])
+            self.stale.fill(False)
         return self.position
 
 
@@ -255,7 +298,8 @@ class RobotKinematicState:
 
     @property
     def region(self) -> Optional[Rect]:
-        return self.fleet.regions[self.index]
+        x, y, w, h, p = self.fleet.bounds[self.index].tolist()
+        return Rect(x, y, w, h) if p > 0.0 else None
 
     @property
     def lap_times(self) -> list[float]:
@@ -266,45 +310,115 @@ class RobotKinematicState:
         return self.fleet.lap_transitional[self.index]
 
 
-def _same_region(a: Optional[Rect], b: Optional[Rect]) -> bool:
-    if a is None or b is None:
-        return a is b
-    return (
-        abs(a.x - b.x) <= REGION_CHANGE_TOL
-        and abs(a.y - b.y) <= REGION_CHANGE_TOL
-        and abs(a.width - b.width) <= REGION_CHANGE_TOL
-        and abs(a.height - b.height) <= REGION_CHANGE_TOL
-    )
+def _perimeters(bounds: np.ndarray) -> np.ndarray:
+    """The perimeter of each ``(x, y, width, height)`` row, 0.0 for zeros."""
+    return 2.0 * (bounds[:, 2] + bounds[:, 3])
 
 
-def assign_region(state: RobotKinematicState, region: Optional[Rect]) -> bool:
-    """Point the robot at a (possibly changed) region; True if it changed.
+def _approach(fleet: PatrolFleet, rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """For every robot: its stored position, the ``(x, y)`` of its region
+    and its nearest perimeter point (``(n, 2)`` arrays), and the length
+    ``gap`` of the move there.  Only the rows of the mask ``rows`` (robots
+    that are not stale) mean anything.
 
-    A meaningful change marks the current lap transitional and, if the
-    robot is off the new perimeter, switches it into straight-line transit.
+    ``gap`` is ``math.hypot`` of the move.  Where one axis of the move is
+    zero that is the other's absolute value, so ``math.hypot`` runs only
+    where both are nonzero; ``np.hypot`` is not guaranteed to give its bits.
     """
-    fleet, i = state.fleet, state.index
-    old = fleet.regions[i]
-    if _same_region(old, region):
-        return False
-    fleet._refresh(i)  # a stale position lies on the old perimeter
-    fleet.regions[i] = region
-    fleet.perimeter[i] = 0.0 if region is None else perimeter(region)
-    fleet._invalidate()
-    if old is not None:
+    bounds = fleet.bounds
+    points = np.fromiter(chain.from_iterable(fleet.position), float, 2 * len(bounds))
+    points = points.reshape(-1, 2)
+    lo = bounds[:, :2]
+    target = nearest_perimeter_points(points, lo, lo + bounds[:, 2:4])
+    move = target - points
+    gap = np.abs(move)
+    diagonal = (rows & (gap[:, 0] != 0.0) & (gap[:, 1] != 0.0)).nonzero()[0]
+    gap = np.maximum(gap[:, 0], gap[:, 1])
+    for i in diagonal.tolist():
+        gap[i] = math.hypot(*move[i].tolist())
+    return points, lo, target, gap
+
+
+def _enter_region(fleet: PatrolFleet, i: int, bounds: list[float], p: float) -> None:
+    """Give robot ``i`` the region ``bounds`` (``x, y, width, height``) of
+    perimeter ``p``: :func:`_enter_regions` for one robot."""
+    fleet._refresh(i)
+    if fleet.perimeter.item(i) > 0.0:
         fleet.transitional[i] = True
-    if region is None:
+    fleet.bounds[i] = (*bounds, p)
+    if p == 0.0:
         fleet.in_transit[i] = False
-        return True
+        return
+    x, y, w, h = bounds
     px, py = fleet.position[i]
-    tx, ty = nearest_boundary_point((px, py), region)
+    tx, ty = nearest_perimeter_point(px, py, x, y, x + w, y + h)
     if math.hypot(tx - px, ty - py) > ON_PERIMETER_TOL:
         fleet.in_transit[i] = True
         fleet.transitional[i] = True
     else:
         fleet.in_transit[i] = False
-        fleet.arc[i] = _arc_of_point(region, tx, ty)
-    return True
+        fleet.arc[i] = _arc_of_point(x, y, w, h, tx, ty)
+
+
+def _enter_regions(
+    fleet: PatrolFleet, rows: np.ndarray, bounds: np.ndarray, perimeters: np.ndarray
+) -> None:
+    """Give each robot ``i`` of the mask ``rows`` the region of
+    ``bounds[i]``, of perimeter ``perimeters[i]``, whether or not it
+    differs.
+
+    A robot that had a region starts a transitional lap.  A robot given a
+    region is, off its perimeter, in straight-line transit (also
+    transitional); on it, its arc becomes that of its position.  A stale
+    position is stored first, on the old perimeter.  ``ARRAY_MIN_ROBOTS``
+    or more robots take one pass of array operations, fewer the scalar
+    :func:`_enter_region` each.
+    """
+    fleet._invalidate()
+    changed = rows.nonzero()[0]
+    if changed.size < ARRAY_MIN_ROBOTS:
+        for i in changed.tolist():
+            _enter_region(fleet, i, bounds[i].tolist(), perimeters.item(i))
+        return
+    for i in (rows & fleet.stale).nonzero()[0].tolist():
+        fleet._refresh(i)
+    fleet.transitional |= rows & (fleet.perimeter > 0.0)
+    np.copyto(fleet.bounds[:, :4], bounds, where=rows[:, None])
+    np.copyto(fleet.perimeter, perimeters, where=rows)
+    fleet.in_transit &= ~rows
+    placed = rows & (perimeters > 0.0)
+    _, lo, target, gap = _approach(fleet, placed)
+    off = placed & (gap > ON_PERIMETER_TOL)
+    fleet.in_transit |= off
+    fleet.transitional |= off
+    np.copyto(fleet.arc, _arc_of_points(target, lo, fleet.bounds), where=placed ^ off)
+
+
+def change_regions(fleet: PatrolFleet, bounds: np.ndarray) -> np.ndarray:
+    """Point every robot ``i`` at the rectangle ``bounds[i]``, an ``(x, y,
+    width, height)`` row, all zeros for no region; return for each robot
+    whether its region changed.
+
+    A region changes when the robot gains or loses one, or when a bound
+    moves by more than ``REGION_CHANGE_TOL``; only the robots whose region
+    changed enter their new one (see :func:`_enter_regions`).
+    """
+    perimeters = _perimeters(bounds)
+    near = (np.abs(fleet.bounds[:, :4] - bounds) <= REGION_CHANGE_TOL).all(axis=1)
+    moved = ((perimeters > 0.0) != (fleet.perimeter > 0.0)) | ~near
+    if moved.any():
+        _enter_regions(fleet, moved, bounds, perimeters)
+    return moved
+
+
+def assign_region(state: RobotKinematicState, region: Optional[Rect]) -> bool:
+    """Point the robot at a (possibly changed) region; True if it changed.
+    The one-row call of :func:`change_regions`: every other robot is given
+    the region it has."""
+    fleet, i = state.fleet, state.index
+    bounds = fleet.bounds[:, :4].copy()
+    bounds[i] = (0.0,) * 4 if region is None else (region.x, region.y, region.width, region.height)
+    return bool(change_regions(fleet, bounds)[i])
 
 
 def step_robot(state: RobotKinematicState, v: float, dt: float) -> RobotKinematicState:
@@ -322,8 +436,8 @@ def step_robot(state: RobotKinematicState, v: float, dt: float) -> RobotKinemati
         raise ConfigurationError("dt must be positive")
     fleet, i = state.fleet, state.index
     motion = fleet.motion
-    region = fleet.regions[i]
-    if region is None or v == 0.0:
+    p = fleet.perimeter.item(i)
+    if p == 0.0 or v == 0.0:
         motion[i, 2] += dt
         return state
 
@@ -331,9 +445,9 @@ def step_robot(state: RobotKinematicState, v: float, dt: float) -> RobotKinemati
     t_end = clock + dt
     budget = v * dt  # distance available this step
     if fleet.in_transit[i]:
-        fleet._refresh(i)
+        x, y, w, h, _ = fleet.bounds[i].tolist()
         px, py = fleet.position[i]
-        tx, ty = nearest_boundary_point((px, py), region)
+        tx, ty = nearest_perimeter_point(px, py, x, y, x + w, y + h)
         dx, dy = tx - px, ty - py
         gap = math.hypot(dx, dy)
         if budget < gap:
@@ -345,9 +459,8 @@ def step_robot(state: RobotKinematicState, v: float, dt: float) -> RobotKinemati
         budget -= gap
         fleet.in_transit[i] = False
         fleet._invalidate()
-        arc = _arc_of_point(region, tx, ty)
+        arc = _arc_of_point(x, y, w, h, tx, ty)
 
-    p = fleet.perimeter.item(i)
     while budget > 0.0:
         room = p - progress
         if budget < room:
@@ -368,15 +481,50 @@ def step_robot(state: RobotKinematicState, v: float, dt: float) -> RobotKinemati
     return state
 
 
+def _step_transit(fleet: PatrolFleet, rows: np.ndarray, v: np.ndarray, dt: float) -> list[int]:
+    """Step the robots of the mask ``rows``, in transit at ``v > 0``, as
+    :func:`step_robot` does: a straight move toward the nearest perimeter
+    point, or the arrival there and a move along the perimeter with the
+    rest of the step's distance.  A robot that would also complete a lap is
+    left as it was and returned, for :func:`step_robot`."""
+    points, lo, target, gap = _approach(fleet, rows)
+    budget = v * dt
+    short = rows & (budget < gap)
+    moving = short.nonzero()[0]
+    if moving.size:
+        start = points[moving]
+        scale = budget[moving] / gap[moving]
+        ends = start + (target[moving] - start) * scale[:, None]
+        for i, end in zip(moving.tolist(), ends.tolist()):
+            fleet.position[i] = tuple(end)
+    rest = budget - gap
+    arrived = rows ^ short
+    lapping = arrived & (rest > 0.0) & (rest >= fleet.perimeter - fleet.lap_progress)
+    arrived ^= lapping
+    if arrived.any():
+        along = arrived & (rest > 0.0)
+        arc = _arc_of_points(target, lo, fleet.bounds)
+        np.copyto(fleet.arc, arc, where=arrived)
+        np.remainder(arc + rest, fleet.perimeter, out=fleet.arc, where=along)
+        np.add(fleet.lap_progress, rest, out=fleet.lap_progress, where=along)
+        fleet.in_transit ^= arrived
+        fleet.stale |= arrived
+        fleet._invalidate()
+    np.add(fleet.time, dt, out=fleet.time, where=rows ^ lapping)
+    return lapping.nonzero()[0].tolist()
+
+
 def step_all(fleet: PatrolFleet, v: np.ndarray, dt: float) -> None:
     """Advance every robot of ``fleet`` one step; robot ``i`` moves at ``v[i]``.
 
     Gives the same bits as ``step_robot(fleet.robots[i], v[i], dt)`` for
     every robot.  Robots that move along their perimeter and complete no
-    lap this step move together in a few array operations; every other
-    robot (still, in transit, without a region or completing a lap) takes
-    the scalar path of :func:`step_robot`.  ``v`` is read again only when
-    a different array (or ``dt``) is passed, so it must not be modified in
+    lap this step move together in a few array operations, and so do
+    robots in transit that complete no lap, when ``ARRAY_MIN_ROBOTS`` or
+    more are in transit (:func:`_step_transit`); every other robot (still,
+    without a region, in transit with fewer, or completing a lap) takes the
+    scalar path of :func:`step_robot`.  ``v`` is read again only when a
+    different array (or ``dt``) is passed, so it must not be modified in
     place between steps.
     """
     if v is not fleet._v or dt != fleet._dt:
@@ -388,12 +536,16 @@ def step_all(fleet: PatrolFleet, v: np.ndarray, dt: float) -> None:
         # The scalar path starts from the state before this step.
         before = fleet.motion[lapping]
     fleet.motion += fleet._advance
-    np.remainder(fleet.arc, fleet._limit, out=fleet.arc)
+    # ``fmod`` is ``%`` for the non-negative arcs of the moving robots, and
+    # leaves every other arc (limit ``inf``) as it was, -0.0 included.
+    np.fmod(fleet.arc, fleet._limit, out=fleet.arc)
     fleet.stale |= fleet._go
     scalar = fleet._scalar
     if lapping.size:
         fleet.motion[lapping] = before
         scalar = scalar + lapping.tolist()
+    if fleet._transit is not None:
+        scalar = scalar + _step_transit(fleet, fleet._transit, v, dt)
     for i in scalar:
         step_robot(fleet.robots[i], v.item(i), dt)
 

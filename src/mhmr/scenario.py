@@ -27,14 +27,13 @@ from .geometry import (
     GlobalWorkspace,
     is_finite_number,
     is_finite_point,
-    partition_from_workload,
     strips,
 )
 from .metrics import DEFAULT_STRESS_WINDOW, ConditionTimeline, check_profile
 from .patrol import (
     PatrolFleet,
     RobotKinematicState,
-    assign_region,
+    change_regions,
     step_all,
     system_patrol_time,
 )
@@ -540,12 +539,15 @@ class ScenarioRunner:
         self.robots: list[RobotKinematicState] = []
         # The shares the fleet's regions were last built from.
         self._regions_sigma: Optional[np.ndarray] = None
+        # ``sigma`` holds the uniform shares until the first cycle.
+        placed, x, width = strips(self.workspace, self.sigma.shares)
+        positions = self._initial_positions(x, width)
         if script.mode == "full-sim":
-            self.fleet = PatrolFleet(self._initial_positions())
+            self.fleet = PatrolFleet(positions, self._strip_bounds(placed, x, width))
             self.robots = self.fleet.robots
-            self._assign_regions()
+            self._regions_sigma = self.sigma.shares
         else:
-            self._fixed_positions = self._initial_positions()
+            self._fixed_positions = positions
 
         self.record = RunRecord(robot_ids=self.topology.robot_ids)
         self._streak = 0
@@ -566,15 +568,14 @@ class ScenarioRunner:
         full-sim; the fixed ``(m, 2)`` start positions in allocation-only."""
         return self.fleet.positions() if self.fleet is not None else self._fixed_positions
 
-    def _initial_positions(self) -> np.ndarray:
+    def _initial_positions(self, x: np.ndarray, width: np.ndarray) -> np.ndarray:
         """``(m, 2)`` start positions: explicit, or a point of each robot's
-        strip of the uniform partition (its centre, a tenth of the way in
-        from its left edge at mid-height, or its bottom-left corner)."""
+        strip (left edge ``x`` and ``width``) of the uniform partition: its
+        centre, a tenth of the way in from its left edge at mid-height, or
+        its bottom-left corner."""
         placement = self.script.placement
         if isinstance(placement, (list, tuple)):
             return np.array(placement, dtype=float)
-        # ``sigma`` holds the uniform shares until the first cycle.
-        _, x, width = strips(self.workspace, self.sigma.shares)
         y = self.workspace.origin[1]
         if placement == "center":
             x, y = x + width / 2.0, y + self.workspace.height / 2.0
@@ -651,7 +652,7 @@ class ScenarioRunner:
         ``columns``), or its lap-time cap ``perimeter / tau_star``.  That is
         the bits of ``min(kappa * v_max, required_velocity(region, tau_star,
         v_max))``: ``kappa <= 1``, so the ``v_max`` clamp never binds; a robot
-        without a region has perimeter and cap 0.0; and ``assign_region``
+        without a region has perimeter and cap 0.0; and ``change_regions``
         keeps the perimeters current.  A failed or disconnected robot's
         ``kappa`` is 0, since its condition in the snapshot is."""
         kappa = snapshot.columns(self.topology).kappa
@@ -659,20 +660,30 @@ class ScenarioRunner:
         self._step_v = _read_only(np.minimum(kappa * self.params.v_max, cap))
         self._step_v_of = snapshot
 
+    def _strip_bounds(self, placed: np.ndarray, x: np.ndarray, width: np.ndarray) -> np.ndarray:
+        """``(m, 4)`` bounds ``(x, y, width, height)`` of each robot's strip,
+        from :func:`~mhmr.geometry.strips`; zeros for a robot with a zero
+        share."""
+        rows = np.empty((placed.size, 4))
+        rows[:, 0] = x
+        rows[:, 1] = self.workspace.origin[1]
+        rows[:, 2] = width
+        rows[:, 3] = self.workspace.height
+        bounds = np.zeros((self.topology.m, 4))
+        bounds[placed] = rows
+        return bounds
+
     def _assign_regions(self) -> None:
         """Point every robot at its strip of the current shares.
 
-        Equal shares give an equal partition, on which ``assign_region``
-        changes nothing, so unchanged shares skip the work; a team edit
-        changes the shape of the shares and forces the rebuild.
+        Equal shares give equal strips, which change no region, so unchanged
+        shares skip the work; a team edit changes the shape of the shares and
+        forces the comparison.
         """
         shares = self.sigma.shares
-        if np.array_equal(shares, self._regions_sigma):
-            return
-        regions = partition_from_workload(self.workspace, self.sigma)
-        for state, region in zip(self.robots, regions):
-            assign_region(state, region)
-        self._regions_sigma = shares
+        if not np.array_equal(shares, self._regions_sigma):
+            change_regions(self.fleet, self._strip_bounds(*strips(self.workspace, shares)))
+            self._regions_sigma = shares
 
     # -- core loop ----------------------------------------------------------
 

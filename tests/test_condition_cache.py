@@ -243,8 +243,10 @@ exact_specs = st.lists(
 def test_bound_is_the_next_change(tmp_path_factory, specs, window):
     """``at(t)[1]`` is ``t`` while a ramp moves; otherwise it is the first
     later time at which the value set by the last step or trace in force
-    changes, capped by the next event time.  With no ramp after that step or
-    trace, this is the first later time at which ``at`` itself changes."""
+    changes, capped by the next event time, or only the cap when the ended
+    ramps after a trace blend every value of the trace to one value.  With
+    no ramp after that step or trace, this is the first later time at which
+    ``at`` itself changes."""
     directory = tmp_path_factory.mktemp("traces")
     timeline = build_timeline(specs, directory, window)
     # Every time at which a value may change: event times and trace samples.
@@ -278,10 +280,49 @@ def test_bound_is_the_next_change(tmp_path_factory, specs, window):
         held = setter.at(t)[0]
         if not ramps:
             assert held == value, t
+        elif n_set and in_force[n_set - 1].profile["type"] != "step":
+            # Every value the trace takes, carried through the ended ramps.
+            start = in_force[n_set - 1].time_s
+            reachable = {v for c, v in zip(changes, setter_values) if c >= start}
+            for ev in ramps:
+                target = ev.profile["value"]
+                reachable = {v + (target - v) * 1.0 for v in reachable}
+            if len(reachable) == 1:
+                assert until == cap, (t, value, until, cap)
+                continue
         change = next(
             (c for c, v in zip(changes, setter_values) if c > t and v != held), math.inf
         )
         assert until == min(change, cap), (t, value, until, change, cap)
+
+
+def test_ramp_that_blends_every_trace_value_to_one_is_not_bounded_by_the_trace(tmp_path):
+    # Window-2 conditions of this trace are 0, 0.5 and 1; a ramp to 0.5
+    # blends each of them to exactly 0.5 once it has ended.
+    specs = [
+        (0.0, "stress_trace", (0.25, 0.5, list("0110100111000011"))),
+        (1.0, "ramp", (0.5, 1.0)),
+    ]
+    timeline = build_timeline(specs, tmp_path, 2)
+    trace = build_timeline(specs[:1], tmp_path, 2)
+    times = [2.0 + k * 0.125 for k in range(64)]
+    assert {trace.at(t)[0] for t in times} == {0.0, 0.5, 1.0}
+    assert [timeline.at(t) for t in times] == [(0.5, math.inf)] * len(times)
+    # While the ramp moves, it still bounds at the query time.
+    assert timeline.at(1.5)[1] == 1.5
+
+
+def test_ramp_whose_blends_differ_keeps_the_trace_bound(tmp_path):
+    # 0.5 + (0.1 - 0.5) is not 0.1, so the blended value follows the trace.
+    specs = [
+        (0.0, "stress_trace", (0.25, 0.5, list("0110100111000011"))),
+        (1.0, "ramp", (0.1, 1.0)),
+    ]
+    timeline = build_timeline(specs, tmp_path, 2)
+    trace = build_timeline(specs[:1], tmp_path, 2)
+    assert {timeline.at(t)[0] for t in (3.0, 4.5)} == {0.1, 0.5 + (0.1 - 0.5)}
+    for t in (2.0, 2.75, 4.0, 5.25):
+        assert timeline.at(t)[1] == trace.at(t)[1] < math.inf, t
 
 
 # ---------------------------------------------------------------------------

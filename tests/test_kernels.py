@@ -1,8 +1,8 @@
-"""The array kernels of the allocation cycle give the bits of the per-robot
-loops they replaced.  Those loops are kept here as the reference, and every
-comparison is ``==`` on floats, or on their ``hex()``, which also tells -0.0
-from 0.0.  The block writer of ``cycles.csv`` gives the bytes of the per-row
-writer it replaced.
+"""The array kernels of the allocation cycle and of the patrol fleet give
+the bits of the per-robot loops they replaced.  Those loops are kept here as
+the reference, and every comparison is ``==`` on floats, or on their
+``hex()``, which also tells -0.0 from 0.0.  The block writer of
+``cycles.csv`` gives the bytes of the per-row writer it replaced.
 """
 
 import math
@@ -13,6 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import mhmr.patrol
+import mhmr.scenario
 from mhmr.allocation import compute_input_vector
 from mhmr.geometry import (
     GlobalWorkspace,
@@ -20,11 +22,23 @@ from mhmr.geometry import (
     boundary_distance,
     min_boundary_distance,
     nearest_boundary_point,
+    nearest_perimeter_points,
     partition_from_workload,
+    perimeter,
     strips,
 )
-import mhmr.scenario
-from mhmr.patrol import able_velocity
+from mhmr.patrol import (
+    ON_PERIMETER_TOL,
+    REGION_CHANGE_TOL,
+    PatrolFleet,
+    _arc_of_point,
+    _arc_of_points,
+    _arc_point,
+    able_velocity,
+    assign_region,
+    change_regions,
+    step_all,
+)
 from mhmr.scenario import CycleRow, RunRecord, ScenarioRunner, TopologyEdit, builtin_script
 from mhmr.team import ConditionSnapshot, TeamTopology, WorkloadVector
 from mhmr.transition import allocation_cycle, compute_q_f
@@ -119,6 +133,161 @@ def reference_cycle_lines(rows, m):
             r.cycle, r.time_s, *sigma, *proposed, r.q_f, r.K_e, *kappa, *v,
             r.transition_error, note,
         )
+
+
+def reference_nearest_point(point, region):
+    """Closest point of the perimeter of ``region`` to ``point``."""
+    px, py = float(point[0]), float(point[1])
+    inside_x = region.x < px < region.x_max
+    inside_y = region.y < py < region.y_max
+    if not (inside_x and inside_y):
+        # Outside or on the boundary: clamp onto the rectangle.
+        return (
+            min(max(px, region.x), region.x_max),
+            min(max(py, region.y), region.y_max),
+        )
+    # Strictly inside: project onto the nearest side.
+    candidates = (
+        (px - region.x, (region.x, py)),
+        (region.x_max - px, (region.x_max, py)),
+        (py - region.y, (px, region.y)),
+        (region.y_max - py, (px, region.y_max)),
+    )
+    return min(candidates, key=lambda c: c[0])[1]
+
+
+def reference_arc_point(region, s):
+    """Point at arc length ``s`` along the perimeter, counterclockwise from
+    the bottom-left corner."""
+    p = perimeter(region)
+    s = s % p
+    w, h = region.width, region.height
+    if s < w:
+        return (region.x + s, region.y)
+    s -= w
+    if s < h:
+        return (region.x_max, region.y + s)
+    s -= h
+    if s < w:
+        return (region.x_max - s, region.y_max)
+    s -= w
+    return (region.x, region.y_max - s)
+
+
+def reference_arc_of_point(region, px, py):
+    """Arc-length coordinate of a point on the perimeter, measured from the
+    nearest side."""
+    w, h = region.width, region.height
+    d_bottom = abs(py - region.y)
+    d_right = abs(px - region.x_max)
+    d_top = abs(py - region.y_max)
+    d_left = abs(px - region.x)
+    side = min(
+        (d_bottom, 0), (d_right, 1), (d_top, 2), (d_left, 3), key=lambda c: c[0]
+    )[1]
+    if side == 0:
+        return px - region.x
+    if side == 1:
+        return w + (py - region.y)
+    if side == 2:
+        return w + h + (region.x_max - px)
+    return 2 * w + h + (region.y_max - py)
+
+
+class ReferenceRobot:
+    """One robot's patrol state as the per-robot code kept it."""
+
+    def __init__(self, position):
+        self.position = (float(position[0]), float(position[1]))
+        self.region = None
+        self.arc = self.lap_progress = self.time = self.lap_start_time = 0.0
+        self.stale = self.in_transit = self.transitional = False
+        self.lap_times, self.lap_transitional = [], []
+
+    def refresh(self):
+        if self.stale:
+            self.position = reference_arc_point(self.region, self.arc)
+            self.stale = False
+
+
+def reference_same_region(a, b):
+    if a is None or b is None:
+        return a is b
+    return (
+        abs(a.x - b.x) <= REGION_CHANGE_TOL
+        and abs(a.y - b.y) <= REGION_CHANGE_TOL
+        and abs(a.width - b.width) <= REGION_CHANGE_TOL
+        and abs(a.height - b.height) <= REGION_CHANGE_TOL
+    )
+
+
+def reference_assign_region(robot, region):
+    """Point the robot at a region; True if it changed.  A change marks the
+    lap transitional and, off the new perimeter, starts a transit."""
+    old = robot.region
+    if reference_same_region(old, region):
+        return False
+    robot.refresh()  # a stale position lies on the old perimeter
+    robot.region = region
+    if old is not None:
+        robot.transitional = True
+    if region is None:
+        robot.in_transit = False
+        return True
+    px, py = robot.position
+    tx, ty = reference_nearest_point((px, py), region)
+    if math.hypot(tx - px, ty - py) > ON_PERIMETER_TOL:
+        robot.in_transit = True
+        robot.transitional = True
+    else:
+        robot.in_transit = False
+        robot.arc = reference_arc_of_point(region, tx, ty)
+    return True
+
+
+def reference_step(robot, v, dt):
+    """One integration step at velocity ``v``: transit toward the nearest
+    perimeter point, then laps along the perimeter."""
+    region = robot.region
+    if region is None or v == 0.0:
+        robot.time += dt
+        return
+    arc, progress, clock = robot.arc, robot.lap_progress, robot.time
+    t_end = clock + dt
+    budget = v * dt
+    if robot.in_transit:
+        robot.refresh()
+        px, py = robot.position
+        tx, ty = reference_nearest_point((px, py), region)
+        dx, dy = tx - px, ty - py
+        gap = math.hypot(dx, dy)
+        if budget < gap:
+            scale = budget / gap
+            robot.position = (px + dx * scale, py + dy * scale)
+            robot.time = t_end
+            return
+        clock += gap / v
+        budget -= gap
+        robot.in_transit = False
+        arc = reference_arc_of_point(region, tx, ty)
+    p = perimeter(region)
+    while budget > 0.0:
+        room = p - progress
+        if budget < room:
+            arc = (arc + budget) % p
+            progress += budget
+            budget = 0.0
+        else:
+            arc = (arc + room) % p
+            clock += room / v
+            robot.lap_times.append(clock - robot.lap_start_time)
+            robot.lap_transitional.append(robot.transitional)
+            robot.lap_start_time = clock
+            robot.transitional = False
+            progress = 0.0
+            budget -= room
+    robot.arc, robot.lap_progress, robot.time = arc, progress, t_end
+    robot.stale = True
 
 
 # ---------------------------------------------------------------------------
@@ -461,3 +630,189 @@ class TestCycleLines:
         record = runner.run()
         written = cycle_lines_written(record, tmp_path, block_cells)
         assert written == "".join(reference_cycle_lines(record.cycles, 11))
+
+
+# ---------------------------------------------------------------------------
+# Patrol: positions, region changes and transit
+
+
+def region_bounds(region):
+    return (0.0,) * 4 if region is None else (region.x, region.y, region.width, region.height)
+
+
+#: Origins include both zeros and negative values; sizes are exact in binary
+#: or not, so that arcs built from exact steps land exactly on the corners.
+origins = st.one_of(st.sampled_from([0.0, -0.0, -3.0, 2.5, -1e-3]), st.floats(-20.0, 20.0))
+sizes = st.one_of(st.sampled_from([1.0, 2.0, 0.5, 4.0, 0.25]), st.floats(0.05, 10.0))
+patrol_rects = st.builds(Rect, origins, origins, sizes, sizes)
+
+
+@st.composite
+def points_for(draw, rect):
+    """A point on a corner or an edge, at the centre of the rectangle or on
+    one of its diagonals (ties in the nearest side), inside, outside along
+    one axis or both, or a signed zero."""
+    x = draw(st.sampled_from([rect.x, rect.x_max, rect.center[0], -0.0, 0.0]))
+    y = draw(st.sampled_from([rect.y, rect.y_max, rect.center[1], -0.0, 0.0]))
+    d = min(rect.width, rect.height) / 4
+    return draw(
+        st.one_of(
+            st.just((x, y)),
+            st.just((rect.x + d, rect.y + d)),
+            st.just((rect.x_max - d, rect.y_max - d)),
+            points_around(rect),
+            points_near_edges(rect),
+        )
+    )
+
+
+@st.composite
+def patrol_cases(draw):
+    """Robots with start points near a pool of regions (with ``None`` and a
+    region within ``REGION_CHANGE_TOL`` of another), then a list of
+    operations: whole-team changes, one-row assignments, steps and reads."""
+    pool = draw(st.lists(patrol_rects, min_size=1, max_size=4))
+    pool.append(Rect(pool[0].x, pool[0].y, pool[0].width + REGION_CHANGE_TOL / 2, pool[0].height))
+    pool.append(None)
+    n = draw(st.integers(1, 24))
+    starts = [draw(points_for(pool[draw(st.integers(0, len(pool) - 2))])) for _ in range(n)]
+    choice = st.integers(0, len(pool) - 1)
+    speeds = st.one_of(st.sampled_from([0.0, 0.25, 1.0, 2.0, 4.0, 40.0]), st.floats(0.0, 50.0))
+    op = st.one_of(
+        st.tuples(st.just("change"), st.lists(choice, min_size=n, max_size=n)),
+        st.tuples(st.just("assign"), st.integers(0, n - 1), choice),
+        st.tuples(
+            st.just("step"),
+            st.lists(speeds, min_size=n, max_size=n),
+            st.sampled_from([0.25, 0.5, 0.05]),
+            st.integers(1, 4),
+        ),
+        st.tuples(st.just("positions")),
+    )
+    first = draw(st.lists(choice, min_size=n, max_size=n))
+    return pool, starts, first, draw(st.booleans()), draw(st.lists(op, max_size=12))
+
+
+def assert_fleet_matches(fleet, reference):
+    for i, ref in enumerate(reference):
+        assert fleet.stale.item(i) == ref.stale, i
+        if not ref.stale:
+            assert [c.hex() for c in fleet.position[i]] == [c.hex() for c in ref.position], i
+        got = (fleet.arc.item(i), fleet.lap_progress.item(i), fleet.time.item(i),
+               fleet.lap_start_time.item(i), *fleet.bounds[i].tolist())
+        want = (ref.arc, ref.lap_progress, ref.time, ref.lap_start_time,
+                *region_bounds(ref.region), 0.0 if ref.region is None else perimeter(ref.region))
+        assert [c.hex() for c in got] == [float(c).hex() for c in want], i
+        assert (fleet.in_transit.item(i), fleet.transitional.item(i)) == (
+            ref.in_transit, ref.transitional
+        ), i
+        assert [t.hex() for t in fleet.lap_times[i]] == [t.hex() for t in ref.lap_times], i
+        assert fleet.lap_transitional[i] == ref.lap_transitional, i
+
+
+def run_patrol_case(case):
+    pool, starts, first, construct, ops = case
+    n = len(starts)
+    reference = [ReferenceRobot(point) for point in starts]
+    for ref, k in zip(reference, first):
+        reference_assign_region(ref, pool[k])
+    first_bounds = np.array([region_bounds(pool[k]) for k in first], dtype=float)
+    if construct:
+        fleet = PatrolFleet(starts, first_bounds)
+    else:
+        fleet = PatrolFleet(starts)
+        change_regions(fleet, first_bounds)
+    assert_fleet_matches(fleet, reference)
+    for op in ops:
+        if op[0] == "change":
+            bounds = np.array([region_bounds(pool[k]) for k in op[1]], dtype=float)
+            moved = change_regions(fleet, bounds)
+            expected = [reference_assign_region(ref, pool[k]) for ref, k in zip(reference, op[1])]
+            assert moved.tolist() == expected
+        elif op[0] == "assign":
+            _, i, k = op
+            assert assign_region(fleet.robots[i], pool[k]) == reference_assign_region(
+                reference[i], pool[k]
+            )
+        elif op[0] == "step":
+            _, speeds, dt, repeat = op
+            v = np.array(speeds)
+            for _ in range(repeat):
+                step_all(fleet, v, dt)
+                for ref, speed in zip(reference, speeds):
+                    reference_step(ref, speed, dt)
+        else:
+            for ref in reference:
+                ref.refresh()
+            got = [[c.hex() for c in point] for point in fleet.positions()]
+            assert got == [[c.hex() for c in ref.position] for ref in reference]
+        assert_fleet_matches(fleet, reference)
+    assert len(fleet) == n
+
+
+class TestPatrolKernels:
+    @settings(max_examples=600, deadline=None)
+    @given(rect_and_point())
+    @example((Rect(0.0, 0.0, 2.0, 2.0), (1.0, 1.0)))  # equally near all four sides
+    @example((Rect(0.0, 0.0, 4.0, 2.0), (1.0, 1.0)))  # left and bottom tie
+    @example((Rect(-0.0, -0.0, 1.0, 1.0), (0.0, -0.0)))  # signed zeros on a corner
+    @example((Rect(0.0, 0.0, 1.0, 1.0), (-0.0, 0.5)))
+    @example((Rect(-3.0, -2.0, 1.0, 1.0), (-2.5, -5.0)))
+    def test_nearest_point_and_arc_match_scalar(self, case):
+        rect, point = case
+        expected = reference_nearest_point(point, rect)
+        tx, ty = nearest_boundary_point(point, rect)
+        assert [tx.hex(), ty.hex()] == [c.hex() for c in expected]
+        lo = np.array([(rect.x, rect.y)])
+        hi = np.array([(rect.x_max, rect.y_max)])
+        array = nearest_perimeter_points(np.array([point], dtype=float), lo, hi)
+        assert [c.hex() for c in array[0].tolist()] == [c.hex() for c in expected]
+        arc = reference_arc_of_point(rect, *expected)
+        bounds = np.array([(rect.x, rect.y, rect.width, rect.height)])
+        assert _arc_of_point(rect.x, rect.y, rect.width, rect.height, *expected).hex() == arc.hex()
+        assert _arc_of_points(array, lo, bounds).item().hex() == arc.hex()
+
+    @settings(max_examples=400, deadline=None)
+    @given(patrol_rects, st.data())
+    @example(Rect(0.0, 0.0, 1.0, 2.0), None)  # the corners: w, w + h, 2w + h, p
+    def test_arc_point_matches_scalar(self, rect, data):
+        p = perimeter(rect)
+        w, h = rect.width, rect.height
+        arcs = [0.0, w, w + h, 2 * w + h, p, p / 3, 2 * p]
+        if data is not None:
+            arcs.append(data.draw(st.floats(0.0, 3 * p)))
+        for s in arcs:
+            got = _arc_point(rect.x, rect.y, w, h, p, s)
+            assert [c.hex() for c in got] == [c.hex() for c in reference_arc_point(rect, s)], s
+
+    @pytest.mark.parametrize("array_min", [1, 8, 10**9])
+    @settings(max_examples=150, deadline=None)
+    @given(case=patrol_cases())
+    @example(  # exact steps: arcs w, w + h, 2w + h, then a lap
+        case=([Rect(0.0, 0.0, 1.0, 2.0), None], [(0.0, 0.0)], [0], True,
+              [("step", [4.0], 0.25, 1), ("positions",)] * 6),
+    )
+    @example(  # a point just above a corner: its arc rounds to the perimeter
+        case=([Rect(0.0, 0.0, 1.0, 1.0), None], [(0.0, 1e-17)], [0], False,
+              [("positions",), ("step", [0.5], 0.25, 3), ("positions",)]),
+    )
+    @example(  # diagonal off a corner: within ON_PERIMETER_TOL, |dx| + |dy| beyond it
+        case=([Rect(0.0, 0.0, 1.0, 1.0), None], [(1.0 + 7e-10, 1.0 + 7e-10)], [0], True,
+              [("positions",)]),
+    )
+    @example(  # a corner arc of -0.0 that the array step must leave alone
+        case=([Rect(0.0, 0.0, 1.0, 1.0), None], [(-0.0, 0.0), (0.0, 0.5)], [0, 0], False,
+              [("step", [0.0, 1.0], 0.25, 1), ("positions",)]),
+    )
+    @example(  # signed-zero origin, from and to no region
+        case=([Rect(-0.0, -0.0, 1.0, 1.0), None], [(0.0, -0.0), (-0.0, 0.5)], [1, 0], True,
+              [("change", [0, 1]), ("step", [1.0, 1.0], 0.25, 2), ("change", [1, 0]),
+               ("positions",)]),
+    )
+    def test_fleet_matches_per_robot_reference(self, array_min, case):
+        # The array paths run from ``ARRAY_MIN_ROBOTS`` robots on: 1 sends
+        # every region change and transit step through them, 8 some (up to
+        # 24 robots are drawn) and 10**9 none.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mhmr.patrol, "ARRAY_MIN_ROBOTS", array_min)
+            run_patrol_case(case)

@@ -280,6 +280,35 @@ class TestStepAll:
             assert set(stepped) == scalar and len(stepped) == len(scalar)
         assert fleet.robots[0].lap_times and fleet.robots[2].in_transit
 
+    def test_array_transit_step_takes_many_robots_in_transit(self, monkeypatch):
+        stepped = []
+        scalar_step = patrol.step_robot
+
+        def counted(state, v, dt):
+            stepped.append(state.index)
+            return scalar_step(state, v, dt)
+
+        monkeypatch.setattr(patrol, "step_robot", counted)
+        n = patrol.ARRAY_MIN_ROBOTS
+        # n robots 1 m left of a region; one on its perimeter, still; one
+        # 0.15 m above a region of perimeter 0.3, fast enough to arrive and
+        # complete a lap in one step.
+        starts = [(-1.0, 0.1 * k) for k in range(n)] + [(0.0, 0.0), (1.05, 1.2)]
+        fleet = PatrolFleet(starts)
+        for view in fleet.robots[:-1]:
+            assign_region(view, REGIONS[1])
+        assign_region(fleet.robots[-1], REGIONS[4])
+        assert fleet.in_transit.tolist() == [True] * n + [False, True]
+        v = np.array([0.5] * n + [0.0, 25.0])
+        step_all(fleet, v, 0.05)
+        assert sorted(stepped) == [n, n + 1]
+        assert fleet.in_transit.tolist() == [True] * n + [False, False]
+        assert fleet.robots[-1].lap_times
+        # The fast robot now completes a lap on its perimeter every step.
+        stepped.clear()
+        step_all(fleet, v, 0.05)
+        assert sorted(stepped) == [n, n + 1]
+
     def test_added_robot_starts_its_clock_at_zero(self):
         fleet = PatrolFleet()
         step_all(fleet, np.zeros(0), 0.05)

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 import mhmr.scenario
 from mhmr.errors import ConfigurationError, MetricDomainError
-from mhmr.geometry import partition_from_workload
-from mhmr.patrol import assign_region
+from mhmr.geometry import partition_from_workload, strips
+from mhmr.patrol import REGION_CHANGE_TOL, assign_region, change_regions
 from mhmr.scenario import (
     BUILTIN_SCRIPT_NAMES,
     CycleRow,
@@ -520,11 +520,12 @@ class TestRegionsFollowShares:
     @pytest.mark.parametrize("edits", sorted(EDITS))
     @pytest.mark.parametrize("name", ["s1", "s2"])
     def test_unchanged_shares_skip_region_assignment(self, tmp_path, monkeypatch, name, edits):
-        calls = []
+        changes = []
 
-        def counting_assign_region(state, region):
-            calls.append(state.index)
-            return assign_region(state, region)
+        def recording_change_regions(fleet, bounds):
+            moved = change_regions(fleet, bounds)
+            changes.append(moved.nonzero()[0].tolist())
+            return moved
 
         data = builtin_script(name).to_dict()
         data["duration_s"] = 250.0
@@ -532,9 +533,9 @@ class TestRegionsFollowShares:
         data["record_trajectory"] = True
         records = {}
         for label, cls in (("rebuilding", RebuildingRunner), ("skipping", ScenarioRunner)):
-            calls.clear()
+            changes.clear()
             with monkeypatch.context() as patch:
-                patch.setattr(mhmr.scenario, "assign_region", counting_assign_region)
+                patch.setattr(mhmr.scenario, "change_regions", recording_change_regions)
                 runner = cls(ScenarioScript.from_dict(data))
                 for t, edit in self.EDITS[edits]:
                     runner.run_until(t)
@@ -543,12 +544,37 @@ class TestRegionsFollowShares:
         for file in ("cycles.csv", "laps.csv", "trajectory.csv", "summary.json"):
             skipping = (records["skipping"] / file).read_bytes()
             assert skipping == (records["rebuilding"] / file).read_bytes(), file
-        # The skipping runner assigned regions at set-up and then once per
-        # cycle whose shares differ from the cycle before.
+        # After set-up, the skipping runner changed regions once per cycle
+        # whose shares differ from the cycle before, and each time exactly
+        # the robots whose strip moved by more than REGION_CHANGE_TOL.
         sigmas = [(1 / 3,) * 3] + [tuple(row.sigma.tolist()) for row in runner.record.cycles]
-        rebuilt = [b for a, b in zip(sigmas, sigmas[1:]) if a != b]
-        assert len(calls) == 3 + sum(map(len, rebuilt))
+        rebuilt = [(a, b) for a, b in zip(sigmas, sigmas[1:]) if a != b]
+        assert changes == [strips_moved(runner.workspace, a, b) for a, b in rebuilt]
         assert len(rebuilt) < len(sigmas) // 2
+
+
+def strip_bounds(workspace, sigma, m):
+    """``(x, y, width, height)`` of each of ``m`` robots' strips of the shares
+    ``sigma`` (a robot past its end has a zero share), ``None`` for none."""
+    shares = np.array(sigma + (0.0,) * (m - len(sigma)))
+    placed, x, width = strips(workspace, shares)
+    bounds = [None] * m
+    for i, left, w in zip(placed.tolist(), x.tolist(), width.tolist()):
+        bounds[i] = (left, workspace.origin[1], w, workspace.height)
+    return bounds
+
+
+def strips_moved(workspace, before, after):
+    """Robots whose strip is gained, lost or moved by more than
+    ``REGION_CHANGE_TOL`` in some bound from shares ``before`` to ``after``."""
+    m = len(after)
+    pairs = zip(strip_bounds(workspace, before, m), strip_bounds(workspace, after, m))
+    return [
+        i
+        for i, (old, new) in enumerate(pairs)
+        if (old is None) != (new is None)
+        or (old is not None and max(abs(a - b) for a, b in zip(old, new)) > REGION_CHANGE_TOL)
+    ]
 
 
 class TestDynamicTopology:
