@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import NoCapableAgentError
-from .team import ConditionSnapshot, TeamTopology, WorkloadVector
+from .team import ConditionSnapshot, TeamTopology, WorkloadVector, exact_sum, two_sum_error
 
 #: Below this total score the team is considered fully incapacitated.
 CAPABLE_TOTAL_THRESHOLD = 1e-12
@@ -45,7 +45,7 @@ def compute_input_vector(
     # of a row with j operators adds terms[j], and zeros follow it.
     for term, more in zip(terms, tables.more):
         total = bracket + term
-        rounded = (_two_sum_error(bracket, term, total) != 0.0) & more
+        rounded = (two_sum_error(bracket, term, total) != 0.0) & more
         inexact = rounded if inexact is None else inexact | rounded
         bracket = total
     bracket = bracket + terms[-1]
@@ -53,12 +53,6 @@ def compute_input_vector(
         bracket[i] = math.fsum([cond.item(i), *(t.item(i) for t in terms)])
     # A zero gate gives a zero score; adding 0.0 makes a -0.0 one +0.0.
     return gate / tables.terms * bracket + 0.0
-
-
-def _two_sum_error(a: np.ndarray, b: np.ndarray, total: np.ndarray) -> np.ndarray:
-    """Exact rounding error of ``total = a + b`` (Knuth's TwoSum)."""
-    b_virtual = total - a
-    return (a - (total - b_virtual)) + (b - b_virtual)
 
 
 def propose_allocation(
@@ -71,7 +65,7 @@ def propose_allocation(
     whether to abort or freeze the current workload.
     """
     scores = compute_input_vector(topology, snapshot)
-    total = math.fsum(scores.tolist())
+    total = exact_sum(scores)
     if total < CAPABLE_TOTAL_THRESHOLD:
         raise NoCapableAgentError(
             "no capable agent: all input scores are zero, allocation undefined"

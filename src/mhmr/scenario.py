@@ -37,7 +37,7 @@ from .patrol import (
     step_all,
     system_patrol_time,
 )
-from .team import ConditionSnapshot, TeamTopology, ValueView, WorkloadVector
+from .team import ConditionSnapshot, TeamTopology, ValueView, WorkloadVector, exact_sum
 from .transition import allocation_cycle
 
 SCHEMA_VERSION = 1
@@ -697,8 +697,8 @@ class ScenarioRunner:
                 proposed = propose_allocation(self.topology, snapshot)
                 self.sigma_proposed = proposed.shares
                 if self._initial_error is None:
-                    self._initial_error = float(
-                        math.fsum(np.abs(self.sigma.shares - self.sigma_proposed).tolist())
+                    self._initial_error = exact_sum(
+                        np.abs(self.sigma.shares - self.sigma_proposed)
                     )
                 state = allocation_cycle(
                     proposed, self.positions, self.sigma, self.params.K, self.workspace
@@ -708,7 +708,7 @@ class ScenarioRunner:
             except NoCapableAgentError as exc:
                 note = str(exc)
                 self._allocation_errors += 1
-        error = float(math.fsum(np.abs(self.sigma.shares - self.sigma_proposed).tolist()))
+        error = exact_sum(np.abs(self.sigma.shares - self.sigma_proposed))
         if self.script.allocation_enabled and not note:
             if error < CONVERGENCE_EPS:
                 self._streak += 1

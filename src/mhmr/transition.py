@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NoActiveAgentsError
 from .geometry import GlobalWorkspace, Rect, min_boundary_distance, strips
-from .team import WorkloadVector
+from .team import WorkloadVector, exact_sum
 
 #: A share this small with a zero proposal snaps to exactly zero.
 ZERO_SNAP = 1e-12
@@ -114,6 +114,6 @@ def allocation_cycle(
         if snap.any():
             snapped = sigma.shares.copy()
             snapped[snap] = 0.0
-            snapped /= math.fsum(snapped.tolist())
+            snapped /= exact_sum(snapped)
             sigma = WorkloadVector(snapped)
     return TransitionState(sigma=sigma, q_f=q_f, K_e=K_e)

@@ -6,7 +6,9 @@ the reference, and every comparison is ``==`` on floats, or on their
 """
 
 import math
+import random
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -15,7 +17,9 @@ from hypothesis import strategies as st
 
 import mhmr.patrol
 import mhmr.scenario
+import mhmr.team
 from mhmr.allocation import compute_input_vector
+from mhmr.errors import ConfigurationError
 from mhmr.geometry import (
     GlobalWorkspace,
     Rect,
@@ -39,8 +43,22 @@ from mhmr.patrol import (
     change_regions,
     step_all,
 )
-from mhmr.scenario import CycleRow, RunRecord, ScenarioRunner, TopologyEdit, builtin_script
-from mhmr.team import ConditionSnapshot, TeamTopology, WorkloadVector
+from mhmr.scenario import (
+    CycleRow,
+    RunRecord,
+    ScenarioRunner,
+    ScenarioScript,
+    TopologyEdit,
+    builtin_script,
+)
+from mhmr.team import (
+    EXACT_SUM_MIN,
+    SUM_TOL,
+    ConditionSnapshot,
+    TeamTopology,
+    WorkloadVector,
+    exact_sum,
+)
 from mhmr.transition import allocation_cycle, compute_q_f
 
 # ---------------------------------------------------------------------------
@@ -816,3 +834,250 @@ class TestPatrolKernels:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(mhmr.patrol, "ARRAY_MIN_ROBOTS", array_min)
             run_patrol_case(case)
+
+
+# ---------------------------------------------------------------------------
+# Sums
+
+
+def fsum_outcome(values):
+    """``math.fsum`` of the list: the result's ``hex()``, or the exception."""
+    try:
+        return math.fsum(values.tolist()).hex()
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_sum_matches_fsum(values, cutover=None):
+    """``exact_sum`` gives fsum's bits, sign of zero included, or raises as
+    it does; ``cutover`` replaces ``EXACT_SUM_MIN`` (``None`` keeps it)."""
+    values = np.asarray(values, dtype=float)
+    with pytest.MonkeyPatch.context() as patch:
+        if cutover is not None:
+            patch.setattr(mhmr.team, "EXACT_SUM_MIN", cutover)
+        try:
+            # numpy's cumsum flags the overflow that fsum raises for.
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = exact_sum(values).hex()
+        except (OverflowError, ValueError) as exc:
+            got = type(exc), str(exc)
+    assert got == fsum_outcome(values), values
+
+
+def sizes_around_cutover():
+    """Lengths on both sides of ``EXACT_SUM_MIN``, and short ones."""
+    n = EXACT_SUM_MIN
+    return st.one_of(st.integers(n - 40, n + 40), st.integers(1, 40), st.integers(n, 3 * n))
+
+
+#: 2 sends every array of two or more items through the kernel.
+CUTOVERS = [2, None]
+
+
+class TestExactSum:
+    @pytest.mark.parametrize("cutover", CUTOVERS)
+    @settings(max_examples=200, deadline=None)
+    @given(n=sizes_around_cutover(), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_non_negative_arrays(self, cutover, n, seed, data):
+        rng = np.random.default_rng(seed)
+        values = rng.random(n)
+        kind = data.draw(st.sampled_from(["uniform", "shares", "spread", "some zeros"]))
+        if kind == "shares":
+            values /= math.fsum(values.tolist())
+        elif kind == "spread":
+            values *= 2.0 ** rng.integers(-60, 20, n)
+        elif kind == "some zeros":
+            values[rng.random(n) < 0.9] = 0.0
+        assert_sum_matches_fsum(values, cutover)
+
+    @pytest.mark.parametrize("cutover", CUTOVERS)
+    @settings(max_examples=300, deadline=None)
+    @given(
+        base=st.floats(1.0, 2.0, exclude_max=True),
+        exponent=st.integers(-1000, 1000),
+        below=st.booleans(),
+        pieces=st.integers(0, 6),
+        nudge=st.sampled_from([0.0, 1.0, -1.0]),
+        n=sizes_around_cutover(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(base=1.0, exponent=0, below=False, pieces=0, nudge=0.0, n=600, seed=0)
+    @example(base=1.0 + 2.0**-52, exponent=0, below=False, pieces=3, nudge=0.0, n=600, seed=1)
+    # Below a power of two the gap is half the gap above it.
+    @example(base=1.0, exponent=0, below=True, pieces=0, nudge=1.0, n=3, seed=0)
+    def test_half_ulp_ties(self, cutover, base, exponent, below, pieces, nudge, n, seed):
+        # x plus or minus half the gap to its neighbour on that side, split
+        # into 2**pieces equal parts, is a tie that rounds to even; a nudge
+        # too small to change the float sum of the parts breaks the tie.
+        x = math.ldexp(base, exponent)
+        half = (x - math.nextafter(x, 0.0) if below else math.ulp(x)) / 2
+        if below:
+            half = -half
+        parts = [x] + [half / 2**pieces] * 2**pieces + [nudge * half * 2.0**-60]
+        values = parts + [0.0] * max(0, n - len(parts))
+        random.Random(seed).shuffle(values)
+        assert_sum_matches_fsum(values, cutover)
+
+    @pytest.mark.parametrize("cutover", CUTOVERS)
+    @settings(max_examples=150, deadline=None)
+    @given(n=sizes_around_cutover(), seed=st.integers(0, 2**32 - 1), signed=st.booleans())
+    def test_subnormals(self, cutover, n, seed, signed):
+        rng = np.random.default_rng(seed)
+        values = rng.integers(0, 2**20, n) * 2.0**-1074
+        values[rng.random(n) < 0.1] = 2.0**-1022
+        if signed:
+            values *= rng.choice([-1.0, 1.0], n)
+        assert_sum_matches_fsum(values, cutover)
+
+    @pytest.mark.parametrize("cutover", CUTOVERS)
+    @pytest.mark.parametrize("zeros", ["positive", "negative", "mixed", "cancelling"])
+    @pytest.mark.parametrize("n", [1, 2, EXACT_SUM_MIN - 1, EXACT_SUM_MIN, EXACT_SUM_MIN + 1, 1000])
+    def test_zeros(self, cutover, zeros, n):
+        values = {
+            "positive": np.zeros(n),
+            "negative": np.full(n, -0.0),
+            "mixed": np.resize([-0.0, 0.0, -0.0], n),
+            "cancelling": np.resize([0.75, -0.75], n),
+        }[zeros]
+        assert_sum_matches_fsum(values, cutover)
+
+    @pytest.mark.parametrize("cutover", CUTOVERS)
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=sizes_around_cutover(),
+        seed=st.integers(0, 2**32 - 1),
+        low=st.integers(-1074, 1000),
+        cancel=st.booleans(),
+    )
+    @example(n=600, seed=0, low=-1074, cancel=True)
+    def test_mixed_magnitudes(self, cutover, n, seed, low, cancel):
+        rng = np.random.default_rng(seed)
+        high = int(rng.integers(low, 1001))
+        values = rng.random(n) * 2.0 ** rng.integers(low, high + 1, n)
+        values *= rng.choice([-1.0, 1.0], n)
+        if cancel:
+            # Pairs that cancel exactly, so that small terms decide the sum.
+            values[: n // 2] = -values[n - n // 2 :][::-1][: n // 2]
+            rng.shuffle(values)
+        assert_sum_matches_fsum(values, cutover)
+
+    @pytest.mark.parametrize("cutover", CUTOVERS)
+    @pytest.mark.parametrize(
+        "head",
+        [
+            [1e308, 1e308],
+            [1e308, 1e308, -1e308],
+            [1.7e308, -1.7e308, 1.7e308],
+            [math.inf, 1.0],
+            [math.inf, -math.inf],
+            [-math.inf, -1e308],
+            [math.nan, 1.0],
+            [sys.float_info.max, -sys.float_info.max, sys.float_info.max, 2.0**970],
+        ],
+    )
+    @pytest.mark.parametrize("n", [3, 600])
+    def test_overflow_and_non_finite(self, cutover, head, n):
+        values = head + [0.5] * (n - len(head))
+        assert_sum_matches_fsum(values, cutover)
+        assert_sum_matches_fsum(values[::-1], cutover)
+
+    def test_team_sized_shares_take_the_kernel(self, monkeypatch):
+        calls = []
+        fsum = math.fsum
+        monkeypatch.setattr(math, "fsum", lambda xs: calls.append(len(xs)) or fsum(xs))
+        rng = np.random.default_rng(5)
+        for n in (EXACT_SUM_MIN, 1000):
+            scores = rng.random(n)
+            assert exact_sum(scores) == fsum(scores.tolist())
+            error = np.abs(scores / fsum(scores.tolist()) - 1.0 / n)
+            assert exact_sum(error) == fsum(error.tolist())
+            assert exact_sum(np.zeros(n)) == 0.0
+        # Only an exact zero total goes to fsum, alone, for its sign.
+        assert calls == [1, 1]
+
+
+def reference_share_check(shares):
+    """WorkloadVector's sum check before the array fast check."""
+    total = math.fsum(shares.tolist())
+    if not abs(total - 1.0) <= SUM_TOL:
+        return f"workload shares sum to {total!r}, expected 1 within {SUM_TOL}"
+    return None
+
+
+def share_check(shares):
+    try:
+        WorkloadVector(shares.copy())
+    except ConfigurationError as exc:
+        return str(exc)
+    return None
+
+
+class TestShareSumCheck:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        extra=st.integers(0, 600),
+        seed=st.integers(0, 2**32 - 1),
+        target=st.sampled_from([1.0 - SUM_TOL, 1.0 + SUM_TOL, 1.0]),
+    )
+    def test_verdict_and_message_match_fsum_check(self, extra, seed, target):
+        # Shares whose exact total sweeps across 1 +- SUM_TOL in half-ulp steps.
+        m = EXACT_SUM_MIN + extra
+        rng = np.random.default_rng(seed)
+        shares = rng.random(m)
+        shares *= target / math.fsum(shares.tolist())
+        shares[-1] += target - math.fsum(shares.tolist())
+        base = shares[-1]
+        for k in range(-12, 13):
+            shares[-1] = base + k * 2.0**-53
+            assert share_check(shares) == reference_share_check(shares), k
+
+
+def degraded_team_script(m, duration_s):
+    """Allocation-only run of an alternating team of ``m`` robots, about a
+    tenth of whose agents step or ramp down over the run."""
+    rng = random.Random(m)
+    agents = [f"robot:{r}" for r in range(1, m + 1)] + [f"operator:{o}" for o in range(1, m + 1, 2)]
+    events = []
+    for target in rng.sample(agents, len(agents) // 10):
+        metric = "operator_condition" if target.startswith("operator") else rng.choice(
+            ["robot_condition", "performance"]
+        )
+        value = round(rng.uniform(0.3, 0.95), 4)
+        if rng.random() < 0.5:
+            profile = {"type": "step", "value": value}
+        else:
+            profile = {"type": "ramp", "value": value, "duration": round(rng.uniform(2.0, 10.0), 3)}
+        time_s = round(rng.uniform(0.0, 0.9 * duration_s), 3)
+        events.append({"time_s": time_s, "target": target, "metric": metric, "profile": profile})
+    return {
+        "name": f"degraded_m{m}",
+        "topology": {"m": m, "pattern": "alternating"},
+        "workspace": {"origin": [0.0, 0.0], "width": 2.0 * m, "height": 5.0, "safety_gap": 0.01},
+        "params": {"K": 5.0, "tau": 0.5},
+        "mode": "allocation-only",
+        "duration_s": duration_s,
+        "events": sorted(events, key=lambda e: (e["time_s"], e["target"], e["metric"])),
+    }
+
+
+def test_records_do_not_depend_on_the_sum_cutover(tmp_path, monkeypatch):
+    # As shipped, the team-sized sums of this run take the array kernel and
+    # the array share check; with the cutover above m, math.fsum over lists.
+    m = EXACT_SUM_MIN + 88
+    script = ScenarioScript.from_dict(degraded_team_script(m, 20.0))
+    team_sized = []
+    fsum = math.fsum
+    monkeypatch.setattr(math, "fsum", lambda xs: team_sized.append(len(xs) >= m) or fsum(xs))
+    team_sized_calls = {}
+    for cutover in (EXACT_SUM_MIN, m + 1):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mhmr.team, "EXACT_SUM_MIN", cutover)
+            team_sized.clear()
+            ScenarioRunner(script).run().write(tmp_path / str(cutover))
+            team_sized_calls[cutover] = sum(team_sized)
+    cycles = int(20.0 / 0.5) + 1
+    assert team_sized_calls[EXACT_SUM_MIN] <= 5
+    assert team_sized_calls[m + 1] >= 4 * cycles
+    for name in ("cycles.csv", "summary.json"):
+        shipped = (tmp_path / str(EXACT_SUM_MIN) / name).read_bytes()
+        assert shipped == (tmp_path / str(m + 1) / name).read_bytes(), name
