@@ -73,4 +73,4 @@ def propose_allocation(
     shares = scores / total
     # Exact-zero scores must stay exactly zero after normalization.
     shares[scores == 0.0] = 0.0
-    return WorkloadVector(shares)
+    return WorkloadVector.adopt(shares)

@@ -12,6 +12,7 @@ import csv
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Iterable, Optional
 
@@ -43,7 +44,9 @@ def _freeze_series(trace: Any, kind: str) -> np.ndarray:
         raise ConfigurationError(f"{kind} trace times/values length mismatch")
     if not np.isfinite(times).all():
         raise ConfigurationError(f"{kind} trace timestamps must be finite")
-    if np.any(np.diff(times) <= 0):
+    # For finite times a difference is <= 0 exactly when the later time is
+    # not larger, so this is ``np.diff(times) <= 0`` without the differences.
+    if (times[1:] <= times[:-1]).any():
         raise ConfigurationError(f"{kind} trace timestamps must strictly increase")
     grid = times.tolist()
     object.__setattr__(trace, "grid", grid)
@@ -66,7 +69,9 @@ class StressTrace:
         values = _freeze_series(self, "stress")
         if not ((values == 0.0) | (values == 1.0)).all():
             raise MetricDomainError("stress trace samples must be binary 0/1")
-        object.__setattr__(self, "stressed", [0, *np.cumsum(values, dtype=np.int64).tolist()])
+        stressed = np.zeros(values.size + 1, dtype=np.int64)
+        np.cumsum(values, dtype=np.int64, out=stressed[1:])
+        object.__setattr__(self, "stressed", stressed.tolist())
 
 
 def stress_to_condition(trace: StressTrace, window: int, t: float) -> float:
@@ -91,10 +96,15 @@ def _sample_conditions(trace: StressTrace, window: int) -> np.ndarray:
     with the same bits, computed as one array."""
     if window < 1:
         raise ConfigurationError("moving-average window must be >= 1")
-    stressed = np.asarray(trace.stressed)
-    end = np.arange(1, stressed.size)
-    start = np.maximum(end - window, 0)
-    return 1.0 - (stressed[end] - stressed[start]) / (end - start)
+    # Sums of 0/1 samples are exact in floats, so each quotient is the
+    # correctly rounded one of the same integers, as in stress_to_condition.
+    stressed = np.cumsum(trace.values)
+    recent = stressed.copy()
+    recent[window:] -= stressed[:-window]
+    samples = np.arange(1.0, stressed.size + 1)
+    samples[window:] = window
+    recent /= samples
+    return np.subtract(1.0, recent, out=recent)
 
 
 def _next_change_times(grid: list[float], held: np.ndarray) -> list[float]:
@@ -104,9 +114,14 @@ def _next_change_times(grid: list[float], held: np.ndarray) -> list[float]:
     value from sample ``j`` on; ``held[0]`` is also the value before the
     first sample.  The entries are ``grid``'s own float objects, so the list
     costs only its references."""
+    n = len(grid)
+    # ``first[k]``: index of the first change at or after ``k``, ``n`` if none
+    # (``n`` also indexes the ``inf`` after ``grid``).
+    first = np.full(n + 1, n)
     changes = np.flatnonzero(held[1:] != held[:-1]) + 1
-    ends = np.array([*grid, math.inf], dtype=object)[np.append(changes, len(grid))]
-    return ends[np.searchsorted(changes, np.arange(len(grid) + 1))].tolist()
+    first[changes] = changes
+    first = np.minimum.accumulate(first[::-1])[::-1]
+    return list(itemgetter(*first.tolist())([*grid, math.inf]))
 
 
 def discrete_stress_to_condition(level: str) -> float:
@@ -135,6 +150,26 @@ class ScriptedTrace:
         return float(self.values[max(0, bisect_right(self.grid, t) - 1)])
 
 
+def _is_uniform(periods: np.ndarray) -> bool:
+    """``np.allclose(periods, periods[0])`` for positive periods, written
+    out: each period within rtol 1e-5 / atol 1e-8 of the first, which when
+    infinite matches only itself."""
+    first = periods[0]
+    if math.isinf(first):
+        return bool((periods == first).all())
+    return bool((abs(periods - first) <= 1e-8 + 1e-5 * abs(first)).all())
+
+
+def _columns(rows: list[list[str]], *cols: int) -> list[tuple[str, ...]]:
+    """Fields ``cols`` of every row; a row too short for one reads it as ``""``."""
+    width = max(cols) + 1
+    # One tuple per column, as many as the shortest row has fields.
+    fields = list(zip(*rows))
+    if len(fields) < width:
+        fields = list(zip(*[row + [""] * (width - len(row)) for row in rows]))
+    return [fields[c] for c in cols]
+
+
 def load_stress_trace(path: str | Path) -> StressTrace | ScriptedTrace:
     """Read a ``time_s,stress`` CSV.
 
@@ -143,10 +178,10 @@ def load_stress_trace(path: str | Path) -> StressTrace | ScriptedTrace:
     :class:`ScriptedTrace` ready for direct use.  Rows are read as
     ``csv.DictReader`` reads them: empty rows are skipped, a missing field
     is ``""``, extra fields are ignored and a duplicated column name means
-    its last column.
+    its last column.  The rows are read in one pass and then parsed column
+    by column; faults are still reported in row order.
     """
-    times: list[float] = []
-    raw: list[str] = []
+    rows: list[list[str]] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -154,24 +189,34 @@ def load_stress_trace(path: str | Path) -> StressTrace | ScriptedTrace:
             raise ConfigurationError(f"{path}: expected header 'time_s,stress'")
         last = {name: i for i, name in enumerate(header)}
         t_col, s_col = last["time_s"], last["stress"]
-        width = max(t_col, s_col) + 1
-        for row in reader:
-            if not row:
-                continue
-            if len(row) < width:
-                row += [""] * (width - len(row))
-            times.append(float(row[t_col]))
-            raw.append(row[s_col].strip())
-    if not raw:
+        try:
+            rows.extend(filter(None, reader))
+        except (csv.Error, ValueError):
+            # A bad time in a row before the one the reader failed on comes first.
+            if rows:
+                np.array(_columns(rows, t_col)[0], dtype=float)
+            raise
+    if not rows:
         raise ConfigurationError(f"{path}: stress trace has no rows")
-    if set(raw) <= {"0", "1"}:
-        trace = StressTrace(np.array(times), np.array(raw, dtype=float))
-        periods = np.diff(trace.times)
-        if periods.size and not np.allclose(periods, periods[0]):
+    time_fields, stress_fields = _columns(rows, t_col, s_col)
+    # ``float`` of each field in row order, so the first bad one raises.
+    times = np.array(time_fields, dtype=float)
+    raw = stress_fields
+    binary = set(raw) <= {"0", "1"}
+    if not binary:  # bare 0/1 fields need no strip
+        raw = list(map(str.strip, raw))
+        binary = set(raw) <= {"0", "1"}
+    if binary:
+        # One character per sample, so its byte says whether it is stressed.
+        stressed = np.frombuffer("".join(raw).encode(), dtype=np.uint8) == ord("1")
+        trace = StressTrace(times, stressed)
+        if len(raw) > 1 and not _is_uniform(trace.times[1:] - trace.times[:-1]):
             raise ConfigurationError(f"{path}: stress trace sample period is not uniform")
         return trace
-    values = np.array([discrete_stress_to_condition(v) for v in raw])
-    return ScriptedTrace(np.array(times), values)
+    levels = list(map(DISCRETE_STRESS_CONDITION.get, map(str.lower, raw)))
+    if None in levels:
+        discrete_stress_to_condition(raw[levels.index(None)])  # raises, naming the level
+    return ScriptedTrace(times, np.array(levels))
 
 
 def check_profile(profile: dict[str, Any], target: Any) -> None:

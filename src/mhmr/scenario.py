@@ -803,7 +803,7 @@ class ScenarioRunner:
                 edges,
             )
         if edit.kind == "add_robot":
-            self.sigma = WorkloadVector(np.append(self.sigma.shares, 0.0))
+            self.sigma = WorkloadVector.adopt(np.append(self.sigma.shares, 0.0))
             self.sigma_proposed = _read_only(np.append(self.sigma_proposed, 0.0))
             pos = np.asarray(
                 edit.position

@@ -352,13 +352,20 @@ class ConditionColumns(NamedTuple):
 class WorkloadVector:
     """Per-robot workload fractions, index-aligned with the topology.
 
-    Shares must sum to 1 within ``SUM_TOL`` and each lie in [0, 1].
+    Shares must sum to 1 within ``SUM_TOL`` and each lie in [0, 1].  The
+    vector keeps a read-only copy of a writeable array, so its caller may go
+    on writing that array; a read-only float array is kept as it is (see
+    :meth:`adopt`).
     """
 
     shares: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.shares, dtype=float)
+        shares = self.shares
+        if isinstance(shares, np.ndarray) and not shares.flags.writeable:
+            arr = np.asarray(shares, dtype=float)
+        else:
+            arr = np.array(shares, dtype=float)
         arr.setflags(write=False)
         object.__setattr__(self, "shares", arr)
         if arr.ndim != 1:
@@ -381,8 +388,15 @@ class WorkloadVector:
     def __len__(self) -> int:
         return len(self.shares)
 
+    @classmethod
+    def adopt(cls, shares: np.ndarray) -> "WorkloadVector":
+        """Wrap a float array that nothing else writes, without copying it:
+        the array is made read-only in place."""
+        shares.setflags(write=False)
+        return cls(shares)
+
     @staticmethod
     def uniform(m: int) -> "WorkloadVector":
         if m < 1:
             raise ConfigurationError("need at least one robot")
-        return WorkloadVector(np.full(m, 1.0 / m))
+        return WorkloadVector.adopt(np.full(m, 1.0 / m))

@@ -77,7 +77,7 @@ def step_transition(
     if not (0.0 <= coefficient < 1.0):
         raise ConfigurationError(f"transition coefficient {coefficient!r} outside [0, 1)")
     updated = current.shares + coefficient * (proposed.shares - current.shares)
-    return WorkloadVector(updated)
+    return WorkloadVector.adopt(updated)
 
 
 def allocation_cycle(
@@ -115,5 +115,5 @@ def allocation_cycle(
             snapped = sigma.shares.copy()
             snapped[snap] = 0.0
             snapped /= exact_sum(snapped)
-            sigma = WorkloadVector(snapped)
+            sigma = WorkloadVector.adopt(snapped)
     return TransitionState(sigma=sigma, q_f=q_f, K_e=K_e)

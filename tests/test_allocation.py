@@ -250,3 +250,17 @@ class TestWorkloadVector:
 
     def test_uniform(self):
         assert WorkloadVector.uniform(4).shares.tolist() == [0.25] * 4
+
+    def test_caller_array_stays_writeable(self):
+        shares = np.array([0.25, 0.75])
+        vector = WorkloadVector(shares)
+        shares[0] = 0.5
+        assert shares.tolist() == [0.5, 0.75]
+        assert vector.shares.tolist() == [0.25, 0.75]
+        assert not vector.shares.flags.writeable
+
+    def test_adopt_keeps_the_array(self):
+        shares = np.array([0.25, 0.75])
+        vector = WorkloadVector.adopt(shares)
+        assert vector.shares is shares
+        assert not shares.flags.writeable

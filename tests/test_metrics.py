@@ -13,6 +13,7 @@ from mhmr.metrics import (
     ConditionTimeline,
     ScriptedTrace,
     StressTrace,
+    _sample_conditions,
     check_profile,
     discrete_stress_to_condition,
     load_stress_trace,
@@ -178,11 +179,13 @@ def dictreader_load_stress_trace(path):
     if not raw:
         raise ConfigurationError(f"{path}: stress trace has no rows")
     if all(v in ("0", "1") for v in raw):
-        values = np.array([float(v) for v in raw])
-        periods = np.diff(np.asarray(times))
+        # The trace's own time checks (finite, then increasing) come before
+        # the period check.
+        trace = StressTrace(np.asarray(times), np.array([float(v) for v in raw]))
+        periods = np.diff(trace.times)
         if periods.size and not np.allclose(periods, periods[0]):
             raise ConfigurationError(f"{path}: stress trace sample period is not uniform")
-        return StressTrace(np.asarray(times), values)
+        return trace
     values = np.array([discrete_stress_to_condition(v) for v in raw])
     return ScriptedTrace(np.asarray(times), values)
 
@@ -226,6 +229,99 @@ def test_loader_reads_rows_as_dictreader_does(tmp_path, content):
     assert load_outcome(load_stress_trace, path) == expected
 
 
+def _csv_field(text, quote):
+    """``text`` as one CSV field, quoted when asked or when it must be."""
+    if quote or any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+@st.composite
+def trace_files(draw):
+    """Text of a trace file in the corners of the CSV dialect: blank lines,
+    CRLF or CR line ends, quoted fields, extra, duplicated and missing
+    columns, short rows and padded fields; binary and level rows; bad,
+    non-finite and off-grid times; an empty file and a header alone."""
+    if draw(st.integers(0, 15)) == 0:
+        return ""
+    header = draw(
+        st.sampled_from(
+            [
+                ["time_s", "stress"],
+                ["stress", "time_s"],
+                ["time_s", "stress", "note"],
+                ["note", "time_s", "stress"],
+                ["time_s", "stress", "stress"],
+                ["time_s", "level"],
+            ]
+        )
+    )
+    stress = draw(
+        st.sampled_from(
+            [
+                ["0", "1"],
+                ["0", "1", " 1 ", "0 ", "\t1"],
+                ["low", "medium", "high", "HIGH", " Low "],
+                ["0", "1", "low", "extreme", "", "1.0", "1,0"],
+            ]
+        )
+    )
+    period = draw(st.sampled_from([0.5, 0.1, 1 / 3, 2.0]))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    lines = [""] if draw(st.integers(0, 15)) == 0 else []
+    lines.append(",".join(_csv_field(name, draw(st.integers(0, 9)) == 0) for name in header))
+    for k in range(draw(st.integers(0, 12))):
+        time = repr(k * period)
+        if draw(st.integers(0, 7)) == 0:
+            time = draw(
+                st.sampled_from(
+                    ["nan", "inf", "-inf", "x", "", " 7 ", "1_0", repr(k * period * (1 + 1e-7)),
+                     repr(k * period + 0.01), repr(-k * period)]
+                )
+            )
+        row = [
+            time if name == "time_s" else draw(st.sampled_from(stress)) if name == "stress" else "calm"
+            for name in header
+        ]
+        if draw(st.integers(0, 9)) == 0:
+            row = row[: draw(st.integers(0, len(row) - 1))]
+        if draw(st.integers(0, 9)) == 0:
+            row.append("extra")
+        lines.append(",".join(_csv_field(f, draw(st.integers(0, 7)) == 0) for f in row))
+        if draw(st.integers(0, 7)) == 0:
+            lines.append("")
+    return eol.join(lines) + (eol if draw(st.booleans()) else "")
+
+
+@settings(max_examples=400, deadline=None)
+@given(content=trace_files())
+def test_loader_reads_generated_files_as_dictreader_does(tmp_path_factory, content):
+    path = tmp_path_factory.mktemp("trace") / "trace.csv"
+    path.write_bytes(content.encode())
+    expected = load_outcome(dictreader_load_stress_trace, path)
+    assert load_outcome(load_stress_trace, path) == expected
+
+
+@pytest.mark.parametrize("long_row_first", [False, True])
+def test_two_faults_report_the_earlier_row(tmp_path, long_row_first):
+    # A bad time and, seven rows away, a field over csv's size limit: the
+    # rows are read in one pass, yet the fault of the earlier row is the one
+    # reported, as a row-by-row read reports it.
+    rows = [f"{k},0" for k in range(10)]
+    long_field = "1" * (csv.field_size_limit() + 1)
+    bad, long = (8, 1) if long_row_first else (1, 8)
+    rows[bad] = "x,0"
+    rows[long] = f"{long},{long_field}"
+    path = tmp_path / "trace.csv"
+    path.write_text("time_s,stress\n" + "\n".join(rows) + "\n")
+    outcome = load_outcome(load_stress_trace, path)
+    assert outcome == load_outcome(dictreader_load_stress_trace, path)
+    if long_row_first:
+        assert outcome[0] is csv.Error
+    else:
+        assert outcome == (ValueError, "could not convert string to float: 'x'")
+
+
 def write_trace_csv(path, values, period=1.0):
     """A ``time_s,stress`` file with the samples of ``make_trace(values, period)``."""
     trace = make_trace(values, period)
@@ -236,6 +332,36 @@ def write_trace_csv(path, values, period=1.0):
 def stress_timeline(path, window):
     profile = {"type": "stress_trace", "path": str(path)}
     return ConditionTimeline([Event(0.0, "operator", 1, "operator_condition", profile)], window)
+
+
+def next_change_reference(grid, conditions):
+    """For each count ``k`` of passed samples, the time of the first sample
+    at or after ``k`` (never sample 0) whose condition differs from the one
+    before it, found by a forward scan; ``inf`` if there is none."""
+    out = []
+    for k in range(len(grid) + 1):
+        j = max(k, 1)
+        while j < len(grid) and conditions[j] == conditions[j - 1]:
+            j += 1
+        out.append(grid[j] if j < len(grid) else math.inf)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(st.sampled_from([0, 1]), min_size=1, max_size=300),
+    window=st.integers(1, 40),
+    period=st.sampled_from([0.5, 0.35, 1.0]),
+)
+def test_load_prepares_what_the_scalar_path_gives(tmp_path_factory, values, window, period):
+    path = tmp_path_factory.mktemp("trace") / "op.csv"
+    write_trace_csv(path, values, period)
+    timeline = stress_timeline(path, window)
+    (trace, next_change), = timeline._traces.values()
+    conditions = [stress_to_condition(trace, window, t) for t in trace.grid]
+    held = _sample_conditions(trace, window).tolist()
+    assert [c.hex() for c in held] == [c.hex() for c in conditions]
+    assert next_change == next_change_reference(trace.grid, conditions)
 
 
 class TestConditionTimeline:
