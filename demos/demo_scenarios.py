@@ -8,7 +8,7 @@ s4: the same team with one robot dead from the start (share exactly zero)
 
 from dataclasses import replace
 
-from mhmr.scenario import builtin_script, run_scenario, sweep_scripts, sweep_summary_rows
+from mhmr.scenario import builtin_script, run_scenario, sweep_scripts
 
 
 def main():
@@ -36,9 +36,8 @@ def main():
     print("\nK sweep on s3 (larger K converges faster):")
     values = [1.0, 3.0, 5.0, 10.0]
     records = [run_scenario(s) for s in sweep_scripts(builtin_script("s3"), "K", values)]
-    rows = sweep_summary_rows("K", values, records)
-    for row in rows:
-        print(f"    K={row['K']:<4} convergence={row['convergence_time_s']} s")
+    for value, record in zip(values, records):
+        print(f"    K={value:<4} convergence={record.summary['convergence_time_s']} s")
 
 
 if __name__ == "__main__":

@@ -2,7 +2,10 @@
 
 Subcommands: ``run`` a scenario script, ``sweep`` over K or m, ``validate``
 a script file, and ``demo`` the bundled scenarios.  Machine-parseable
-``key=value`` summary lines go to stdout; diagnostics go to stderr.
+``key=value`` lines go to stdout, all through :func:`_emit` and its one
+value formatter; the summary, sweep-summary and demo verdict keys are listed
+once each, in ``SUMMARY_KEYS``, ``SWEEP_KEYS`` and ``DEMO_LINES``.  Error
+lines go to stderr.
 
 Exit codes: 0 success, 1 validation/usage error, 2 runtime error.
 """
@@ -27,7 +30,6 @@ from .scenario import (
     builtin_script,
     run_scenario,
     sweep_scripts,
-    sweep_summary_rows,
 )
 
 OUTPUT_ROOT_ENV = "MHMR_OUTPUT_ROOT"
@@ -77,23 +79,29 @@ def _load_script(args) -> ScenarioScript:
     return script
 
 
-def _emit_summary(record: RunRecord) -> None:
-    s = record.summary
-    print(f"name={s['name']}")
-    print(f"m={s['m']}")
-    print(f"converged={str(s['converged']).lower()}")
-    print(f"convergence_time_s={_scalar(s['convergence_time_s'])}")
-    print(f"total_initial_error={_scalar(s['total_initial_error'])}")
-    print(f"final_sigma={','.join(format(v, '.9g') for v in s['final_sigma'])}")
-    print(f"max_t_l={_scalar(s['max_t_l'])}")
+# The ``run`` and ``demo`` summary lines, one key each, in this order.
+SUMMARY_KEYS = (
+    "name", "m", "converged", "convergence_time_s", "total_initial_error", "final_sigma", "max_t_l"
+)
+# The columns of ``sweep_summary.csv`` after the swept value.
+SWEEP_KEYS = ("converged", "convergence_time_s", "total_initial_error", "final_transition_error")
 
 
-def _scalar(value) -> str:
+def _format(value) -> str:
     if value is None:
         return "none"
+    if isinstance(value, bool):
+        return "true" if value else "false"
     if isinstance(value, float):
         return format(value, ".9g")
+    if isinstance(value, list):
+        return ",".join(format(v, ".9g") for v in value)
     return str(value)
+
+
+def _emit(*fields: tuple[str, object]) -> None:
+    """Write one stdout line of ``key=value`` fields."""
+    print(" ".join(f"{key}={_format(value)}" for key, value in fields))
 
 
 def _cmd_run(args) -> int:
@@ -101,8 +109,9 @@ def _cmd_run(args) -> int:
     record = run_scenario(script, base_dir=Path(args.script).parent)
     outdir = Path(args.out) if args.out else _default_out(script.name)
     record.write(outdir)
-    print(f"out={outdir}")
-    _emit_summary(record)
+    _emit(("out", outdir))
+    for key in SUMMARY_KEYS:
+        _emit((key, record.summary[key]))
     return 0
 
 
@@ -110,8 +119,8 @@ def _cmd_validate(args) -> int:
     script = _load_script(args)
     # Set up as ``run`` does, so that trace files are read and checked too.
     ScenarioRunner(script, base_dir=Path(args.script).parent)
-    print(f"name={script.name}")
-    print("valid=true")
+    _emit(("name", script.name))
+    _emit(("valid", True))
     return 0
 
 
@@ -156,64 +165,67 @@ def _cmd_sweep(args) -> int:
     for record in records:
         record.write(outroot / record.summary["name"])
 
-    rows = sweep_summary_rows(args.axis, values, records)
     outroot.mkdir(parents=True, exist_ok=True)
     with open(outroot / "sweep_summary.csv", "w", newline="") as fh:
-        fh.write(
-            f"{args.axis},converged,convergence_time_s,total_initial_error,"
-            "final_transition_error\n"
-        )
-        for row in rows:
-            fh.write(
-                f"{_scalar(row[args.axis])},{str(row['converged']).lower()},"
-                f"{_scalar(row['convergence_time_s'])},"
-                f"{_scalar(row['total_initial_error'])},"
-                f"{_scalar(row['final_transition_error'])}\n"
-            )
-    print(f"out={outroot}")
-    for row in rows:
-        print(
-            f"sweep_{args.axis}={_scalar(row[args.axis])} "
-            f"convergence_time_s={_scalar(row['convergence_time_s'])}"
-        )
+        fh.write(",".join((args.axis, *SWEEP_KEYS)) + "\n")
+        for value, record in zip(values, records):
+            row = (value, *(record.summary[key] for key in SWEEP_KEYS))
+            fh.write(",".join(map(_format, row)) + "\n")
+    _emit(("out", outroot))
+    for value, record in zip(values, records):
+        time_s = record.summary["convergence_time_s"]
+        _emit((f"sweep_{args.axis}", value), ("convergence_time_s", time_s))
     return 0
 
 
+def _verdict(passed: bool) -> str:
+    return "PASS" if passed else "FAIL"
+
+
+# The lines each demo prints after its summary, one field each: a key and its
+# value from the demo's summary ``s`` and, for s1 alone, the summary ``w`` of
+# its paired no-allocation run.
+DEMO_LINES = {
+    "s1": (
+        ("max_t_l_without_allocation", lambda s, w: w["max_t_l"]),
+        (
+            "t_l_with_le_without",
+            lambda s, w: _verdict(s["max_t_l"] is not None and s["max_t_l"] <= w["max_t_l"]),
+        ),
+    ),
+    # Full coverage despite the failure: survivors absorb the failed robot's
+    # area while the total stays at one.
+    "s2": (
+        ("sigma_r3_final", lambda s, w: s["final_sigma"][2]),
+        ("sigma_r3_reallocated", lambda s, w: _verdict(s["final_sigma"][2] < 0.01)),
+    ),
+    "s3": (
+        (
+            "equilibrium_match",
+            lambda s, w: _verdict(
+                max(abs(a - b) for a, b in zip(s["final_sigma"], s["final_sigma_proposed"])) < 1e-6
+            ),
+        ),
+    ),
+    "s4": (("sigma_r3_zero", lambda s, w: _verdict(s["final_sigma"][2] == 0.0)),),
+}
+
+
 def _cmd_demo(args) -> int:
-    name = args.name.lower()
-    script = builtin_script(name)
-    if name == "s1":
+    script = builtin_script(args.name)
+    record = run_scenario(script)
+    without = None
+    if args.name == "s1":
         # Paired runs: the headline claim is that allocation keeps the
         # system lap time at or below the no-allocation baseline.
-        with_alloc = run_scenario(script)
-        without = run_scenario(replace(script, allocation_enabled=False))
-        t_with = with_alloc.summary["max_t_l"]
-        t_without = without.summary["max_t_l"]
-        verdict = "PASS" if t_with is not None and t_with <= t_without else "FAIL"
-        _emit_summary(with_alloc)
-        print(f"max_t_l_without_allocation={_scalar(t_without)}")
-        print(f"t_l_with_le_without={verdict}")
-        record = with_alloc
-    else:
-        record = run_scenario(script)
-        _emit_summary(record)
-        if name == "s4":
-            sigma3 = record.summary["final_sigma"][2]
-            print(f"sigma_r3_zero={'PASS' if sigma3 == 0.0 else 'FAIL'}")
-        if name == "s2":
-            # Full coverage despite the failure: survivors absorb the
-            # failed robot's area while the total stays at one.
-            sigma3 = record.summary["final_sigma"][2]
-            print(f"sigma_r3_final={_scalar(sigma3)}")
-            print(f"sigma_r3_reallocated={'PASS' if sigma3 < 0.01 else 'FAIL'}")
-        if name == "s3":
-            final = record.summary["final_sigma"]
-            target = record.summary["final_sigma_proposed"]
-            err = max(abs(a - b) for a, b in zip(final, target))
-            print(f"equilibrium_match={'PASS' if err < 1e-6 else 'FAIL'}")
+        without = run_scenario(replace(script, allocation_enabled=False)).summary
+    for key in SUMMARY_KEYS:
+        _emit((key, record.summary[key]))
+    for key, value in DEMO_LINES[args.name]:
+        _emit((key, value(record.summary, without)))
     if args.out:
         record.write(Path(args.out))
-        print(f"out={args.out}")
+        _emit(("out", args.out))
     return 0
 
 
@@ -270,15 +282,11 @@ def main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except MhmrError as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except (MhmrError, OSError) as exc:
+        # Bad input (exit 1) or a fault while running a valid script (exit 2).
+        runtime = isinstance(exc, MhmrError) and not isinstance(exc, ConfigurationError)
+        print(f"{'runtime error' if runtime else 'error'}: {exc}", file=sys.stderr)
+        return 2 if runtime else 1
 
 
 if __name__ == "__main__":

@@ -280,7 +280,11 @@ class ConditionTimeline:
                 try:
                     trace = load_stress_trace(path)
                 except (OSError, ValueError, csv.Error, MhmrError) as exc:
-                    raise ConfigurationError(f"{kind} for {ev}: cannot load {path}: {exc}") from exc
+                    # The loader's faults and an OSError's message name the file too.
+                    fault = str(exc).removeprefix(f"{path}: ")
+                    if isinstance(exc, OSError) and exc.filename is not None:
+                        fault = str(OSError(exc.errno, exc.strerror))
+                    raise ConfigurationError(f"{kind} for {ev}: cannot load {path}: {fault}") from exc
                 if isinstance(trace, StressTrace):
                     held = _sample_conditions(trace, window)
                 else:

@@ -916,21 +916,6 @@ def sweep_scripts(
     return scripts
 
 
-def sweep_summary_rows(axis: str, values: Sequence[float], records: Sequence[RunRecord]):
-    rows = []
-    for value, record in zip(values, records):
-        rows.append(
-            {
-                axis: value,
-                "converged": record.summary["converged"],
-                "convergence_time_s": record.summary["convergence_time_s"],
-                "total_initial_error": record.summary["total_initial_error"],
-                "final_transition_error": record.summary["final_transition_error"],
-            }
-        )
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # Bundled scripts
 

@@ -1,6 +1,8 @@
 import contextlib
+import csv
 import io
 import json
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -237,8 +239,9 @@ class TestScriptCheckedAtLoad:
             "time_s,stress\nsoon,1\n",
             "time_s,stress\n0\n",
             'time_s,stress\n0,"' + "1" * 200_000 + '"\n',
+            "time_s,stress\n0,0\n1,1\n3,0\n",
         ],
-        ids=["missing", "bad_header", "bad_time", "short_row", "oversized_field"],
+        ids=["missing", "bad_header", "bad_time", "short_row", "oversized_field", "uneven_period"],
     )
     def test_bad_trace_file(self, tmp_path, capsys, command, content):
         if content is not None:
@@ -251,7 +254,8 @@ class TestScriptCheckedAtLoad:
         captured = capsys.readouterr()
         assert "valid=true" not in captured.out
         assert captured.err.startswith("error: stress_trace for operator 1 ")
-        assert "op.csv" in captured.err
+        # The file is named once, whether or not the loader's message names it.
+        assert captured.err.count("op.csv") == 1
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -614,3 +618,96 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "run_scenario", boom)
         assert main(["demo", "s3"]) == 2
+        assert capsys.readouterr().err == "runtime error: simulated runtime failure\n"
+
+
+# One stdout line: ``key=value`` fields separated by single spaces.
+KEY_VALUE_LINE = re.compile(r"^\w+=\S*( \w+=\S*)*$")
+
+
+class TestOutputGrammar:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--script", "{s3}", "--out", "{tmp}/run"],
+            ["validate", "--script", "{s3}"],
+            ["sweep", "--script", "{s3}", "--axis", "K", "--values", "1,5", "--out", "{tmp}/sweep"],
+            *(["demo", name] for name in ("s1", "s2", "s3", "s4")),
+            *(["demo", name, "--out", "{tmp}/demo"] for name in ("s1", "s2", "s3", "s4")),
+        ],
+        ids=lambda argv: "-".join(a for a in argv if not a.startswith(("-", "{"))),
+    )
+    def test_every_line_is_key_value_with_unique_keys(self, s3_script, tmp_path, capsys, argv):
+        argv = [a.format(s3=s3_script, tmp=tmp_path) for a in argv]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines
+        assert [line for line in lines if not KEY_VALUE_LINE.match(line)] == []
+        # A line of several fields is a row of the one table a command may
+        # print (the sweep's per-value lines): its rows share their keys.
+        fields = [tuple(f.partition("=")[0] for f in line.split(" ")) for line in lines]
+        rows = {keys for keys in fields if len(keys) > 1}
+        assert len(rows) <= 1
+        keys = [keys[0] for keys in fields if len(keys) == 1] + [k for row in rows for k in row]
+        assert len(keys) == len(set(keys)), keys
+
+
+@st.composite
+def small_scripts(draw):
+    """Valid scripts of 1 to 6 robots running at most 5 s, with step and
+    ramp events on any agent metric."""
+    m = draw(st.integers(1, 6))
+    pattern = draw(st.sampled_from(["none", "alternating"]))
+    duration_s = draw(st.floats(0.05, 5.0))
+    metrics = [(f"robot:{r}", metric) for r in range(1, m + 1)
+               for metric in ("robot_condition", "performance")]
+    if pattern == "alternating":
+        metrics += [(f"operator:{o}", "operator_condition") for o in range(1, m + 1, 2)]
+    profiles = st.one_of(
+        st.fixed_dictionaries({"type": st.just("step"), "value": st.floats(0.0, 1.0)}),
+        st.fixed_dictionaries(
+            {"type": st.just("ramp"), "value": st.floats(0.0, 1.0),
+             "duration": st.floats(0.01, 10.0)}
+        ),
+    )
+    events = draw(
+        st.lists(
+            st.builds(
+                lambda time_s, agent, profile: {
+                    "time_s": time_s, "target": agent[0], "metric": agent[1], "profile": profile
+                },
+                st.floats(0.0, duration_s),
+                st.sampled_from(metrics),
+                profiles,
+            ),
+            max_size=6,
+        )
+    )
+    data = builtin_script("s3").to_dict()
+    data.update(
+        name="fuzz",
+        topology={"m": m, "pattern": pattern},
+        mode=draw(st.sampled_from(["full-sim", "allocation-only"])),
+        placement=draw(st.sampled_from(["center", "left", "perimeter"])),
+        duration_s=duration_s,
+        events=events,
+    )
+    return data
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=small_scripts(), trajectory=st.booleans())
+def test_run_completes_and_writes_whole_rows(tmp_path_factory, data, trajectory):
+    tmp = tmp_path_factory.mktemp("fuzz_run")
+    out = tmp / "out"
+    argv = ["run", "--script", str(write_script(tmp, data)), "--out", str(out)]
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = main(argv + ["--trajectory"] * trajectory)
+    assert (code, stderr.getvalue()) == (0, "")
+    files = sorted(out.glob("*.csv"))
+    assert {f.name for f in files} >= {"cycles.csv", "laps.csv"}
+    for path in files:
+        with open(path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert [len(row) for row in rows] == [len(header)] * len(rows), path.name

@@ -30,7 +30,6 @@ from mhmr.scenario import (
     builtin_script,
     run_scenario,
     sweep_scripts,
-    sweep_summary_rows,
 )
 
 
@@ -524,7 +523,8 @@ class TestRegionsFollowShares:
 
         def recording_change_regions(fleet, bounds):
             moved = change_regions(fleet, bounds)
-            changes.append(moved.nonzero()[0].tolist())
+            # The cycle being run is the one after the recorded rows.
+            changes.append((len(runner.record.cycles), moved.nonzero()[0].tolist()))
             return moved
 
         data = builtin_script(name).to_dict()
@@ -546,11 +546,14 @@ class TestRegionsFollowShares:
             assert skipping == (records["rebuilding"] / file).read_bytes(), file
         # After set-up, the skipping runner changed regions once per cycle
         # whose shares differ from the cycle before, and each time exactly
-        # the robots whose strip moved by more than REGION_CHANGE_TOL.
+        # the robots whose strip differs from the one they last entered.
         sigmas = [(1 / 3,) * 3] + [tuple(row.sigma.tolist()) for row in runner.record.cycles]
-        rebuilt = [(a, b) for a, b in zip(sigmas, sigmas[1:]) if a != b]
-        assert changes == [strips_moved(runner.workspace, a, b) for a, b in rebuilt]
-        assert len(rebuilt) < len(sigmas) // 2
+        assert changes == regions_entered(runner.workspace, sigmas)
+        # The skip path: a cycle whose shares equal the cycle before's makes
+        # no change_regions call.
+        kept = [k for k, (a, b) in enumerate(zip(sigmas, sigmas[1:])) if a == b]
+        assert kept and not {k for k, _ in changes} & set(kept)
+        assert len(changes) < len(sigmas) // 2
 
 
 def strip_bounds(workspace, sigma, m):
@@ -564,17 +567,28 @@ def strip_bounds(workspace, sigma, m):
     return bounds
 
 
-def strips_moved(workspace, before, after):
-    """Robots whose strip is gained, lost or moved by more than
-    ``REGION_CHANGE_TOL`` in some bound from shares ``before`` to ``after``."""
-    m = len(after)
-    pairs = zip(strip_bounds(workspace, before, m), strip_bounds(workspace, after, m))
-    return [
-        i
-        for i, (old, new) in enumerate(pairs)
-        if (old is None) != (new is None)
-        or (old is not None and max(abs(a - b) for a, b in zip(old, new)) > REGION_CHANGE_TOL)
-    ]
+def regions_entered(workspace, sigmas):
+    """``(cycle, robots)`` for each cycle whose shares differ from those of
+    the cycle before (``sigmas[0]`` are the shares at set-up): the robots
+    whose strip differs from the one they last entered.  A strip differs when
+    it is gained or lost, or when a bound has moved by more than
+    ``REGION_CHANGE_TOL``; an added robot enters with no strip."""
+    entered = strip_bounds(workspace, sigmas[0], len(sigmas[0]))
+    changes = []
+    for cycle, (before, after) in enumerate(zip(sigmas, sigmas[1:])):
+        if before == after:
+            continue
+        entered += [None] * (len(after) - len(entered))
+        moved = []
+        for i, new in enumerate(strip_bounds(workspace, after, len(after))):
+            old = entered[i]
+            if (old is None) != (new is None) or (
+                old is not None and max(abs(a - b) for a, b in zip(old, new)) > REGION_CHANGE_TOL
+            ):
+                moved.append(i)
+                entered[i] = new
+        changes.append((cycle, moved))
+    return changes
 
 
 class TestDynamicTopology:
@@ -800,13 +814,13 @@ class TestSweeps:
             sweep_scripts(builtin_script("s3"), "tau", [1.0])
 
     def test_summary_rows(self):
-        base = builtin_script("s3")
-        records = [run_scenario(s) for s in sweep_scripts(base, "K", [1.0, 5.0])]
-        rows = sweep_summary_rows("K", [1.0, 5.0], records)
-        assert [r["K"] for r in rows] == [1.0, 5.0]
-        assert all(r["converged"] for r in rows)
+        scripts = sweep_scripts(builtin_script("s3"), "K", [1.0, 5.0])
+        assert [s.params.K for s in scripts] == [1.0, 5.0]
+        summaries = [run_scenario(s).summary for s in scripts]
+        assert [s["name"] for s in summaries] == ["s3_K1", "s3_K5"]
+        assert all(s["converged"] for s in summaries)
         # Larger K converges faster on the same disturbance.
-        assert rows[1]["convergence_time_s"] < rows[0]["convergence_time_s"]
+        assert summaries[1]["convergence_time_s"] < summaries[0]["convergence_time_s"]
 
 
 class TestRunRecordFiles:
