@@ -17,6 +17,7 @@ import concurrent.futures
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -99,9 +100,20 @@ def _format(value) -> str:
     return str(value)
 
 
+#: What :func:`_emit` percent-encodes in a value: whitespace, which would
+#: split the field, and ``%`` itself.
+_ESCAPED = re.compile(r"[\s%]")
+
+
+def _percent(match: re.Match) -> str:
+    """``%XX`` of each UTF-8 byte of the matched character."""
+    return "".join(f"%{byte:02X}" for byte in match.group().encode())
+
+
 def _emit(*fields: tuple[str, object]) -> None:
-    """Write one stdout line of ``key=value`` fields."""
-    print(" ".join(f"{key}={_format(value)}" for key, value in fields))
+    """Write one stdout line of ``key=value`` fields, each value
+    percent-encoded where :data:`_ESCAPED` says."""
+    print(" ".join(f"{key}={_ESCAPED.sub(_percent, _format(value))}" for key, value in fields))
 
 
 def _cmd_run(args) -> int:

@@ -10,7 +10,6 @@ following; laps touched by a region change are marked transitional.
 from __future__ import annotations
 
 import math
-from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -86,6 +85,26 @@ def _arc_point(
     return (x, y + h - s)
 
 
+def _arc_points(bounds: np.ndarray, arc: np.ndarray) -> np.ndarray:
+    """:func:`_arc_point` of each row of ``bounds`` (``x, y, width, height,
+    perimeter``) and ``arc``, as an ``(n, 2)`` array: the same operations in
+    the same order, with the side picked by the same comparisons."""
+    x, y, w, h, p = bounds.T
+    s = np.remainder(arc, p)
+    bottom = s < w
+    s1 = s - w
+    right = s1 < h
+    s2 = s1 - h
+    top = s2 < w
+    x_max, y_max = x + w, y + h
+    out = np.empty((arc.size, 2))
+    out[:, 0] = np.where(bottom, x + s, np.where(right, x_max, np.where(top, x_max - s2, x)))
+    out[:, 1] = np.where(
+        bottom, y, np.where(right, y + s1, np.where(top, y_max, y_max - (s2 - w)))
+    )
+    return out
+
+
 def _arc_of_point(x: float, y: float, w: float, h: float, tx: float, ty: float) -> float:
     """Arc-length coordinate of the point ``(tx, ty)`` on the perimeter of
     the rectangle ``[x, x + w] x [y, y + h]``, measured along the first side
@@ -124,15 +143,17 @@ class PatrolFleet:
     array, so that one addition advances all three.  Robot ``i``'s region is
     row ``i`` of ``bounds``: ``x, y, width, height`` and ``perimeter``, all
     0.0 for a robot without a region; after construction only
-    :func:`change_regions` changes them.  ``position`` is a list of ``(x, y)`` tuples.  A robot that has
-    moved along its perimeter since its position was last stored is
-    ``stale``: its position is ``_arc_point`` of its bounds and arc,
-    computed only when read.  A robot in transit is never stale.
+    :func:`change_regions` changes them.  Robot ``i``'s position is row ``i``
+    of the ``(n, 2)`` float array ``xy``; :meth:`positions` returns it as a
+    read-only view, valid until the next step.  A robot that has moved along
+    its perimeter since its position was last stored is ``stale``: its
+    position is ``_arc_point`` of its bounds and arc, computed only when
+    read.  A robot in transit is never stale.
     """
 
     #: Arrays with one row per robot.
     _PER_ROBOT = (
-        "motion", "lap_start_time", "bounds", "stale", "in_transit", "transitional",
+        "xy", "motion", "lap_start_time", "bounds", "stale", "in_transit", "transitional",
     )
 
     def __init__(
@@ -141,7 +162,7 @@ class PatrolFleet:
         """Robots at ``positions``, each with the region of its row of
         ``bounds`` (as :func:`change_regions` takes them), or none."""
         n = len(positions)
-        self.position = [(float(x), float(y)) for x, y in positions]
+        self.xy = np.array(positions, dtype=float).reshape(n, 2)
         self.motion = np.zeros((n, 3))
         self.lap_start_time = np.zeros(n)
         self.bounds = np.zeros((n, 5))
@@ -159,6 +180,8 @@ class PatrolFleet:
     def _bind_columns(self) -> None:
         motion = self.motion
         self.arc, self.lap_progress, self.time = motion[:, 0], motion[:, 1], motion[:, 2]
+        self._xy_view = self.xy.view()
+        self._xy_view.setflags(write=False)
         self.perimeter = self.bounds[:, 4]
         # Step velocities and masks (see _set_velocities), set on the first step.
         self._v: Optional[np.ndarray] = None
@@ -175,7 +198,7 @@ class PatrolFleet:
             value = getattr(self, name)
             row = np.zeros((1,) + value.shape[1:], value.dtype)
             setattr(self, name, np.concatenate([value, row]))
-        self.position.append((float(position[0]), float(position[1])))
+        self.xy[-1] = (float(position[0]), float(position[1]))
         self.lap_times.append([])
         self.lap_transitional.append([])
         self.robots.append(RobotKinematicState._view(self, len(self.robots)))
@@ -243,19 +266,25 @@ class PatrolFleet:
     def _refresh(self, i: int) -> None:
         """Store robot ``i``'s position if it is stale."""
         if self.stale[i]:
-            self.position[i] = _arc_point(*self.bounds[i].tolist(), self.arc.item(i))
+            self.xy[i] = _arc_point(*self.bounds[i].tolist(), self.arc.item(i))
             self.stale[i] = False
 
-    def positions(self) -> list[tuple[float, float]]:
-        """``(x, y)`` of every robot, valid until the next step."""
-        stale = self.stale.nonzero()[0].tolist()
-        if stale:
-            arc, position = self.arc.tolist(), self.position
-            x, y, w, h, p = self.bounds.T.tolist()
-            for i in stale:
-                position[i] = _arc_point(x[i], y[i], w[i], h[i], p[i], arc[i])
-            self.stale.fill(False)
-        return self.position
+    def _refresh_rows(self, rows: np.ndarray) -> None:
+        """Store the positions of the stale robots of the index array
+        ``rows``: in one array pass from ``ARRAY_MIN_ROBOTS`` of them on,
+        else by :func:`_arc_point` each and one write."""
+        if rows.size >= ARRAY_MIN_ROBOTS:
+            self.xy[rows] = _arc_points(self.bounds[rows], self.arc[rows])
+        elif rows.size:
+            arcs = self.arc[rows].tolist()
+            self.xy[rows] = [_arc_point(*b, s) for b, s in zip(self.bounds[rows].tolist(), arcs)]
+        self.stale[rows] = False
+
+    def positions(self) -> np.ndarray:
+        """``(x, y)`` of every robot, a read-only ``(n, 2)`` view of ``xy``
+        valid until the next step."""
+        self._refresh_rows(self.stale.nonzero()[0])
+        return self._xy_view
 
 
 def _array_field(name: str) -> property:
@@ -294,7 +323,7 @@ class RobotKinematicState:
     @property
     def position(self) -> np.ndarray:
         self.fleet._refresh(self.index)
-        return np.array(self.fleet.position[self.index])
+        return self.fleet.xy[self.index].copy()
 
     @property
     def region(self) -> Optional[Rect]:
@@ -316,18 +345,16 @@ def _perimeters(bounds: np.ndarray) -> np.ndarray:
 
 
 def _approach(fleet: PatrolFleet, rows: np.ndarray) -> tuple[np.ndarray, ...]:
-    """For every robot: its stored position, the ``(x, y)`` of its region
-    and its nearest perimeter point (``(n, 2)`` arrays), and the length
-    ``gap`` of the move there.  Only the rows of the mask ``rows`` (robots
+    """For every robot: its stored position (``fleet.xy`` itself), the
+    ``(x, y)`` of its region and its nearest perimeter point (``(n, 2)``
+    arrays), and the length ``gap`` of the move there.  Only the rows of the mask ``rows`` (robots
     that are not stale) mean anything.
 
     ``gap`` is ``math.hypot`` of the move.  Where one axis of the move is
     zero that is the other's absolute value, so ``math.hypot`` runs only
     where both are nonzero; ``np.hypot`` is not guaranteed to give its bits.
     """
-    bounds = fleet.bounds
-    points = np.fromiter(chain.from_iterable(fleet.position), float, 2 * len(bounds))
-    points = points.reshape(-1, 2)
+    bounds, points = fleet.bounds, fleet.xy
     lo = bounds[:, :2]
     target = nearest_perimeter_points(points, lo, lo + bounds[:, 2:4])
     move = target - points
@@ -350,7 +377,7 @@ def _enter_region(fleet: PatrolFleet, i: int, bounds: list[float], p: float) -> 
         fleet.in_transit[i] = False
         return
     x, y, w, h = bounds
-    px, py = fleet.position[i]
+    px, py = fleet.xy[i].tolist()
     tx, ty = nearest_perimeter_point(px, py, x, y, x + w, y + h)
     if math.hypot(tx - px, ty - py) > ON_PERIMETER_TOL:
         fleet.in_transit[i] = True
@@ -380,8 +407,7 @@ def _enter_regions(
         for i in changed.tolist():
             _enter_region(fleet, i, bounds[i].tolist(), perimeters.item(i))
         return
-    for i in (rows & fleet.stale).nonzero()[0].tolist():
-        fleet._refresh(i)
+    fleet._refresh_rows((rows & fleet.stale).nonzero()[0])
     fleet.transitional |= rows & (fleet.perimeter > 0.0)
     np.copyto(fleet.bounds[:, :4], bounds, where=rows[:, None])
     np.copyto(fleet.perimeter, perimeters, where=rows)
@@ -446,13 +472,13 @@ def step_robot(state: RobotKinematicState, v: float, dt: float) -> RobotKinemati
     budget = v * dt  # distance available this step
     if fleet.in_transit[i]:
         x, y, w, h, _ = fleet.bounds[i].tolist()
-        px, py = fleet.position[i]
+        px, py = fleet.xy[i].tolist()
         tx, ty = nearest_perimeter_point(px, py, x, y, x + w, y + h)
         dx, dy = tx - px, ty - py
         gap = math.hypot(dx, dy)
         if budget < gap:
             scale = budget / gap
-            fleet.position[i] = (px + dx * scale, py + dy * scale)
+            fleet.xy[i] = (px + dx * scale, py + dy * scale)
             motion[i, 2] = t_end
             return state
         clock += gap / v
@@ -494,9 +520,7 @@ def _step_transit(fleet: PatrolFleet, rows: np.ndarray, v: np.ndarray, dt: float
     if moving.size:
         start = points[moving]
         scale = budget[moving] / gap[moving]
-        ends = start + (target[moving] - start) * scale[:, None]
-        for i, end in zip(moving.tolist(), ends.tolist()):
-            fleet.position[i] = tuple(end)
+        fleet.xy[moving] = start + (target[moving] - start) * scale[:, None]
     rest = budget - gap
     arrived = rows ^ short
     lapping = arrived & (rest > 0.0) & (rest >= fleet.perimeter - fleet.lap_progress)

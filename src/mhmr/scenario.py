@@ -547,7 +547,7 @@ class ScenarioRunner:
             self.robots = self.fleet.robots
             self._regions_sigma = self.sigma.shares
         else:
-            self._fixed_positions = positions
+            self._fixed_positions = _read_only(positions)
 
         self.record = RunRecord(robot_ids=self.topology.robot_ids)
         self._streak = 0
@@ -563,9 +563,10 @@ class ScenarioRunner:
     # -- helpers ------------------------------------------------------------
 
     @property
-    def positions(self) -> Sequence[Sequence[float]]:
-        """Every robot's ``(x, y)``: the fleet's, valid until the next step, in
-        full-sim; the fixed ``(m, 2)`` start positions in allocation-only."""
+    def positions(self) -> np.ndarray:
+        """Every robot's ``(x, y)`` as a read-only ``(m, 2)`` array: the
+        fleet's, valid until the next step, in full-sim; the fixed start
+        positions in allocation-only."""
         return self.fleet.positions() if self.fleet is not None else self._fixed_positions
 
     def _initial_positions(self, x: np.ndarray, width: np.ndarray) -> np.ndarray:
@@ -677,13 +678,16 @@ class ScenarioRunner:
         """Point every robot at its strip of the current shares.
 
         Equal shares give equal strips, which change no region, so unchanged
-        shares skip the work; a team edit changes the shape of the shares and
-        forces the comparison.
+        shares skip the work: a frozen cycle keeps the very array, which needs
+        no comparison; a team edit changes the shape of the shares and forces
+        the comparison.
         """
         shares = self.sigma.shares
+        if shares is self._regions_sigma:
+            return
         if not np.array_equal(shares, self._regions_sigma):
             change_regions(self.fleet, self._strip_bounds(*strips(self.workspace, shares)))
-            self._regions_sigma = shares
+        self._regions_sigma = shares
 
     # -- core loop ----------------------------------------------------------
 
@@ -749,7 +753,7 @@ class ScenarioRunner:
         step_all(self.fleet, self._step_v, self.dt)
         if self.script.record_trajectory and self.step_index % self._traj_every == 0:
             rows = zip(
-                self.topology.robot_ids, self.fleet.positions(), self._step_v.tolist()
+                self.topology.robot_ids, self.fleet.positions().tolist(), self._step_v.tolist()
             )
             self.record.trajectory.extend(
                 TrajectoryRow(time_s=t, robot_id=rid, x=x, y=y, v=v) for rid, (x, y), v in rows
@@ -814,7 +818,7 @@ class ScenarioRunner:
             if self.robots:
                 self.fleet.add(pos)
             else:
-                self._fixed_positions = np.vstack([self._fixed_positions, pos])
+                self._fixed_positions = _read_only(np.vstack([self._fixed_positions, pos]))
             self.record.robot_ids = self.topology.robot_ids
         # Disconnected teleoperation is a failure, not autonomy, until an
         # operator edge comes back.

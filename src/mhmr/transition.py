@@ -69,13 +69,21 @@ def step_transition(
     current: WorkloadVector, proposed: WorkloadVector, coefficient: float
 ) -> WorkloadVector:
     """One discrete transition step: convex combination of actual and
-    proposed shares, so the total workload is conserved exactly."""
+    proposed shares, so the total workload is conserved exactly.
+
+    A zero coefficient (a frozen cycle) returns ``current`` itself: for
+    shares in [0, 1], ``current + 0.0 * (proposed - current)`` has
+    ``current``'s bits, a ``-0.0`` share aside, which the sum would make
+    ``0.0``.
+    """
     if len(current) != len(proposed):
         raise ConfigurationError(
             f"workload vectors differ in length: {len(current)} vs {len(proposed)}"
         )
     if not (0.0 <= coefficient < 1.0):
         raise ConfigurationError(f"transition coefficient {coefficient!r} outside [0, 1)")
+    if coefficient == 0.0:
+        return current
     updated = current.shares + coefficient * (proposed.shares - current.shares)
     return WorkloadVector.adopt(updated)
 

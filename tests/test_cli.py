@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import re
+import urllib.parse
 
 import pytest
 from hypothesis import example, given, settings
@@ -634,6 +635,7 @@ class TestOutputGrammar:
             ["sweep", "--script", "{s3}", "--axis", "K", "--values", "1,5", "--out", "{tmp}/sweep"],
             *(["demo", name] for name in ("s1", "s2", "s3", "s4")),
             *(["demo", name, "--out", "{tmp}/demo"] for name in ("s1", "s2", "s3", "s4")),
+            ["demo", "s4", "--out", "{tmp}/my out"],
         ],
         ids=lambda argv: "-".join(a for a in argv if not a.startswith(("-", "{"))),
     )
@@ -650,6 +652,24 @@ class TestOutputGrammar:
         assert len(rows) <= 1
         keys = [keys[0] for keys in fields if len(keys) == 1] + [k for row in rows for k in row]
         assert len(keys) == len(set(keys)), keys
+
+    @pytest.mark.parametrize(
+        "name, encoded",
+        [
+            ("my out", "my%20out"),
+            ("a\tb%20c", "a%09b%2520c"),
+            ("no\u00a0break", "no%C2%A0break"),
+            ("plain-name_1.0", "plain-name_1.0"),
+        ],
+    )
+    def test_whitespace_and_percent_in_a_value_are_percent_encoded(
+        self, tmp_path, capsys, name, encoded
+    ):
+        out = tmp_path / name
+        assert main(["demo", "s4", "--out", str(out)]) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last == f"out={tmp_path}/{encoded}"
+        assert urllib.parse.unquote(last.partition("=")[2]) == str(out)
 
 
 @st.composite

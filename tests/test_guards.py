@@ -7,7 +7,8 @@ every test then checks one reading of that run:
   team-sized ``math.fsum`` calls and the tracemalloc peak of set-up, run and
   write;
 - m = 100 full-sim (``patrol_script(100, 0, 120.0)``, 50 stress traces):
-  timeline walks, and the ``Rect`` objects built once the runner is set up.
+  timeline walks, scalar arc-point calls, the ``Rect`` objects built once
+  the runner is set up, and the positions array it ends with.
 """
 
 from __future__ import annotations
@@ -17,8 +18,10 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import mhmr.patrol
 from mhmr.geometry import Rect
 from mhmr.metrics import ConditionTimeline
 from mhmr.scenario import ScenarioRunner, ScenarioScript
@@ -72,11 +75,17 @@ def patrol_run(tmp_path_factory):
     trace_dir = tmp_path_factory.mktemp("patrol_m100")
     with pytest.MonkeyPatch.context() as mp:
         walks = Counter(mp, ConditionTimeline, "at")
+        arc_points = Counter(mp, mhmr.patrol, "_arc_point")
         script = ScenarioScript.from_dict(patrol_script(100, 0, 120.0, trace_dir))
         runner = ScenarioRunner(script, base_dir=trace_dir)
         rects = Counter(mp, Rect, "__post_init__")
         runner.run()
-    return {"walks": walks.calls, "rects": rects.calls}
+    return {
+        "walks": walks.calls,
+        "arc_points": arc_points.calls,
+        "rects": rects.calls,
+        "positions": runner.positions,
+    }
 
 
 def test_alloc_m1000_walks_only_expired_timelines(alloc_run):
@@ -108,3 +117,16 @@ def test_patrol_m100_builds_no_rect_once_set_up(patrol_run):
     # Regions are stored as bound columns and changed for the whole team at
     # once; per-robot Rect objects were built at every rebuild.
     assert patrol_run["rects"] == 0
+
+
+def test_patrol_m100_stores_positions_in_array_passes(patrol_run):
+    # One scalar arc-point per stale robot per read took 23 974 calls; the
+    # stale rows of a team this size are stored in one array pass.
+    assert patrol_run["arc_points"] <= 1000
+
+
+def test_patrol_m100_positions_are_one_read_only_array(patrol_run):
+    positions = patrol_run["positions"]
+    assert isinstance(positions, np.ndarray)
+    assert positions.shape == (100, 2) and positions.dtype == np.float64
+    assert not positions.flags.writeable

@@ -663,6 +663,9 @@ def region_bounds(region):
 origins = st.one_of(st.sampled_from([0.0, -0.0, -3.0, 2.5, -1e-3]), st.floats(-20.0, 20.0))
 sizes = st.one_of(st.sampled_from([1.0, 2.0, 0.5, 4.0, 0.25]), st.floats(0.05, 10.0))
 patrol_rects = st.builds(Rect, origins, origins, sizes, sizes)
+#: An index into a rectangle's corner arcs and their neighbours (see
+#: ``test_stored_positions_match_arc_point``), or a multiple of its perimeter.
+arc_choices = st.one_of(st.integers(0, 23), st.floats(0.0, 3.0))
 
 
 @st.composite
@@ -715,7 +718,7 @@ def assert_fleet_matches(fleet, reference):
     for i, ref in enumerate(reference):
         assert fleet.stale.item(i) == ref.stale, i
         if not ref.stale:
-            assert [c.hex() for c in fleet.position[i]] == [c.hex() for c in ref.position], i
+            assert [c.hex() for c in fleet.xy[i].tolist()] == [c.hex() for c in ref.position], i
         got = (fleet.arc.item(i), fleet.lap_progress.item(i), fleet.time.item(i),
                fleet.lap_start_time.item(i), *fleet.bounds[i].tolist())
         want = (ref.arc, ref.lap_progress, ref.time, ref.lap_start_time,
@@ -762,7 +765,7 @@ def run_patrol_case(case):
         else:
             for ref in reference:
                 ref.refresh()
-            got = [[c.hex() for c in point] for point in fleet.positions()]
+            got = [[c.hex() for c in point] for point in fleet.positions().tolist()]
             assert got == [[c.hex() for c in ref.position] for ref in reference]
         assert_fleet_matches(fleet, reference)
     assert len(fleet) == n
@@ -802,6 +805,45 @@ class TestPatrolKernels:
         for s in arcs:
             got = _arc_point(rect.x, rect.y, w, h, p, s)
             assert [c.hex() for c in got] == [c.hex() for c in reference_arc_point(rect, s)], s
+
+    @pytest.mark.parametrize("array_min", [1, 10**9])
+    @settings(max_examples=300, deadline=None)
+    @given(robots=st.lists(st.one_of(st.none(), st.tuples(patrol_rects, arc_choices)), max_size=12))
+    @example(robots=[(Rect(0.0, 0.0, 1.0, 2.0), k) for k in range(24)] + [None])
+    @example(robots=[None, (Rect(-0.0, -0.0, 0.5, 0.25), 1), (Rect(-3.0, 2.5, 0.1, 7.3), 2.9)])
+    def test_stored_positions_match_arc_point(self, array_min, robots):
+        # ``positions()`` stores every stale row: with ``ARRAY_MIN_ROBOTS``
+        # at 1 in one array pass, at 10**9 by ``_arc_point`` each.  Arcs sit
+        # on and next to the corners and the signed zeros, or anywhere on
+        # the first three laps; robots without a region keep their stored
+        # position.
+        arcs, bounds = [], []
+        for robot in robots:
+            if robot is None:
+                arcs.append(None)
+                bounds.append((0.0,) * 4)
+                continue
+            rect, choice = robot
+            w, h = rect.width, rect.height
+            p = perimeter(rect)
+            corners = [0.0, -0.0, w, w + h, 2 * w + h, p, 2 * p, 3 * p]
+            special = corners + [math.nextafter(c, d) for c in corners for d in (-1.0, 1e9)]
+            arcs.append(special[choice] if isinstance(choice, int) else choice * p)
+            bounds.append(region_bounds(rect))
+        starts = [(0.25 * i, -0.0) for i in range(len(robots))]
+        fleet = PatrolFleet(starts, np.array(bounds, dtype=float).reshape(-1, 4))
+        stored = fleet.xy.tolist()
+        placed = [i for i, s in enumerate(arcs) if s is not None]
+        fleet.arc[placed] = [arcs[i] for i in placed]
+        fleet.stale[placed] = True
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mhmr.patrol, "ARRAY_MIN_ROBOTS", array_min)
+            got = fleet.positions()
+        assert got.shape == (len(robots), 2) and not got.flags.writeable
+        assert not fleet.stale.any()
+        for i, (s, row) in enumerate(zip(arcs, fleet.bounds.tolist())):
+            want = stored[i] if s is None else _arc_point(*row, s)
+            assert [c.hex() for c in got[i].tolist()] == [c.hex() for c in want], (i, s)
 
     @pytest.mark.parametrize("array_min", [1, 8, 10**9])
     @settings(max_examples=150, deadline=None)

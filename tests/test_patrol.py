@@ -248,11 +248,11 @@ class TestStepAll:
                 for state, speed in zip(reference, v.tolist()):
                     step_robot(state, speed, dt)
                 if read == -1:
-                    assert fleet.positions() == [tuple(ref.position.tolist()) for ref in reference]
+                    assert fleet.positions().tolist() == [ref.position.tolist() for ref in reference]
                 elif read is not None and read < n:
                     assert fleet.robots[read].position.tolist() == reference[read].position.tolist()
             assert_same_state(fleet, reference)
-        assert fleet.positions() == [tuple(ref.position.tolist()) for ref in reference]
+        assert fleet.positions().tolist() == [ref.position.tolist() for ref in reference]
 
     def test_scalar_path_takes_still_transit_and_lapping_robots(self, monkeypatch):
         stepped = []

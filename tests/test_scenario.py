@@ -480,10 +480,10 @@ class TestFullSim:
 
     def test_positions_follow_the_fleet(self):
         runner = ScenarioRunner(builtin_script("s1"))
-        start = [tuple(p) for p in runner.positions]
+        start = runner.positions.tolist()
         runner.run_until(10.0)
-        moved = [tuple(p) for p in runner.positions]
-        assert moved == runner.fleet.positions()
+        moved = runner.positions.tolist()
+        assert moved == runner.fleet.positions().tolist()
         # Robots patrol their strips' bottom edges to the right.
         assert all(x > x0 for (x, _), (x0, _) in zip(moved, start))
 

@@ -91,6 +91,33 @@ class TestStepTransition:
         cur = WorkloadVector(np.array([0.6, 0.4]))
         prop = WorkloadVector(np.array([0.1, 0.9]))
         assert step_transition(cur, prop, 0.0).shares.tolist() == [0.6, 0.4]
+        # A frozen cycle keeps sigma itself: the runner then skips its
+        # region check.
+        assert step_transition(cur, prop, 0.0) is cur
+
+    @given(
+        pairs=st.lists(
+            st.tuples(
+                st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+                st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        k_e=st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_shares_carry_the_bits_of_the_convex_step(self, pairs, k_e):
+        # Normalised current and proposed shares, zeros included; every
+        # share is c + k * (p - c), the frozen cycle's kept shares too.
+        cur, prop = (np.array(column) for column in zip(*pairs))
+        if not cur.sum() > 0.0 or not prop.sum() > 0.0:
+            cur, prop = cur + 1.0, prop + 1.0
+        cur, prop = cur / math.fsum(cur.tolist()), prop / math.fsum(prop.tolist())
+        current, proposed = WorkloadVector(cur), WorkloadVector(prop)
+        got = step_transition(current, proposed, k_e).shares.tolist()
+        want = [c + k_e * (p - c) for c, p in zip(cur.tolist(), prop.tolist())]
+        assert [x.hex() for x in got] == [x.hex() for x in want]
 
     def test_larger_coefficient_moves_further(self):
         cur = WorkloadVector(np.array([0.9, 0.1]))
@@ -100,15 +127,17 @@ class TestStepTransition:
         assert abs(fast[0] - 0.5) < abs(slow[0] - 0.5)
 
     def test_rejects_mismatched_lengths(self):
-        with pytest.raises(ConfigurationError):
-            step_transition(
-                WorkloadVector.uniform(2), WorkloadVector.uniform(3), 0.5
-            )
+        # Checked before the frozen cycle's early return.
+        for k_e in (0.5, 0.0, -0.1, 1.0):
+            with pytest.raises(ConfigurationError, match="differ in length"):
+                step_transition(
+                    WorkloadVector.uniform(2), WorkloadVector.uniform(3), k_e
+                )
 
     def test_rejects_out_of_range_coefficient(self):
         v = WorkloadVector.uniform(2)
-        for bad in (-0.1, 1.0, 1.5):
-            with pytest.raises(ConfigurationError):
+        for bad in (-0.1, -1e-300, 1.0, 1.5, math.inf, math.nan):
+            with pytest.raises(ConfigurationError, match="outside"):
                 step_transition(v, v, bad)
 
     @given(
