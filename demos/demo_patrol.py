@@ -7,24 +7,24 @@ second.  A healthy robot holds the 65 s lap; a deteriorated one cannot.
 
 import numpy as np
 
-from mhmr import (
-    ConditionSnapshot,
-    Rect,
-    TeamTopology,
+from mhmr import ConditionSnapshot, Rect, TeamTopology, perimeter
+from mhmr.patrol import (
+    PatrolFleet,
     able_velocity,
+    change_regions,
     commanded_velocity,
-    perimeter,
     required_velocity,
+    step_all,
 )
-from mhmr.patrol import RobotKinematicState, assign_region, step_robot
 
 
 def patrol(region, v, seconds, dt=0.05):
-    state = RobotKinematicState(position=np.array([region.x, region.y]))
-    assign_region(state, region)
+    fleet = PatrolFleet([(region.x, region.y)])
+    change_regions(fleet, np.array([[region.x, region.y, region.width, region.height]]))
+    speeds = np.array([v])
     for _ in range(int(seconds / dt)):
-        step_robot(state, v, dt)
-    return state.lap_times
+        step_all(fleet, speeds, dt)
+    return fleet.lap_times[0]
 
 
 def main():

@@ -8,14 +8,7 @@ freezes the transition entirely; a clear workspace lets it jump.
 
 import numpy as np
 
-from mhmr import (
-    GlobalWorkspace,
-    WorkloadVector,
-    partition_from_workload,
-    step_transition,
-    transition_coefficient,
-)
-from mhmr.transition import compute_q_f
+from mhmr import GlobalWorkspace, WorkloadVector, allocation_cycle, partition_from_workload
 
 
 def main():
@@ -30,21 +23,17 @@ def main():
         ("one robot near the new boundary", [(5.9, 2.5), (13.0, 2.5)]),
         ("one robot ON the new boundary", [(6.0, 2.5), (13.0, 2.5)]),
     ]:
-        q_f = compute_q_f(positions, preview)
         for K in (0.5, 5.0):
-            k_e = transition_coefficient(q_f, K)
-            nxt = step_transition(current, proposed, k_e)
+            step = allocation_cycle(proposed, positions, current, K, workspace)
             print(
-                f"{label:<34} K={K:<4} q_f={q_f:.2f} K_e={k_e:.4f} "
-                f"sigma -> {np.round(nxt.shares, 4)}"
+                f"{label:<34} K={K:<4} q_f={step.q_f:.2f} K_e={step.K_e:.4f} "
+                f"sigma -> {np.round(step.sigma.shares, 4)}"
             )
 
     print("\niterated transition, K=0.5, robots mid-strip:")
     sigma = current
-    q_f = compute_q_f([(3.0, 2.5), (13.0, 2.5)], preview)
-    k_e = transition_coefficient(q_f, 0.5)
     for cycle in range(8):
-        sigma = step_transition(sigma, proposed, k_e)
+        sigma = allocation_cycle(proposed, [(3.0, 2.5), (13.0, 2.5)], sigma, 0.5, workspace).sigma
         err = float(np.abs(sigma.shares - proposed.shares).sum())
         print(f"  cycle {cycle}: sigma={np.round(sigma.shares, 5)} error={err:.5f}")
 

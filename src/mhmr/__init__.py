@@ -28,14 +28,7 @@ from .metrics import (
     discrete_stress_to_condition,
     stress_to_condition,
 )
-from .patrol import (
-    RobotKinematicState,
-    able_velocity,
-    commanded_velocity,
-    required_velocity,
-    step_robot,
-    system_patrol_time,
-)
+from .patrol import RobotKinematicState, system_patrol_time
 from .scenario import (
     BUILTIN_SCRIPT_NAMES,
     RunRecord,
@@ -49,7 +42,6 @@ from .team import ConditionSnapshot, TeamTopology, WorkloadVector
 from .transition import (
     TransitionState,
     allocation_cycle,
-    compute_q_f,
     step_transition,
     transition_coefficient,
 )

@@ -97,15 +97,6 @@ def min_boundary_distance(
     return float(np.minimum.reduce(distance))
 
 
-def nearest_boundary_point(
-    point: Sequence[float], region: Rect
-) -> tuple[float, float]:
-    """Closest point on the rectangle perimeter to ``point``."""
-    return nearest_perimeter_point(
-        float(point[0]), float(point[1]), region.x, region.y, region.x_max, region.y_max
-    )
-
-
 def nearest_perimeter_point(
     px: float, py: float, x: float, y: float, x_max: float, y_max: float
 ) -> tuple[float, float]:

@@ -219,13 +219,34 @@ def load_stress_trace(path: str | Path) -> StressTrace | ScriptedTrace:
     return ScriptedTrace(times, np.array(levels))
 
 
+#: The keys of each event profile type.
+PROFILE_KEYS = {
+    "step": frozenset(("type", "value")),
+    "ramp": frozenset(("type", "value", "duration")),
+    "trace": frozenset(("type", "path")),
+    "stress_trace": frozenset(("type", "path")),
+}
+
+
 def check_profile(profile: dict[str, Any], target: Any) -> None:
     """Raise ``ConfigurationError`` naming ``target`` (formatted only then)
-    unless ``profile`` is a step or ramp to a value in [0, 1] (a ramp over a
-    finite positive ``duration``) or a trace with a file ``path``."""
+    unless ``profile`` is a JSON object with the keys of its type
+    (:data:`PROFILE_KEYS`): a step or ramp to a value in [0, 1] (a ramp over
+    a finite positive ``duration``) or a trace with a file ``path``."""
+    if not isinstance(profile, dict):
+        raise ConfigurationError(
+            f"event profile for {target} must be a JSON object, not {type(profile).__name__}"
+        )
     kind = profile.get("type")
-    if kind not in ("step", "ramp", "trace", "stress_trace"):
+    keys = PROFILE_KEYS.get(kind) if isinstance(kind, str) else None
+    if keys is None:
         raise ConfigurationError(f"unknown event profile type {kind!r} for {target}")
+    if not profile.keys() <= keys:
+        key = next(key for key in profile if key not in keys)
+        raise ConfigurationError(
+            f"unknown key {key!r} in the {kind} profile for {target}; "
+            f"expected one of {sorted(keys)}"
+        )
     if kind in ("trace", "stress_trace"):
         path = profile.get("path")
         if not (isinstance(path, str) and path):

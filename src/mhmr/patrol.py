@@ -24,12 +24,16 @@ REGION_CHANGE_TOL = 1e-6
 #: A robot within this distance (m) of a perimeter counts as on it.
 ON_PERIMETER_TOL = 1e-9
 
-#: Robots that change region together, or step in transit together, in
-#: at least this number take one pass of array operations; fewer take the
-#: per-robot scalar path.  The array pass has a nearly fixed cost, its numpy
-#: calls, which in a running m = 100 simulation equals the scalar path's at
-#: about 40-50 robots; so a team that changes a few regions at a time, such
-#: as the m = 3 scripts, runs as fast as before.
+#: Robots that enter a region together, have their stale positions stored
+#: together, or step in transit together, in at least this number take one
+#: pass of array operations; fewer take the per-robot scalar twin.  An array
+#: pass has a nearly fixed cost, its numpy calls, so the twins are faster for
+#: small teams.  With this threshold at 1 at one site, in-process interleaved
+#: A/Bs of the bundled scripts (2-core Xeon, Python 3.11.7, numpy 2.4.6) read:
+#: region entry (:func:`_enter_regions`), the s1-s4 set-up 24-29 % slower;
+#: position store (:meth:`PatrolFleet._refresh_rows`), the median s1/s2 cycle
+#: 11-14 % slower; transit (:meth:`PatrolFleet._build_step_masks`), s1/s2
+#: wall time 7 % slower, from the cycles with robots in transit.
 ARRAY_MIN_ROBOTS = 40
 
 
@@ -138,7 +142,7 @@ def _arc_of_points(target: np.ndarray, lo: np.ndarray, bounds: np.ndarray) -> np
 class PatrolFleet:
     """Patrol state of several robots, one array entry per robot.
 
-    ``robots[i]`` is a :class:`RobotKinematicState` view of robot ``i``.
+    ``robots[i]`` is a :class:`RobotKinematicState` handle of robot ``i``.
     ``arc``, ``lap_progress`` and ``time`` are columns of one ``motion``
     array, so that one addition advances all three.  Robot ``i``'s region is
     row ``i`` of ``bounds``: ``x, y, width, height`` and ``perimeter``, all
@@ -148,7 +152,9 @@ class PatrolFleet:
     read-only view, valid until the next step.  A robot that has moved along
     its perimeter since its position was last stored is ``stale``: its
     position is ``_arc_point`` of its bounds and arc, computed only when
-    read.  A robot in transit is never stale.
+    read.  A robot in transit is never stale.  Robot ``i``'s completed lap
+    times, and whether each was transitional, are the lists ``lap_times[i]``
+    and ``lap_transitional[i]``.
     """
 
     #: Arrays with one row per robot.
@@ -171,7 +177,7 @@ class PatrolFleet:
         self.transitional = np.zeros(n, dtype=bool)
         self.lap_times: list[list[float]] = [[] for _ in range(n)]
         self.lap_transitional: list[list[bool]] = [[] for _ in range(n)]
-        self.robots = [RobotKinematicState._view(self, i) for i in range(n)]
+        self.robots = [RobotKinematicState(self, i) for i in range(n)]
         self._bind_columns()
         if bounds is not None:
             perimeters = _perimeters(bounds)
@@ -201,7 +207,7 @@ class PatrolFleet:
         self.xy[-1] = (float(position[0]), float(position[1]))
         self.lap_times.append([])
         self.lap_transitional.append([])
-        self.robots.append(RobotKinematicState._view(self, len(self.robots)))
+        self.robots.append(RobotKinematicState(self, len(self.robots)))
         self._bind_columns()
         return self.robots[-1]
 
@@ -263,12 +269,6 @@ class PatrolFleet:
             budget[i] = -0.0
         self._advance[:, 1] = budget
 
-    def _refresh(self, i: int) -> None:
-        """Store robot ``i``'s position if it is stale."""
-        if self.stale[i]:
-            self.xy[i] = _arc_point(*self.bounds[i].tolist(), self.arc.item(i))
-            self.stale[i] = False
-
     def _refresh_rows(self, rows: np.ndarray) -> None:
         """Store the positions of the stale robots of the index array
         ``rows``: in one array pass from ``ARRAY_MIN_ROBOTS`` of them on,
@@ -287,56 +287,21 @@ class PatrolFleet:
         return self._xy_view
 
 
-def _array_field(name: str) -> property:
-    def get(self):
-        return getattr(self.fleet, name).item(self.index)
-
-    return property(get)
-
-
 class RobotKinematicState:
-    """Per-robot simulation state: a view of one robot of a
-    :class:`PatrolFleet`, read-only.  ``RobotKinematicState(position=...)``
-    is a fleet of one robot."""
+    """Handle of robot ``index`` of ``fleet``, for the one-robot forms
+    :func:`assign_region` and :func:`step_robot`; the robot's state is read
+    from the fleet's arrays and lists."""
 
     __slots__ = ("fleet", "index")
 
-    def __init__(self, position: Sequence[float]):
-        self.fleet = PatrolFleet([position])
-        self.index = 0
-        self.fleet.robots[0] = self
-
-    @classmethod
-    def _view(cls, fleet: PatrolFleet, index: int) -> "RobotKinematicState":
-        view = cls.__new__(cls)
-        view.fleet = fleet
-        view.index = index
-        return view
-
-    arc = _array_field("arc")
-    lap_progress = _array_field("lap_progress")
-    lap_start_time = _array_field("lap_start_time")
-    time = _array_field("time")
-    transitional = _array_field("transitional")
-    in_transit = _array_field("in_transit")
-
-    @property
-    def position(self) -> np.ndarray:
-        self.fleet._refresh(self.index)
-        return self.fleet.xy[self.index].copy()
+    def __init__(self, fleet: PatrolFleet, index: int):
+        self.fleet = fleet
+        self.index = index
 
     @property
     def region(self) -> Optional[Rect]:
         x, y, w, h, p = self.fleet.bounds[self.index].tolist()
         return Rect(x, y, w, h) if p > 0.0 else None
-
-    @property
-    def lap_times(self) -> list[float]:
-        return self.fleet.lap_times[self.index]
-
-    @property
-    def lap_transitional(self) -> list[bool]:
-        return self.fleet.lap_transitional[self.index]
 
 
 def _perimeters(bounds: np.ndarray) -> np.ndarray:
@@ -369,7 +334,9 @@ def _approach(fleet: PatrolFleet, rows: np.ndarray) -> tuple[np.ndarray, ...]:
 def _enter_region(fleet: PatrolFleet, i: int, bounds: list[float], p: float) -> None:
     """Give robot ``i`` the region ``bounds`` (``x, y, width, height``) of
     perimeter ``p``: :func:`_enter_regions` for one robot."""
-    fleet._refresh(i)
+    if fleet.stale[i]:
+        fleet.xy[i] = _arc_point(*fleet.bounds[i].tolist(), fleet.arc.item(i))
+        fleet.stale[i] = False
     if fleet.perimeter.item(i) > 0.0:
         fleet.transitional[i] = True
     fleet.bounds[i] = (*bounds, p)

@@ -293,12 +293,14 @@ def _event_from_dict(raw: Any) -> Event:
     # ``int`` would also take "1_0", " 8", "+3" and non-ASCII digits.
     if not (ident.isascii() and ident.isdigit()):
         raise ConfigurationError(f"event target {target!r} needs an id of ASCII digits")
+    profile = raw["profile"]
     return Event(
         time_s=raw["time_s"],
         target_kind=kind,
         target_id=int(ident),
         metric=str(raw["metric"]),
-        profile=dict(raw["profile"]),
+        # A copy of a JSON object; anything else fails the event's check.
+        profile=dict(profile) if isinstance(profile, dict) else profile,
     )
 
 

@@ -54,16 +54,11 @@ class PerStepRunner(ScenarioRunner):
         for i, state in enumerate(self.robots):
             step_robot(state, velocities[i], self.dt)
         if self.script.record_trajectory and self.step_index % self._traj_every == 0:
+            positions = self.fleet.positions().tolist()
             for i, rid in enumerate(self.topology.robot_ids):
-                state = self.robots[i]
+                x, y = positions[i]
                 self.record.trajectory.append(
-                    TrajectoryRow(
-                        time_s=t,
-                        robot_id=rid,
-                        x=float(state.position[0]),
-                        y=float(state.position[1]),
-                        v=velocities[i],
-                    )
+                    TrajectoryRow(time_s=t, robot_id=rid, x=x, y=y, v=velocities[i])
                 )
 
 

@@ -10,7 +10,7 @@ from mhmr.geometry import (
     GlobalWorkspace,
     Rect,
     boundary_distance,
-    nearest_boundary_point,
+    nearest_perimeter_point,
     partition_from_workload,
     perimeter,
 )
@@ -89,7 +89,7 @@ class TestBoundaryDistance:
         for _ in range(200):
             rect = Rect(0, 0, float(rng.uniform(0.5, 5)), float(rng.uniform(0.5, 5)))
             point = (float(rng.uniform(-2, 7)), float(rng.uniform(-2, 7)))
-            nx, ny = nearest_boundary_point(point, rect)
+            nx, ny = nearest_perimeter_point(*point, rect.x, rect.y, rect.x_max, rect.y_max)
             assert boundary_distance((nx, ny), rect) <= 1e-12
             d = math.hypot(nx - point[0], ny - point[1])
             assert d == pytest.approx(boundary_distance(point, rect), abs=1e-12)

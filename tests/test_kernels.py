@@ -25,7 +25,7 @@ from mhmr.geometry import (
     Rect,
     boundary_distance,
     min_boundary_distance,
-    nearest_boundary_point,
+    nearest_perimeter_point,
     nearest_perimeter_points,
     partition_from_workload,
     perimeter,
@@ -530,7 +530,7 @@ class TestBoundaryDistance:
         expected = reference_boundary_distance(point, rect).hex()
         assert boundary_distance(point, rect).hex() == expected
         # How assign_region decides whether a robot is on its perimeter.
-        tx, ty = nearest_boundary_point(point, rect)
+        tx, ty = nearest_perimeter_point(*point, rect.x, rect.y, rect.x_max, rect.y_max)
         assert math.hypot(tx - point[0], ty - point[1]).hex() == expected
 
 
@@ -782,7 +782,7 @@ class TestPatrolKernels:
     def test_nearest_point_and_arc_match_scalar(self, case):
         rect, point = case
         expected = reference_nearest_point(point, rect)
-        tx, ty = nearest_boundary_point(point, rect)
+        tx, ty = nearest_perimeter_point(*point, rect.x, rect.y, rect.x_max, rect.y_max)
         assert [tx.hex(), ty.hex()] == [c.hex() for c in expected]
         lo = np.array([(rect.x, rect.y)])
         hi = np.array([(rect.x_max, rect.y_max)])

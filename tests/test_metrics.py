@@ -388,8 +388,26 @@ class TestConditionTimeline:
             {"type": "ramp", "value": 0.5, "duration": float("inf")},
             {"type": "ramp", "value": 0.5},
             {"type": "stress_trace", "path": ["op.csv"]},
+            # Not a JSON object.
+            [["type", "step"], ["value", 0.8]],
+            None,
+            "step",
         ],
     )
     def test_bad_profile_rejected_naming_target(self, profile):
         with pytest.raises(ConfigurationError, match="robot 2 performance"):
+            check_profile(profile, "robot 2 performance")
+
+    @pytest.mark.parametrize(
+        "profile, key",
+        [
+            ({"type": "step", "value": 0.8, "duration": 3}, "duration"),
+            ({"type": "step", "valeu": 0.3, "value": 0.8}, "valeu"),
+            ({"type": "ramp", "value": 0.8, "duration": 3, "path": "op.csv"}, "path"),
+            ({"type": "trace", "path": "op.csv", "value": 0.5}, "value"),
+            ({"type": "stress_trace", "path": "op.csv", "window": 4}, "window"),
+        ],
+    )
+    def test_unknown_profile_key_rejected_naming_key_and_target(self, profile, key):
+        with pytest.raises(ConfigurationError, match=rf"'{key}' .*robot 2 performance"):
             check_profile(profile, "robot 2 performance")

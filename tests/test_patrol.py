@@ -10,7 +10,6 @@ from mhmr.errors import ConfigurationError, MetricDomainError
 from mhmr.geometry import Rect, boundary_distance, perimeter
 from mhmr.patrol import (
     PatrolFleet,
-    RobotKinematicState,
     able_velocity,
     assign_region,
     commanded_velocity,
@@ -22,12 +21,22 @@ from mhmr.patrol import (
 from mhmr.team import ConditionSnapshot, TeamTopology
 
 
+def one_robot(position):
+    """The handle of the one robot of a new fleet, at ``position``."""
+    return PatrolFleet([position]).robots[0]
+
+
+def position(state):
+    """The robot's ``(x, y)``, a new array."""
+    return state.fleet.positions()[state.index].copy()
+
+
 def simulate_laps(region, v, dt=0.05, sim_time=400.0):
-    state = RobotKinematicState(position=np.array([region.x, region.y]))
+    state = one_robot((region.x, region.y))
     assign_region(state, region)
     for _ in range(int(round(sim_time / dt))):
         step_robot(state, v, dt)
-    return state
+    return state.fleet
 
 
 class TestVelocityModel:
@@ -95,87 +104,90 @@ class TestStepRobot:
     def test_lap_time_matches_perimeter_over_speed(self):
         region = Rect(0.0, 0.0, 10.0, 3.0)  # perimeter 26
         v = 0.65
-        state = simulate_laps(region, v, sim_time=200.0)
-        assert len(state.lap_times) >= 4
-        for t in state.lap_times:
+        fleet = simulate_laps(region, v, sim_time=200.0)
+        assert len(fleet.lap_times[0]) >= 4
+        for t in fleet.lap_times[0]:
             assert t == pytest.approx(perimeter(region) / v, abs=1e-9)
-        assert not any(state.lap_transitional)
+        assert not any(fleet.lap_transitional[0])
 
     def test_stays_on_perimeter(self):
         region = Rect(1.0, 2.0, 6.0, 4.0)
-        state = RobotKinematicState(position=np.array([1.0, 2.0]))
+        state = one_robot((1.0, 2.0))
         assign_region(state, region)
         for _ in range(2000):
             step_robot(state, 0.7, 0.05)
-            assert boundary_distance(state.position, region) <= 1e-9
+            assert boundary_distance(position(state), region) <= 1e-9
 
     def test_speed_bound(self):
         region = Rect(0.0, 0.0, 4.0, 4.0)
-        state = RobotKinematicState(position=np.array([0.0, 0.0]))
+        state = one_robot((0.0, 0.0))
         assign_region(state, region)
-        prev = state.position.copy()
+        prev = position(state)
         for _ in range(1000):
             step_robot(state, 0.8, 0.05)
             # Straight-line displacement never exceeds v*dt (corners only
             # shorten it).
-            assert math.hypot(*(state.position - prev)) <= 0.8 * 0.05 + 1e-12
-            prev = state.position.copy()
+            assert math.hypot(*(position(state) - prev)) <= 0.8 * 0.05 + 1e-12
+            prev = position(state)
 
     def test_zero_velocity_halts(self):
         region = Rect(0.0, 0.0, 4.0, 4.0)
-        state = RobotKinematicState(position=np.array([0.0, 0.0]))
+        state = one_robot((0.0, 0.0))
         assign_region(state, region)
         step_robot(state, 0.0, 1.0)
-        assert state.position.tolist() == [0.0, 0.0]
-        assert state.time == 1.0
-        assert state.lap_times == []
+        fleet = state.fleet
+        assert fleet.positions().tolist() == [[0.0, 0.0]]
+        assert fleet.time.item(0) == 1.0
+        assert fleet.lap_times[0] == []
 
     def test_region_change_triggers_transit_and_transitional_lap(self):
         first = Rect(0.0, 0.0, 4.0, 4.0)
         second = Rect(10.0, 0.0, 4.0, 4.0)
-        state = RobotKinematicState(position=np.array([0.0, 0.0]))
+        state = one_robot((0.0, 0.0))
+        fleet = state.fleet
         assign_region(state, first)
         for _ in range(100):
             step_robot(state, 0.8, 0.05)
         assign_region(state, second)
-        assert state.in_transit and state.transitional
+        assert fleet.in_transit.item(0) and fleet.transitional.item(0)
         for _ in range(5000):
             step_robot(state, 0.8, 0.05)
-        assert boundary_distance(state.position, second) <= 1e-9
-        assert state.lap_transitional[0] is True
+        assert boundary_distance(position(state), second) <= 1e-9
+        assert fleet.lap_transitional[0][0] is True
         # Laps completed entirely inside the new region are clean again.
-        assert state.lap_transitional[-1] is False
+        assert fleet.lap_transitional[0][-1] is False
 
     def test_initial_assignment_not_transitional(self):
         region = Rect(0.0, 0.0, 4.0, 4.0)
-        state = RobotKinematicState(position=np.array([0.0, 0.0]))
+        state = one_robot((0.0, 0.0))
         assign_region(state, region)
-        assert not state.transitional and not state.in_transit
+        assert not state.fleet.transitional.item(0) and not state.fleet.in_transit.item(0)
 
     def test_tiny_region_jitter_ignored(self):
         region = Rect(0.0, 0.0, 4.0, 4.0)
         nudged = Rect(0.0, 0.0, 4.0 + 1e-9, 4.0)
-        state = RobotKinematicState(position=np.array([0.0, 0.0]))
+        state = one_robot((0.0, 0.0))
         assign_region(state, region)
         assign_region(state, nudged)
-        assert not state.transitional
+        assert not state.fleet.transitional.item(0)
 
     def test_transit_distance_not_counted_toward_lap(self):
         region = Rect(0.0, 0.0, 4.0, 4.0)  # perimeter 16
-        state = RobotKinematicState(position=np.array([-2.0, 0.0]))
+        state = one_robot((-2.0, 0.0))
+        lap_times = state.fleet.lap_times[0]
         assign_region(state, region)
-        assert state.in_transit
+        assert state.fleet.in_transit.item(0)
         v, dt = 0.8, 0.05
         for _ in range(2000):
             step_robot(state, v, dt)
-            if state.lap_times:
+            if lap_times:
                 break
         # First lap takes transit time (2 m) plus a full perimeter.
         expected = (2.0 + 16.0) / v
-        assert state.lap_times[0] == pytest.approx(expected, abs=1e-9)
+        assert lap_times[0] == pytest.approx(expected, abs=1e-9)
 
     def test_rejects_bad_step_arguments(self):
-        state = RobotKinematicState(position=np.array([0.0, 0.0]))
+        state = one_robot((0.0, 0.0))
         with pytest.raises(ConfigurationError):
             step_robot(state, -0.1, 0.05)
         with pytest.raises(ConfigurationError):
@@ -211,16 +223,19 @@ step_op = st.tuples(
 assign_op = st.tuples(st.just("assign"), st.integers(0, 5), st.integers(0, len(REGIONS) - 1))
 
 
+def robot_state(state):
+    """What the fleet of the handle ``state`` holds of its robot."""
+    fleet, i = state.fleet, state.index
+    return (
+        fleet.arc.item(i), fleet.lap_progress.item(i), fleet.time.item(i),
+        fleet.lap_start_time.item(i), state.region, fleet.in_transit.item(i),
+        fleet.transitional.item(i), fleet.lap_times[i], fleet.lap_transitional[i],
+    )
+
+
 def assert_same_state(fleet, reference):
-    for view, ref in zip(fleet.robots, reference):
-        assert (view.arc, view.lap_progress, view.time, view.lap_start_time) == (
-            ref.arc, ref.lap_progress, ref.time, ref.lap_start_time
-        )
-        assert (view.region, view.in_transit, view.transitional) == (
-            ref.region, ref.in_transit, ref.transitional
-        )
-        assert view.lap_times == ref.lap_times
-        assert view.lap_transitional == ref.lap_transitional
+    for state, ref in zip(fleet.robots, reference):
+        assert robot_state(state) == robot_state(ref), state.index
 
 
 class TestStepAll:
@@ -228,9 +243,9 @@ class TestStepAll:
     @given(robots_spec, st.lists(st.one_of(step_op, assign_op), max_size=40))
     def test_matches_step_robot_loop(self, robots, ops):
         fleet = PatrolFleet([point for point, _ in robots])
-        reference = [RobotKinematicState(position=point) for point, _ in robots]
-        for (_, region), view, ref in zip(robots, fleet.robots, reference):
-            assign_region(view, REGIONS[region])
+        reference = [PatrolFleet([point]).robots[0] for point, _ in robots]
+        for (_, region), state, ref in zip(robots, fleet.robots, reference):
+            assign_region(state, REGIONS[region])
             assign_region(ref, REGIONS[region])
         n = len(robots)
         v = None
@@ -248,11 +263,11 @@ class TestStepAll:
                 for state, speed in zip(reference, v.tolist()):
                     step_robot(state, speed, dt)
                 if read == -1:
-                    assert fleet.positions().tolist() == [ref.position.tolist() for ref in reference]
+                    assert fleet.positions().tolist() == [position(ref).tolist() for ref in reference]
                 elif read is not None and read < n:
-                    assert fleet.robots[read].position.tolist() == reference[read].position.tolist()
+                    assert fleet.positions()[read].tolist() == position(reference[read]).tolist()
             assert_same_state(fleet, reference)
-        assert fleet.positions().tolist() == [ref.position.tolist() for ref in reference]
+        assert fleet.positions().tolist() == [position(ref).tolist() for ref in reference]
 
     def test_scalar_path_takes_still_transit_and_lapping_robots(self, monkeypatch):
         stepped = []
@@ -264,9 +279,9 @@ class TestStepAll:
 
         monkeypatch.setattr(patrol, "step_robot", counted)
         fleet = PatrolFleet([(0.0, 0.0), (4.0, 1.2), (9.0, 2.0)])
-        for view, region in zip(fleet.robots, (REGIONS[1], REGIONS[2], REGIONS[5])):
-            assign_region(view, region)
-        assert [view.in_transit for view in fleet.robots] == [False, False, True]
+        for state, region in zip(fleet.robots, (REGIONS[1], REGIONS[2], REGIONS[5])):
+            assign_region(state, region)
+        assert fleet.in_transit.tolist() == [False, False, True]
         for speeds, scalar in (
             ([0.5, 0.5, 0.5], {2}),
             ([0.5, 0.5, 0.5], {2}),
@@ -278,7 +293,7 @@ class TestStepAll:
             stepped.clear()
             step_all(fleet, np.array(speeds), 0.05)
             assert set(stepped) == scalar and len(stepped) == len(scalar)
-        assert fleet.robots[0].lap_times and fleet.robots[2].in_transit
+        assert fleet.lap_times[0] and fleet.in_transit.item(2)
 
     def test_array_transit_step_takes_many_robots_in_transit(self, monkeypatch):
         stepped = []
@@ -295,15 +310,15 @@ class TestStepAll:
         # complete a lap in one step.
         starts = [(-1.0, 0.1 * k) for k in range(n)] + [(0.0, 0.0), (1.05, 1.2)]
         fleet = PatrolFleet(starts)
-        for view in fleet.robots[:-1]:
-            assign_region(view, REGIONS[1])
+        for state in fleet.robots[:-1]:
+            assign_region(state, REGIONS[1])
         assign_region(fleet.robots[-1], REGIONS[4])
         assert fleet.in_transit.tolist() == [True] * n + [False, True]
         v = np.array([0.5] * n + [0.0, 25.0])
         step_all(fleet, v, 0.05)
         assert sorted(stepped) == [n, n + 1]
         assert fleet.in_transit.tolist() == [True] * n + [False, False]
-        assert fleet.robots[-1].lap_times
+        assert fleet.lap_times[-1]
         # The fast robot now completes a lap on its perimeter every step.
         stepped.clear()
         step_all(fleet, v, 0.05)
@@ -317,11 +332,11 @@ class TestStepAll:
         for _ in range(10):
             step_all(fleet, v, 0.05)
         added = fleet.add((9.0, 2.0))
-        assert added is fleet.robots[1] and added.time == 0.0 and added.region is None
+        assert added is fleet.robots[1] and fleet.time.item(1) == 0.0 and added.region is None
         assign_region(added, REGIONS[2])
-        assert added.in_transit
+        assert fleet.in_transit.item(1)
         step_all(fleet, np.array([0.8, 0.8]), 0.05)
-        assert added.time == 0.05
+        assert fleet.time.item(1) == 0.05
 
     @pytest.mark.parametrize(
         "name",
@@ -329,14 +344,20 @@ class TestStepAll:
          "region"],
     )
     def test_views_are_read_only(self, name):
-        # Writing through a view skipped the fleet's bookkeeping (an arc
-        # written this way left the stored position where it was);
-        # ``assign_region`` alone changes a region.
+        # Writing through a handle would skip the fleet's bookkeeping (an arc
+        # written this way left the stored position where it was), so a
+        # handle writes nothing.  Of the robot's state it reads only its
+        # region, which ``assign_region`` alone changes; the rest is read
+        # from the fleet.
         fleet = PatrolFleet([(0.0, 0.0)])
-        assign_region(fleet.robots[0], REGIONS[1])
-        before = getattr(fleet.robots[0], name)
+        state = fleet.robots[0]
+        assign_region(state, REGIONS[1])
+        if name == "region":
+            assert state.region == REGIONS[1]
+        else:
+            assert not hasattr(state, name)
         with pytest.raises(AttributeError):
-            setattr(fleet.robots[0], name, before)
+            setattr(state, name, 0.0)
 
     def test_rejects_bad_arguments(self):
         fleet = PatrolFleet([(0.0, 0.0), (1.0, 0.0)])

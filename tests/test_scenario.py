@@ -242,11 +242,16 @@ class TestSerialization:
             {"target": "robot: 8"},
             {"target": "robot:+3"},
             {"target": "robot:\u0661"},
+            # A key of another profile type, a misspelled key, and a profile
+            # that ``dict`` would read from a list of pairs.
+            {"profile": {"type": "step", "value": 0.8, "duration": 3}},
+            {"profile": {"type": "step", "value": 0.8, "valeu": 0.3}},
+            {"profile": [["type", "step"], ["value", 0.8]]},
         ],
         ids=[
             "text_time", "bool_time", "huge_time", "text_value", "bool_value", "huge_value",
             "text_duration", "bool_duration", "underscore_id", "space_id", "plus_id",
-            "non_ascii_id",
+            "non_ascii_id", "step_duration", "misspelled_key", "pairs_profile",
         ],
     )
     def test_event_numbers_must_be_real_numbers(self, event):
