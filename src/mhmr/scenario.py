@@ -245,7 +245,12 @@ class ScenarioScript:
             raise ConfigurationError(f"unsupported schema_version {version!r}")
         try:
             if "events" in args:
-                args["events"] = tuple([_event_from_dict(raw) for raw in args["events"]])
+                events = args["events"]
+                if not isinstance(events, (list, tuple)):
+                    raise ConfigurationError(
+                        f"events must be a JSON list, not {type(events).__name__}"
+                    )
+                args["events"] = tuple([_event_from_dict(raw) for raw in events])
             ws = args["workspace"]
             if not isinstance(ws, dict):
                 raise ConfigurationError(f"workspace must be a JSON object, got {ws!r}")
@@ -561,6 +566,9 @@ class ScenarioRunner:
         # read-only, since cycle rows keep them.
         self._step_v = np.zeros(0)
         self._step_v_of: Optional[ConditionSnapshot] = None
+        # The proposal of the snapshot ``_proposed_of``, the last one that had one.
+        self._proposed: Optional[WorkloadVector] = None
+        self._proposed_of: Optional[ConditionSnapshot] = None
 
     # -- helpers ------------------------------------------------------------
 
@@ -676,8 +684,9 @@ class ScenarioRunner:
         bounds[placed] = rows
         return bounds
 
-    def _assign_regions(self) -> None:
-        """Point every robot at its strip of the current shares.
+    def _assign_regions(self) -> bool:
+        """Point every robot at its strip of the current shares; return
+        whether any robot's region changed.
 
         Equal shares give equal strips, which change no region, so unchanged
         shares skip the work: a frozen cycle keeps the very array, which needs
@@ -686,10 +695,13 @@ class ScenarioRunner:
         """
         shares = self.sigma.shares
         if shares is self._regions_sigma:
-            return
+            return False
+        moved = False
         if not np.array_equal(shares, self._regions_sigma):
-            change_regions(self.fleet, self._strip_bounds(*strips(self.workspace, shares)))
+            bounds = self._strip_bounds(*strips(self.workspace, shares))
+            moved = bool(change_regions(self.fleet, bounds).any())
         self._regions_sigma = shares
+        return moved
 
     # -- core loop ----------------------------------------------------------
 
@@ -700,7 +712,12 @@ class ScenarioRunner:
         K_e = 0.0
         if self.script.allocation_enabled:
             try:
-                proposed = propose_allocation(self.topology, snapshot)
+                # Only a successful proposal is kept, so an incapable team
+                # raises, and is noted, at every cycle.
+                if snapshot is not self._proposed_of:
+                    self._proposed = propose_allocation(self.topology, snapshot)
+                    self._proposed_of = snapshot
+                proposed = self._proposed
                 self.sigma_proposed = proposed.shares
                 if self._initial_error is None:
                     self._initial_error = exact_sum(
@@ -725,8 +742,11 @@ class ScenarioRunner:
                 self._convergence_time = None
 
         if self.robots:
-            self._assign_regions()
-            self._set_velocities(snapshot)
+            # Velocities read the snapshot and the perimeters, which change
+            # only with the regions here, or with ``fleet.add``, which drops
+            # the snapshot; kept, the same array skips the fleet's refill.
+            if self._assign_regions() or snapshot is not self._step_v_of:
+                self._set_velocities(snapshot)
         elif len(self._step_v) != self.topology.m:
             # Allocation-only robots stand still: one zero array per team size.
             self._step_v = _read_only(np.zeros(self.topology.m))

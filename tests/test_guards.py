@@ -8,7 +8,8 @@ every test then checks one reading of that run:
   write;
 - m = 100 full-sim (``patrol_script(100, 0, 120.0)``, 50 stress traces):
   timeline walks, scalar arc-point calls, the ``Rect`` objects built once
-  the runner is set up, and the positions array it ends with.
+  the runner is set up, and the positions array it ends with;
+- the bundled s1 and s3: allocation proposals (``compute_input_vector``).
 """
 
 from __future__ import annotations
@@ -21,10 +22,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mhmr.allocation
 import mhmr.patrol
 from mhmr.geometry import Rect
 from mhmr.metrics import ConditionTimeline
-from mhmr.scenario import ScenarioRunner, ScenarioScript
+from mhmr.scenario import ScenarioRunner, ScenarioScript, builtin_script
 from mhmr.team import EXACT_SUM_MIN
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -130,3 +132,13 @@ def test_patrol_m100_positions_are_one_read_only_array(patrol_run):
     assert isinstance(positions, np.ndarray)
     assert positions.shape == (100, 2) and positions.dtype == np.float64
     assert not positions.flags.writeable
+
+
+@pytest.mark.parametrize(("name", "cycles", "proposals"), [("s1", 1401, 145), ("s3", 241, 1)])
+def test_builtin_proposes_once_per_snapshot(monkeypatch, name, cycles, proposals):
+    # The condition snapshot changes at s1's events and through its ramp, in
+    # 145 of its 1 401 cycles, and only at the first of s3's 241 cycles;
+    # proposing at every cycle took one call per cycle.
+    scores = Counter(monkeypatch, mhmr.allocation, "compute_input_vector")
+    record = ScenarioRunner(builtin_script(name)).run()
+    assert (len(record.cycles), scores.calls) == (cycles, proposals)

@@ -145,6 +145,13 @@ class TestSerialization:
         with pytest.raises(ConfigurationError):
             ScenarioScript.from_dict({"name": "x"})
 
+    # A JSON object, even one of event objects, a string, null and a number.
+    @pytest.mark.parametrize("events", [{}, "", {"x": {}}, None, 5])
+    def test_events_must_be_a_list(self, events):
+        data = {**builtin_script("s3").to_dict(), "events": events}
+        with pytest.raises(ConfigurationError, match=r"^events must be a JSON list, not \w+$"):
+            ScenarioScript.from_dict(data)
+
     def test_wrong_schema_version_rejected(self):
         data = builtin_script("s3").to_dict()
         data["schema_version"] = 99
@@ -305,6 +312,7 @@ json_values = st.recursive(
 @example(path=("schema_version",), value="1")
 @example(path=("duration_s",), value=1e308)
 @example(path=("events", 0), value=None)
+@example(path=("events",), value={})
 @example(path=("mdoe",), value="allocation-only")
 def test_fuzzed_script_loads_or_is_rejected(path, value):
     """One field of a script, at any depth, replaced, added or deleted:
@@ -506,12 +514,14 @@ def test_allocation_only_positions_stay_an_array():
 
 class RebuildingRunner(ScenarioRunner):
     """Reference: rebuilds the partition and reassigns every robot's region
-    on every cycle, also when the shares have not moved."""
+    on every cycle, also when the shares have not moved, and so refreshes
+    the velocities on every cycle too."""
 
     def _assign_regions(self):
         regions = partition_from_workload(self.workspace, self.sigma)
         for state, region in zip(self.robots, regions):
             assign_region(state, region)
+        return True
 
 
 class TestRegionsFollowShares:
@@ -594,6 +604,84 @@ def regions_entered(workspace, sigmas):
                 entered[i] = new
         changes.append((cycle, moved))
     return changes
+
+
+class RecomputingRunner(ScenarioRunner):
+    """Reference: proposes an allocation and sets the velocities at every
+    cycle, also when the snapshot and the regions are those of the cycle
+    before."""
+
+    def _allocation_cycle(self, t):
+        self._proposed_of = self._step_v_of = None
+        super()._allocation_cycle(t)
+
+
+#: s1 with every robot failed from 100 s to 150 s: no agent is capable, so
+#: each of those cycles raises ``NoCapableAgentError`` on the same snapshot.
+INCAPABLE = {
+    **builtin_script("s1").to_dict(),
+    "name": "incapable",
+    "duration_s": 250.0,
+    "events": [
+        step_event(time_s, f"robot:{rid}", "robot_condition", value)
+        for time_s, value in ((100.0, 0.0), (150.0, 1.0))
+        for rid in (1, 2, 3)
+    ],
+}
+
+
+class TestKeptProposalAndVelocities:
+    """A runner that keeps a snapshot's proposal and velocities writes the
+    bytes of one that computes them at every cycle."""
+
+    FILES = ("cycles.csv", "laps.csv", "summary.json", "trajectory.csv")
+
+    def records(self, tmp_path, data, edits=()):
+        """``(record, directory written)`` of the reference run, then of the
+        runner's, with trajectories."""
+        script = dataclasses.replace(ScenarioScript.from_dict(data), record_trajectory=True)
+        records = []
+        for cls in (RecomputingRunner, ScenarioRunner):
+            runner = cls(script)
+            for t, edit in edits:
+                runner.run_until(t)
+                runner.apply_topology_edit(edit)
+            record = runner.run()
+            records.append((record, record.write(tmp_path / cls.__name__)))
+        return records
+
+    def assert_same_bytes(self, records):
+        (_, reference), (_, kept) = records
+        for file in self.FILES:
+            path = kept / file
+            assert path.exists() == (reference / file).exists(), file
+            if path.exists():
+                assert path.read_bytes() == (reference / file).read_bytes(), file
+
+    @pytest.mark.parametrize("name", BUILTIN_SCRIPT_NAMES)
+    def test_builtin_scripts(self, tmp_path, name):
+        self.assert_same_bytes(self.records(tmp_path, builtin_script(name).to_dict()))
+
+    def test_s1_without_allocation(self, tmp_path):
+        data = {**builtin_script("s1").to_dict(), "allocation_enabled": False}
+        self.assert_same_bytes(self.records(tmp_path, data))
+
+    @pytest.mark.parametrize("edits", ["add_robot", "remove_robot"])
+    @pytest.mark.parametrize("name", ["s1", "s2"])
+    def test_topology_edits(self, tmp_path, name, edits):
+        data = builtin_script(name).to_dict()
+        data["duration_s"] = 250.0
+        data["events"] = [ev for ev in data["events"] if ev["time_s"] <= 250.0]
+        self.assert_same_bytes(self.records(tmp_path, data, TestRegionsFollowShares.EDITS[edits]))
+
+    def test_incapable_team(self, tmp_path):
+        records = self.records(tmp_path, INCAPABLE)
+        self.assert_same_bytes(records)
+        _, (record, _) = records
+        noted = [row.cycle for row in record.cycles if row.note]
+        # Cycles 200 to 299 see the one snapshot of the failed team.
+        assert noted == list(range(200, 300))
+        assert record.summary["allocation_errors"] == 100
 
 
 class TestDynamicTopology:
