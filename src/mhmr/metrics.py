@@ -228,6 +228,18 @@ PROFILE_KEYS = {
 }
 
 
+_JSON_TYPES = {
+    type(None): "null", bool: "boolean", int: "number", float: "number",
+    str: "string", list: "array", tuple: "array", dict: "object",
+}
+
+
+def json_type(value: Any) -> str:
+    """The JSON word for the type of ``value`` (``null``, ``boolean``,
+    ``number``, ``string``, ``array`` or ``object``), for error lines."""
+    return _JSON_TYPES.get(type(value), type(value).__name__)
+
+
 def check_profile(profile: dict[str, Any], target: Any) -> None:
     """Raise ``ConfigurationError`` naming ``target`` (formatted only then)
     unless ``profile`` is a JSON object with the keys of its type
@@ -235,7 +247,7 @@ def check_profile(profile: dict[str, Any], target: Any) -> None:
     a finite positive ``duration``) or a trace with a file ``path``."""
     if not isinstance(profile, dict):
         raise ConfigurationError(
-            f"event profile for {target} must be a JSON object, not {type(profile).__name__}"
+            f"event profile for {target} must be a JSON object, not {json_type(profile)}"
         )
     kind = profile.get("type")
     keys = PROFILE_KEYS.get(kind) if isinstance(kind, str) else None
@@ -280,74 +292,58 @@ class ConditionTimeline:
         # Event index -> its trace and, per sample index, the sample time
         # at which the trace's value next changes (see ``at``).
         self._traces: dict[int, tuple[StressTrace | ScriptedTrace, list[float]]] = {}
-        # Ramps after a trace whose ended blend has one value, whichever
-        # value of the trace it starts from: the trace's distinct values,
-        # carried through the ended ramps between.
-        self._settled: set[int] = set()
-        reachable: Optional[Iterable[float]] = None
         for i, ev in enumerate(self.events):
             kind = ev.profile["type"]
-            if kind == "step":
-                reachable = None
-            elif kind == "ramp":
-                if reachable is not None:
-                    target = float(ev.profile["value"])
-                    reachable = {v + (target - v) * 1.0 for v in reachable}
-                    if len(reachable) == 1:
-                        self._settled.add(i)
+            if kind in ("step", "ramp"):
+                continue
+            # An absolute path ignores ``base_dir``.
+            path = Path(base_dir or ".", ev.profile["path"])
+            try:
+                trace = load_stress_trace(path)
+            except (OSError, ValueError, csv.Error, MhmrError) as exc:
+                # The loader's faults and an OSError's message name the file too.
+                fault = str(exc).removeprefix(f"{path}: ")
+                if isinstance(exc, OSError) and exc.filename is not None:
+                    fault = str(OSError(exc.errno, exc.strerror))
+                raise ConfigurationError(f"{kind} for {ev}: cannot load {path}: {fault}") from exc
+            if isinstance(trace, StressTrace):
+                held = _sample_conditions(trace, window)
             else:
-                # An absolute path ignores ``base_dir``.
-                path = Path(base_dir or ".", ev.profile["path"])
-                try:
-                    trace = load_stress_trace(path)
-                except (OSError, ValueError, csv.Error, MhmrError) as exc:
-                    # The loader's faults and an OSError's message name the file too.
-                    fault = str(exc).removeprefix(f"{path}: ")
-                    if isinstance(exc, OSError) and exc.filename is not None:
-                        fault = str(OSError(exc.errno, exc.strerror))
-                    raise ConfigurationError(f"{kind} for {ev}: cannot load {path}: {fault}") from exc
-                if isinstance(trace, StressTrace):
-                    held = _sample_conditions(trace, window)
-                else:
-                    held = trace.values
-                self._traces[i] = (trace, _next_change_times(trace.grid, held))
-                reachable = held
+                held = trace.values
+            self._traces[i] = (trace, _next_change_times(trace.grid, held))
 
     def at(self, t: float) -> tuple[float, float]:
         """The metric at time ``t``, and a time before which it keeps that value.
 
         The time is the next event time, or sooner the first later sample at
-        which the trace that sets the value changes it, or ``t`` itself while
-        a ramp is still moving; ``inf`` when the value can no longer change.
-        A ramp blends in the value before it, so the changes of an earlier
-        trace still count after the ramp ends, unless every value of that
-        trace blends to the same value; a step or a trace replaces
-        everything before it.  Before a trace's first sample the value is
-        that of the first sample, so the bound is the first later sample
-        with another value.
+        which the trace in force changes its value, or ``t`` itself while a
+        ramp is still moving; ``inf`` when the value can no longer change.  A
+        ramp blends in the value before it, so the changes of an earlier
+        trace still bound the value after the ramp ends; a step or a trace
+        replaces everything before it.  Before a trace's first sample the
+        value is that of the first sample, so the bound is the first later
+        sample with another value.
         """
         # Comparisons, not ``min``: this runs for every timeline of every evaluation.
-        value, until, moving = 1.0, math.inf, False
+        value, until = 1.0, math.inf
         for i, ev in enumerate(self.events):
             if t < ev.time_s:
                 return value, ev.time_s if ev.time_s < until else until
             kind = ev.profile["type"]
             if kind == "step":
-                value, until, moving = float(ev.profile["value"]), math.inf, False
+                value, until = float(ev.profile["value"]), math.inf
             elif kind == "ramp":
                 target = float(ev.profile["value"])
                 frac = (t - ev.time_s) / float(ev.profile["duration"])
                 if frac < 1.0:
-                    until, moving = t, True
+                    until = t
                 else:
                     frac = 1.0
-                    if not moving and i in self._settled:
-                        until = math.inf
                 value = value + (target - value) * frac
             else:
                 trace, next_change = self._traces[i]
                 offset = t - ev.time_s
-                until, moving = ev.time_s + next_change[bisect_right(trace.grid, offset)], False
+                until = ev.time_s + next_change[bisect_right(trace.grid, offset)]
                 if isinstance(trace, StressTrace):
                     lo, hi = trace.span
                     clamped = lo if offset < lo else hi if offset > hi else offset

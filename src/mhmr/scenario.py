@@ -13,7 +13,7 @@ import copy
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
@@ -29,7 +29,7 @@ from .geometry import (
     is_finite_point,
     strips,
 )
-from .metrics import DEFAULT_STRESS_WINDOW, ConditionTimeline, check_profile
+from .metrics import DEFAULT_STRESS_WINDOW, ConditionTimeline, check_profile, json_type
 from .patrol import (
     PatrolFleet,
     RobotKinematicState,
@@ -232,14 +232,10 @@ class ScenarioScript:
 
     @staticmethod
     def from_dict(data: dict[str, Any]) -> "ScenarioScript":
-        """The script of a JSON object.  Each section is built by its
-        dataclass, which rejects an unknown key and gives a key left out its
+        """The script of a JSON object.  Each section is checked for its
+        keys, and built by its dataclass, which gives a key left out its
         default."""
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                f"a scenario script must be a JSON object, not {type(data).__name__}"
-            )
-        args = dict(data)
+        args = dict(_section(data, "a scenario script", *_SCRIPT_KEYS))
         version = args.pop("schema_version", SCHEMA_VERSION)
         if not (_is_integer(version) and version == SCHEMA_VERSION):
             raise ConfigurationError(f"unsupported schema_version {version!r}")
@@ -247,17 +243,13 @@ class ScenarioScript:
             if "events" in args:
                 events = args["events"]
                 if not isinstance(events, (list, tuple)):
-                    raise ConfigurationError(
-                        f"events must be a JSON list, not {type(events).__name__}"
-                    )
+                    raise ConfigurationError(f"events must be a JSON list, not {json_type(events)}")
                 args["events"] = tuple([_event_from_dict(raw) for raw in events])
-            ws = args["workspace"]
-            if not isinstance(ws, dict):
-                raise ConfigurationError(f"workspace must be a JSON object, got {ws!r}")
+            ws = _section(args["workspace"], "workspace", *_WORKSPACE_KEYS)
             # A script may leave out ``origin``, which ``GlobalWorkspace`` requires.
             args["workspace"] = GlobalWorkspace(**{"origin": (0.0, 0.0), **ws})
             if "params" in args:
-                args["params"] = ScenarioParams(**args["params"])
+                args["params"] = ScenarioParams(**_section(args["params"], "params", *_PARAMS_KEYS))
             return ScenarioScript(**args)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigurationError(f"malformed scenario script: {exc}") from exc
@@ -277,23 +269,41 @@ class ScenarioScript:
             fh.write("\n")
 
 
-# The keys of the script sections that no dataclass takes as its fields.
+def _keys(cls: type, *optional: str) -> tuple[frozenset[str], frozenset[str]]:
+    """The keys a script section built by dataclass ``cls`` may have (its
+    fields and ``optional``) and must have (its fields without a default,
+    less ``optional``)."""
+    init = [f for f in fields(cls) if f.init]
+    required = {f.name for f in init if f.default is MISSING and f.default_factory is MISSING}
+    return frozenset(f.name for f in init) | set(optional), frozenset(required - set(optional))
+
+
+# The keys of each script section, and the keys it must have.
+_SCRIPT_KEYS = _keys(ScenarioScript, "schema_version")
+_WORKSPACE_KEYS = _keys(GlobalWorkspace, "origin")
+_PARAMS_KEYS = _keys(ScenarioParams)
 _TOPOLOGY_KEYS = frozenset(("m", "h", "edges", "pattern"))
 _EVENT_KEYS = frozenset(("time_s", "target", "metric", "profile"))
 
 
-def _section(value: Any, where: str, keys: frozenset[str]) -> dict[str, Any]:
-    """``value`` if it is a JSON object whose keys all are in ``keys``."""
+def _section(
+    value: Any, where: str, keys: frozenset[str], required: frozenset[str] = frozenset()
+) -> dict[str, Any]:
+    """``value`` if it is a JSON object whose keys all are in ``keys`` and
+    that has every key of ``required``."""
     if not isinstance(value, dict):
-        raise ConfigurationError(f"{where} must be a JSON object, not {type(value).__name__}")
+        raise ConfigurationError(f"{where} must be a JSON object, not {json_type(value)}")
     if not value.keys() <= keys:
         key = next(key for key in value if key not in keys)
         raise ConfigurationError(f"unknown key {key!r} in {where}; expected one of {sorted(keys)}")
+    if not required <= value.keys():
+        key = min(required - value.keys())
+        raise ConfigurationError(f"missing key {key!r} in {where}")
     return value
 
 
 def _event_from_dict(raw: Any) -> Event:
-    target = str(_section(raw, "an event", _EVENT_KEYS)["target"])
+    target = str(_section(raw, "an event", _EVENT_KEYS, _EVENT_KEYS)["target"])
     kind, _, ident = target.partition(":")
     # ``int`` would also take "1_0", " 8", "+3" and non-ASCII digits.
     if not (ident.isascii() and ident.isdigit()):

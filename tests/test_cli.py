@@ -393,6 +393,31 @@ class TestScriptCheckedAtLoad:
         assert captured.err.startswith(f"error: topology.{key} ")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "edit, line",
+        [
+            (lambda d: d.update(params=None), "params must be a JSON object, not null"),
+            (lambda d: d.update(workspace=[20, 5]), "workspace must be a JSON object, not array"),
+            (lambda d: d["params"].update(kk=1), "unknown key 'kk' in params; "),
+            (lambda d: d["workspace"].update(widht=1), "unknown key 'widht' in workspace; "),
+            (lambda d: d.update(mdoe=1), "unknown key 'mdoe' in a scenario script; "),
+            (lambda d: d.pop("workspace"), "missing key 'workspace' in a scenario script\n"),
+            (lambda d: d.pop("duration_s"), "missing key 'duration_s' in a scenario script\n"),
+            (lambda d: d["events"][0].pop("target"), "missing key 'target' in an event\n"),
+        ],
+        ids=[
+            "params_null", "workspace_array", "params_key", "workspace_key", "script_key",
+            "no_workspace", "no_duration", "no_target",
+        ],
+    )
+    def test_a_wrongly_shaped_section_is_named_in_json_words(self, tmp_path, capsys, edit, line):
+        data = builtin_script("s3").to_dict()
+        edit(data)
+        assert main(["validate", "--script", str(write_script(tmp_path, data))]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {line}")
+        assert "__init__" not in err and "**" not in err
+
 
 class TestFlagsCheckedAtLoad:
     @pytest.mark.parametrize("command", ["validate", "run"])

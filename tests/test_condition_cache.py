@@ -150,6 +150,14 @@ def build_timeline(specs, directory, window):
     window=1,
     starts=[0, 10, 14, 15, 30],
 )
+@example(  # a ramp that blends every value of a binary trace to one value
+    specs=[
+        (0.0, "stress_trace", (0.25, 0.5, list("0110100111000011"))),
+        (1.0, "ramp", (0.5, 1.0)),
+    ],
+    window=2,
+    starts=[0, 20, 30, 40, 45, 100],
+)
 def test_value_holds_until_breakpoint(tmp_path_factory, specs, window, starts):
     timeline = build_timeline(specs, tmp_path_factory.mktemp("traces"), window)
     for k in starts:
@@ -238,10 +246,9 @@ exact_specs = st.lists(
 def test_bound_is_the_next_change(tmp_path_factory, specs, window):
     """``at(t)[1]`` is ``t`` while a ramp moves; otherwise it is the first
     later time at which the value set by the last step or trace in force
-    changes, capped by the next event time, or only the cap when the ended
-    ramps after a trace blend every value of the trace to one value.  With
-    no ramp after that step or trace, this is the first later time at which
-    ``at`` itself changes."""
+    changes, capped by the next event time.  With no ramp after that step
+    or trace, this is the first later time at which ``at`` itself
+    changes."""
     directory = tmp_path_factory.mktemp("traces")
     timeline = build_timeline(specs, directory, window)
     # Every time at which a value may change: event times and trace samples.
@@ -275,25 +282,16 @@ def test_bound_is_the_next_change(tmp_path_factory, specs, window):
         held = setter.at(t)[0]
         if not ramps:
             assert held == value, t
-        elif n_set and in_force[n_set - 1].profile["type"] != "step":
-            # Every value the trace takes, carried through the ended ramps.
-            start = in_force[n_set - 1].time_s
-            reachable = {v for c, v in zip(changes, setter_values) if c >= start}
-            for ev in ramps:
-                target = ev.profile["value"]
-                reachable = {v + (target - v) * 1.0 for v in reachable}
-            if len(reachable) == 1:
-                assert until == cap, (t, value, until, cap)
-                continue
         change = next(
             (c for c, v in zip(changes, setter_values) if c > t and v != held), math.inf
         )
         assert until == min(change, cap), (t, value, until, change, cap)
 
 
-def test_ramp_that_blends_every_trace_value_to_one_is_not_bounded_by_the_trace(tmp_path):
+def test_ramp_that_blends_every_trace_value_to_one_keeps_the_trace_bound(tmp_path):
     # Window-2 conditions of this trace are 0, 0.5 and 1; a ramp to 0.5
-    # blends each of them to exactly 0.5 once it has ended.
+    # blends each of them to exactly 0.5 once it has ended.  The bound still
+    # follows the trace, so the value is walked again at each of its changes.
     specs = [
         (0.0, "stress_trace", (0.25, 0.5, list("0110100111000011"))),
         (1.0, "ramp", (0.5, 1.0)),
@@ -302,7 +300,8 @@ def test_ramp_that_blends_every_trace_value_to_one_is_not_bounded_by_the_trace(t
     trace = build_timeline(specs[:1], tmp_path, 2)
     times = [2.0 + k * 0.125 for k in range(64)]
     assert {trace.at(t)[0] for t in times} == {0.0, 0.5, 1.0}
-    assert [timeline.at(t) for t in times] == [(0.5, math.inf)] * len(times)
+    assert [timeline.at(t) for t in times] == [(0.5, trace.at(t)[1]) for t in times]
+    assert timeline.at(2.0)[1] < math.inf
     # While the ramp moves, it still bounds at the query time.
     assert timeline.at(1.5)[1] == 1.5
 

@@ -6,7 +6,7 @@ A change that moves a record on purpose re-pins the table with
 
 import json
 
-from golden import FILES, TABLE, digests, moved
+from golden import FILES, RUNS, TABLE, digests, moved, report
 
 
 def test_every_record_matches_its_pinned_digest():
@@ -19,4 +19,18 @@ def test_moved_names_each_file_that_differs():
     current = {"s1": {**pinned["s1"], "laps.csv": "c"}, "s3": pinned["s2"]}
     assert moved(pinned, current) == ["s1/laps.csv"] + [
         f"{name}/{file}" for name in ("s2", "s3") for file in FILES
+    ]
+
+
+def test_report_gives_the_stats_of_each_run_that_moved():
+    stats = {"frozen_frac": 0.5, "convergence_time_s": None, "max_t_l": 60.0}
+    pinned = {"s1": {**dict.fromkeys(FILES, "a"), "stats": stats}, "s2": dict.fromkeys(FILES, "b")}
+    current = {
+        "s1": {**pinned["s1"], "cycles.csv": "c", "stats": {**stats, "frozen_frac": 0.25}},
+        "s2": pinned["s2"],
+    }
+    assert report(pinned, current) == [
+        "moved s1/cycles.csv",
+        "s1: frozen_frac 0.5 -> 0.25, convergence_time_s None -> None, max_t_l 60.0 -> 60.0",
+        f"golden.json: 1 of {len(RUNS) * len(FILES)} entries moved",
     ]

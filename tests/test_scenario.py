@@ -152,6 +152,49 @@ class TestSerialization:
         with pytest.raises(ConfigurationError, match=r"^events must be a JSON list, not \w+$"):
             ScenarioScript.from_dict(data)
 
+    # A value of each JSON type but an object, with the word an error line names it by.
+    NOT_OBJECTS = [(None, "null"), ([], "array"), ("", "string"), (5, "number"),
+                   (0.5, "number"), (True, "boolean")]
+
+    @pytest.mark.parametrize("value, word", NOT_OBJECTS)
+    @pytest.mark.parametrize("section", ["", "workspace", "params", "topology"])
+    def test_a_section_that_is_not_an_object_is_named_by_its_json_type(self, section, value, word):
+        data = {**builtin_script("s3").to_dict(), section: value} if section else value
+        where = section or "a scenario script"
+        with pytest.raises(ConfigurationError, match=rf"^{where} must be a JSON object, not {word}$"):
+            ScenarioScript.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "events, word", [(None, "null"), ({}, "object"), ("", "string"), (5, "number"), (False, "boolean")]
+    )
+    def test_events_that_are_not_a_list_are_named_by_their_json_type(self, events, word):
+        data = {**builtin_script("s3").to_dict(), "events": events}
+        with pytest.raises(ConfigurationError, match=rf"^events must be a JSON list, not {word}$"):
+            ScenarioScript.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [("", "mdoe"), ("workspace", "widht"), ("params", "kk"), ("topology", "patern")],
+    )
+    def test_an_unknown_key_is_named_with_its_section(self, section, key):
+        data = builtin_script("s3").to_dict()
+        (data[section] if section else data)[key] = 1
+        where = section or "a scenario script"
+        with pytest.raises(ConfigurationError, match=rf"^unknown key '{key}' in {where}; expected one of \["):
+            ScenarioScript.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [("", "topology"), ("", "workspace"), ("", "duration_s"), ("workspace", "width"),
+         ("workspace", "height"), ("event", "target"), ("event", "time_s"), ("event", "profile")],
+    )
+    def test_a_missing_key_is_named_with_its_section(self, section, key):
+        data = builtin_script("s3").to_dict()
+        del (data["events"][0] if section == "event" else data[section] if section else data)[key]
+        where = {"": "a scenario script", "event": "an event"}.get(section, section)
+        with pytest.raises(ConfigurationError, match=rf"^missing key '{key}' in {where}$"):
+            ScenarioScript.from_dict(data)
+
     def test_wrong_schema_version_rejected(self):
         data = builtin_script("s3").to_dict()
         data["schema_version"] = 99
