@@ -63,7 +63,7 @@ class StressTrace:
     grid: list[float] = field(init=False, compare=False, repr=False)
     span: tuple[float, float] = field(init=False, compare=False, repr=False)
     # stressed[k]: number of stressed samples among the first k.
-    stressed: list[int] = field(init=False, compare=False, repr=False)
+    stressed: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         values = _freeze_series(self, "stress")
@@ -71,40 +71,35 @@ class StressTrace:
             raise MetricDomainError("stress trace samples must be binary 0/1")
         stressed = np.zeros(values.size + 1, dtype=np.int64)
         np.cumsum(values, dtype=np.int64, out=stressed[1:])
-        object.__setattr__(self, "stressed", stressed.tolist())
+        stressed.setflags(write=False)
+        object.__setattr__(self, "stressed", stressed)
 
 
-def stress_to_condition(trace: StressTrace, window: int, t: float) -> float:
+def stress_to_condition(
+    trace: StressTrace, window: int, t: float | np.ndarray
+) -> float | np.ndarray:
     """Operator condition at time ``t``: one minus the moving-average stress.
 
-    The average runs over the last ``window`` samples at or before ``t``
-    (fewer near the start of the trace).  It is the exact count of stressed
-    samples over the sample count, so it has the bits of ``np.mean``.
+    ``t`` is a time, giving a float, or an array of times, giving an array
+    of the same shape.  The average runs over the last ``window`` samples
+    at or before each time (fewer near the start of the trace).  It is the
+    exact count of stressed samples over the sample count, so it has the
+    bits of ``np.mean``.
     """
     if window < 1:
         raise ConfigurationError("moving-average window must be >= 1")
+    times = np.asarray(t, dtype=float)
     lo, hi = trace.span
-    if not (lo <= t <= hi):
-        raise ConfigurationError(f"time {t} outside trace span [{lo}, {hi}]")
-    end = bisect_right(trace.grid, t)
-    start = max(0, end - window)
-    return 1.0 - (trace.stressed[end] - trace.stressed[start]) / (end - start)
-
-
-def _sample_conditions(trace: StressTrace, window: int) -> np.ndarray:
-    """``stress_to_condition(trace, window, t)`` at each sample time ``t``,
-    with the same bits, computed as one array."""
-    if window < 1:
-        raise ConfigurationError("moving-average window must be >= 1")
-    # Sums of 0/1 samples are exact in floats, so each quotient is the
-    # correctly rounded one of the same integers, as in stress_to_condition.
-    stressed = np.cumsum(trace.values)
-    recent = stressed.copy()
-    recent[window:] -= stressed[:-window]
-    samples = np.arange(1.0, stressed.size + 1)
-    samples[window:] = window
-    recent /= samples
-    return np.subtract(1.0, recent, out=recent)
+    inside = (lo <= times) & (times <= hi)
+    if not inside.all():
+        raise ConfigurationError(f"time {times[~inside][0]} outside trace span [{lo}, {hi}]")
+    end = trace.times.searchsorted(times, side="right")
+    # A window longer than the trace averages all of it, and fits an int64.
+    samples = np.minimum(end, min(window, trace.times.size))
+    # Counts of 0/1 samples are exact in floats, so each quotient is the
+    # correctly rounded one of the two integers.
+    held = 1.0 - (trace.stressed[end] - trace.stressed[end - samples]) / samples
+    return held if held.ndim else float(held)
 
 
 def _next_change_times(grid: list[float], held: np.ndarray) -> list[float]:
@@ -143,11 +138,6 @@ class ScriptedTrace:
 
     def __post_init__(self):
         _freeze_series(self, "scripted")
-
-    def value_at(self, t: float) -> float:
-        """Value of the most recent row at or before ``t`` (first row before
-        the schedule starts, last row after it ends)."""
-        return float(self.values[max(0, bisect_right(self.grid, t) - 1)])
 
 
 def _is_uniform(periods: np.ndarray) -> bool:
@@ -283,15 +273,16 @@ class ConditionTimeline:
     objects of that metric: a ``time_s`` and a ``profile`` that
     :func:`check_profile` has passed each.  A binary 0/1 trace file is a
     human-stress source, averaged over ``window`` samples; a level trace is a
-    scripted or robot-health one.  Relative trace paths are read from
-    ``base_dir``."""
+    scripted or robot-health one.  Each trace is read once, into its value
+    at every sample and the times at which that value next changes.
+    Relative trace paths are read from ``base_dir``."""
 
     def __init__(self, events: Iterable[Any], window: int, base_dir: Optional[Path] = None):
         self.events = sorted(events, key=lambda e: e.time_s)
-        self.window = window
-        # Event index -> its trace and, per sample index, the sample time
-        # at which the trace's value next changes (see ``at``).
-        self._traces: dict[int, tuple[StressTrace | ScriptedTrace, list[float]]] = {}
+        # Event index -> the trace's sample times, its value from each sample
+        # on, and, per count of passed samples, the sample time at which that
+        # value next changes (see ``at``).
+        self._traces: dict[int, tuple[list[float], list[float], list[float]]] = {}
         for i, ev in enumerate(self.events):
             kind = ev.profile["type"]
             if kind in ("step", "ramp"):
@@ -307,10 +298,10 @@ class ConditionTimeline:
                     fault = str(OSError(exc.errno, exc.strerror))
                 raise ConfigurationError(f"{kind} for {ev}: cannot load {path}: {fault}") from exc
             if isinstance(trace, StressTrace):
-                held = _sample_conditions(trace, window)
+                held = stress_to_condition(trace, window, trace.times)
             else:
                 held = trace.values
-            self._traces[i] = (trace, _next_change_times(trace.grid, held))
+            self._traces[i] = (trace.grid, held.tolist(), _next_change_times(trace.grid, held))
 
     def at(self, t: float) -> tuple[float, float]:
         """The metric at time ``t``, and a time before which it keeps that value.
@@ -320,9 +311,9 @@ class ConditionTimeline:
         ramp is still moving; ``inf`` when the value can no longer change.  A
         ramp blends in the value before it, so the changes of an earlier
         trace still bound the value after the ramp ends; a step or a trace
-        replaces everything before it.  Before a trace's first sample the
-        value is that of the first sample, so the bound is the first later
-        sample with another value.
+        replaces everything before it.  A trace holds the value of its most
+        recent sample, and before its first sample the value of that sample,
+        so the bound is the first later sample with another value.
         """
         # Comparisons, not ``min``: this runs for every timeline of every evaluation.
         value, until = 1.0, math.inf
@@ -341,13 +332,8 @@ class ConditionTimeline:
                     frac = 1.0
                 value = value + (target - value) * frac
             else:
-                trace, next_change = self._traces[i]
-                offset = t - ev.time_s
-                until = ev.time_s + next_change[bisect_right(trace.grid, offset)]
-                if isinstance(trace, StressTrace):
-                    lo, hi = trace.span
-                    clamped = lo if offset < lo else hi if offset > hi else offset
-                    value = stress_to_condition(trace, self.window, clamped)
-                else:
-                    value = trace.value_at(offset)
+                grid, held, next_change = self._traces[i]
+                k = bisect_right(grid, t - ev.time_s)
+                until = ev.time_s + next_change[k]
+                value = held[k - 1 if k else 0]
         return value, until

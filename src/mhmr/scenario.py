@@ -12,7 +12,6 @@ from __future__ import annotations
 import copy
 import json
 import math
-import numbers
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from itertools import groupby
 from operator import attrgetter
@@ -112,7 +111,7 @@ class ScenarioParams:
                     f"params.{name} must be a finite number > 0, got {value!r}"
                 )
         window = self.window
-        if isinstance(window, bool) or not isinstance(window, numbers.Integral) or window < 1:
+        if not (_is_integer(window) and window >= 1):
             raise ConfigurationError(f"params.window must be an integer >= 1, got {window!r}")
         steps = self.tau / self.sim_dt
         if round(steps) < 1 or abs(steps - round(steps)) > TAU_STEP_TOL:
@@ -144,7 +143,14 @@ class ScenarioScript:
     team: TeamTopology = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "name", str(self.name))
+        if not isinstance(self.name, str):
+            raise ConfigurationError(f"name must be a JSON string, not {json_type(self.name)}")
+        # The name is the directory of the run's record under the output root.
+        if self.name in ("", ".", "..") or any(c in self.name for c in "/\\\0"):
+            raise ConfigurationError(
+                f"name {self.name!r} must be one directory name: not empty, '.' or '..', "
+                "and without '/', '\\' or a NUL character"
+            )
         if self.mode not in VALID_MODES:
             raise ConfigurationError(f"unknown mode {self.mode!r}")
         for name in ("allocation_enabled", "record_trajectory"):
@@ -303,7 +309,11 @@ def _section(
 
 
 def _event_from_dict(raw: Any) -> Event:
-    target = str(_section(raw, "an event", _EVENT_KEYS, _EVENT_KEYS)["target"])
+    _section(raw, "an event", _EVENT_KEYS, _EVENT_KEYS)
+    for key in ("target", "metric"):
+        if not isinstance(value := raw[key], str):
+            raise ConfigurationError(f"event {key} must be a JSON string, not {json_type(value)}")
+    target = raw["target"]
     kind, _, ident = target.partition(":")
     # ``int`` would also take "1_0", " 8", "+3" and non-ASCII digits.
     if not (ident.isascii() and ident.isdigit()):
@@ -313,7 +323,7 @@ def _event_from_dict(raw: Any) -> Event:
         time_s=raw["time_s"],
         target_kind=kind,
         target_id=int(ident),
-        metric=str(raw["metric"]),
+        metric=raw["metric"],
         # A copy of a JSON object; anything else fails the event's check.
         profile=dict(profile) if isinstance(profile, dict) else profile,
     )

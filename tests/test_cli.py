@@ -404,10 +404,13 @@ class TestScriptCheckedAtLoad:
             (lambda d: d.pop("workspace"), "missing key 'workspace' in a scenario script\n"),
             (lambda d: d.pop("duration_s"), "missing key 'duration_s' in a scenario script\n"),
             (lambda d: d["events"][0].pop("target"), "missing key 'target' in an event\n"),
+            (lambda d: d.update(name=None), "name must be a JSON string, not null\n"),
+            (lambda d: d["events"][0].update(target=3), "event target must be a JSON string, not number\n"),
+            (lambda d: d["events"][0].update(metric=None), "event metric must be a JSON string, not null\n"),
         ],
         ids=[
             "params_null", "workspace_array", "params_key", "workspace_key", "script_key",
-            "no_workspace", "no_duration", "no_target",
+            "no_workspace", "no_duration", "no_target", "name_null", "target_number", "metric_null",
         ],
     )
     def test_a_wrongly_shaped_section_is_named_in_json_words(self, tmp_path, capsys, edit, line):
@@ -417,6 +420,13 @@ class TestScriptCheckedAtLoad:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {line}")
         assert "__init__" not in err and "**" not in err
+
+    def test_a_name_that_leaves_the_output_root_is_rejected(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("MHMR_OUTPUT_ROOT", str(tmp_path / "root" / "runs"))
+        data = {**builtin_script("s3").to_dict(), "name": "../escape"}
+        assert main(["run", "--script", str(write_script(tmp_path, data))]) == 1
+        assert capsys.readouterr().err.startswith("error: name '../escape' must be one directory name")
+        assert not (tmp_path / "root").exists()
 
 
 class TestFlagsCheckedAtLoad:

@@ -13,7 +13,6 @@ from mhmr.metrics import (
     ConditionTimeline,
     ScriptedTrace,
     StressTrace,
-    _sample_conditions,
     check_profile,
     discrete_stress_to_condition,
     load_stress_trace,
@@ -82,6 +81,31 @@ class TestStressCondition:
         recent = trace.values[max(0, end - window) : end]
         assert stress_to_condition(trace, window, t) == 1.0 - float(np.mean(recent))
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(st.sampled_from([0.0, 1.0]), min_size=1, max_size=200),
+        window=st.one_of(st.integers(1, 60), st.just(2**70)),
+        period=st.sampled_from([0.5, 0.35, 1.0]),
+        data=st.data(),
+    )
+    def test_array_of_times_matches_the_scalar_calls(self, values, window, period, data):
+        trace = make_trace(values, period)
+        lo, hi = trace.span
+        grid = trace.grid
+        midpoints = [(a + b) / 2 for a, b in zip(grid, grid[1:])] or [lo]
+        time = st.one_of(
+            st.sampled_from(grid),  # at samples
+            st.sampled_from(midpoints),  # between samples
+            st.sampled_from([lo, hi]),  # at both span ends
+            st.floats(lo, hi),
+        )
+        times = data.draw(st.lists(time, min_size=1, max_size=50))
+        conditions = stress_to_condition(trace, window, np.array(times))
+        assert conditions.shape == (len(times),)
+        scalar = [stress_to_condition(trace, window, t) for t in times]
+        assert all(type(c) is float for c in scalar)
+        assert [c.hex() for c in conditions.tolist()] == [c.hex() for c in scalar]
+
     def test_time_outside_span_raises(self):
         trace = make_trace([0, 1])
         with pytest.raises(ConfigurationError):
@@ -102,15 +126,24 @@ class TestStressCondition:
         assert set(DISCRETE_STRESS_CONDITION) == {"low", "medium", "high"}
 
 
+def level_timeline(path):
+    """The timeline of one level-row ``trace`` event at time 0."""
+    profile = {"type": "trace", "path": str(path)}
+    return ConditionTimeline([Event(0.0, "robot", 1, "robot_condition", profile)], 1)
+
+
 class TestScriptedTrace:
-    def test_step_hold(self):
-        trace = ScriptedTrace(np.array([0.0, 10.0, 20.0]), np.array([1.0, 0.6, 0.9]))
-        assert trace.value_at(-5.0) == 1.0
-        assert trace.value_at(0.0) == 1.0
-        assert trace.value_at(9.99) == 1.0
-        assert trace.value_at(10.0) == 0.6
-        assert trace.value_at(15.0) == 0.6
-        assert trace.value_at(100.0) == 0.9
+    def test_step_hold(self, tmp_path):
+        # Rows 5 s after the event, so offsets before the first row are read.
+        p = tmp_path / "levels.csv"
+        p.write_text("time_s,stress\n5,low\n15,medium\n25,high\n")
+        timeline = level_timeline(p)
+        assert timeline.at(0.0) == (0.75, 15.0)  # before the first row
+        assert timeline.at(5.0) == (0.75, 15.0)
+        assert timeline.at(14.99) == (0.75, 15.0)
+        assert timeline.at(15.0) == (0.5, 25.0)
+        assert timeline.at(20.0) == (0.5, 25.0)
+        assert timeline.at(105.0) == (0.25, math.inf)  # after the last
 
     def test_rejects_unsorted(self):
         with pytest.raises(ConfigurationError):
@@ -130,9 +163,12 @@ class TestLoaders:
         p.write_text("time_s,stress\n0,low\n30,high\n60,medium\n")
         trace = load_stress_trace(p)
         assert isinstance(trace, ScriptedTrace)
-        assert trace.value_at(0.0) == 0.75
-        assert trace.value_at(45.0) == 0.25
-        assert trace.value_at(60.0) == 0.5
+        assert trace.values.tolist() == [0.75, 0.25, 0.5]
+        timeline = level_timeline(p)
+        assert timeline.at(0.0) == (0.75, 30.0)
+        assert timeline.at(45.0) == (0.25, 60.0)
+        assert timeline.at(60.0) == (0.5, math.inf)
+        assert timeline.at(90.0) == (0.5, math.inf)
 
     def test_nonuniform_binary_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"
@@ -357,11 +393,12 @@ def test_load_prepares_what_the_scalar_path_gives(tmp_path_factory, values, wind
     path = tmp_path_factory.mktemp("trace") / "op.csv"
     write_trace_csv(path, values, period)
     timeline = stress_timeline(path, window)
-    (trace, next_change), = timeline._traces.values()
-    conditions = [stress_to_condition(trace, window, t) for t in trace.grid]
-    held = _sample_conditions(trace, window).tolist()
+    (grid, held, next_change), = timeline._traces.values()
+    trace = load_stress_trace(path)
+    assert grid == trace.grid
+    conditions = [stress_to_condition(trace, window, t) for t in grid]
     assert [c.hex() for c in held] == [c.hex() for c in conditions]
-    assert next_change == next_change_reference(trace.grid, conditions)
+    assert next_change == next_change_reference(grid, conditions)
 
 
 class TestConditionTimeline:

@@ -172,6 +172,39 @@ class TestSerialization:
         with pytest.raises(ConfigurationError, match=rf"^events must be a JSON list, not {word}$"):
             ScenarioScript.from_dict(data)
 
+    # A value of each JSON type but a string, with the word an error line names it by.
+    NOT_STRINGS = [(None, "null"), (5, "number"), (0.5, "number"), (True, "boolean"),
+                   ([], "array"), ({}, "object")]
+
+    @pytest.mark.parametrize("value, word", NOT_STRINGS)
+    def test_a_name_that_is_not_a_string_is_named_by_its_json_type(self, value, word):
+        data = {**builtin_script("s3").to_dict(), "name": value}
+        with pytest.raises(ConfigurationError, match=rf"^name must be a JSON string, not {word}$"):
+            ScenarioScript.from_dict(data)
+        with pytest.raises(ConfigurationError, match=rf"^name must be a JSON string, not {word}$"):
+            dataclasses.replace(builtin_script("s3"), name=value)
+
+    @pytest.mark.parametrize("value, word", NOT_STRINGS)
+    @pytest.mark.parametrize("key", ["target", "metric"])
+    def test_an_event_target_or_metric_that_is_not_a_string_is_named_by_its_json_type(
+        self, key, value, word
+    ):
+        data = builtin_script("s3").to_dict()
+        data["events"][0][key] = value
+        with pytest.raises(ConfigurationError, match=rf"^event {key} must be a JSON string, not {word}$"):
+            ScenarioScript.from_dict(data)
+
+    @pytest.mark.parametrize("name", ["", ".", "..", "../escape", "a/b", "/abs", "a\\b", "..\\up", "a\0b"])
+    def test_a_name_must_be_one_directory_name(self, name):
+        data = {**builtin_script("s3").to_dict(), "name": name}
+        with pytest.raises(ConfigurationError, match=r"^name .* must be one directory name"):
+            ScenarioScript.from_dict(data)
+
+    @pytest.mark.parametrize("name", ["s3", "a..b", "...", ".hidden", "run 2"])
+    def test_a_name_of_one_directory_loads(self, name):
+        data = {**builtin_script("s3").to_dict(), "name": name}
+        assert ScenarioScript.from_dict(data).name == name
+
     @pytest.mark.parametrize(
         "section, key",
         [("", "mdoe"), ("workspace", "widht"), ("params", "kk"), ("topology", "patern")],
@@ -398,11 +431,21 @@ class TestScenarioParams:
             ("window", 2.5),
             ("window", True),
             ("window", "30"),
+            ("window", np.int64(5)),
         ],
     )
     def test_rejects_bad_value(self, name, value):
         with pytest.raises(ConfigurationError, match=rf"params\.{name}\b"):
             ScenarioParams(**{name: value})
+
+    def test_window_is_a_json_integer(self, tmp_path):
+        # A numpy integer would build and then fail to write as JSON.
+        script = builtin_script("s3")
+        with pytest.raises(ConfigurationError, match=r"^params\.window must be an integer >= 1"):
+            dataclasses.replace(script.params, window=np.int64(5))
+        script = dataclasses.replace(script, params=dataclasses.replace(script.params, window=5))
+        script.to_json(tmp_path / "s3.json")
+        assert ScenarioScript.from_json(tmp_path / "s3.json").params.window == 5
 
     @pytest.mark.parametrize("tau, sim_dt", [(0.01, 0.05), (0.12, 0.05), (0.5, 0.3)])
     def test_tau_must_be_whole_multiple_of_sim_dt(self, tau, sim_dt):
