@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the JSON words their
+error lines use for a script value."""
+
+import json
+from typing import Any
 
 
 class MhmrError(Exception):
@@ -31,3 +35,24 @@ class NoActiveAgentsError(MhmrError):
 
 class EmptyRegionError(MhmrError):
     """A geometric query was made against an empty (zero-allocation) region."""
+
+
+_JSON_TYPES = {
+    type(None): "null", bool: "boolean", int: "number", float: "number",
+    str: "string", list: "array", tuple: "array", dict: "object",
+}
+
+
+def json_type(value: Any) -> str:
+    """The JSON word for the type of ``value`` (``null``, ``boolean``,
+    ``number``, ``string``, ``array`` or ``object``), for error lines."""
+    return _JSON_TYPES.get(type(value), type(value).__name__)
+
+
+def json_text(value: Any) -> str:
+    """``value`` as a script writes it (``null``, ``true``, ``"20"``,
+    ``{"x": 1}``), for error lines; its ``repr`` if it is not JSON."""
+    try:
+        return json.dumps(value, ensure_ascii=False)
+    except (TypeError, ValueError):
+        return repr(value)

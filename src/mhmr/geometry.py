@@ -16,7 +16,7 @@ from typing import Any, Optional, Sequence
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .errors import ConfigurationError, EmptyRegionError
+from .errors import ConfigurationError, EmptyRegionError, json_text
 from .team import WorkloadVector
 
 
@@ -176,13 +176,16 @@ class GlobalWorkspace:
         origin = self.origin
         if not is_finite_point(origin):
             raise ConfigurationError(
-                f"workspace.origin must be an (x, y) pair of finite numbers, got {origin!r}"
+                "workspace.origin must be an (x, y) pair of finite numbers, "
+                f"got {json_text(origin)}"
             )
         object.__setattr__(self, "origin", (float(origin[0]), float(origin[1])))
         for name in ("width", "height", "safety_gap"):
             value = getattr(self, name)
             if not is_finite_number(value):
-                raise ConfigurationError(f"workspace.{name} must be a finite number, got {value!r}")
+                raise ConfigurationError(
+                    f"workspace.{name} must be a finite number, got {json_text(value)}"
+                )
             object.__setattr__(self, name, float(value))
         if self.width <= 0 or self.height <= 0:
             raise ConfigurationError("workspace must have positive extent")

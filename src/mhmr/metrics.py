@@ -12,14 +12,14 @@ import csv
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from operator import itemgetter
 from pathlib import Path
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, MetricDomainError, MhmrError
+from .errors import ConfigurationError, MetricDomainError, MhmrError, json_text, json_type
 from .geometry import is_finite_number
+from .team import read_only_floats
 
 #: Discrete stress level to condition value.
 DISCRETE_STRESS_CONDITION = {"low": 0.75, "medium": 0.5, "high": 0.25}
@@ -29,13 +29,11 @@ DEFAULT_STRESS_WINDOW = 30
 
 
 def _freeze_series(trace: Any, kind: str) -> np.ndarray:
-    """Store a trace's times and values as read-only float arrays, and its
-    times as the list ``grid`` and the pair ``span`` of Python floats; check
-    the times, and return the values."""
-    times = np.asarray(trace.times, dtype=float)
-    values = np.asarray(trace.values, dtype=float)
-    times.setflags(write=False)
-    values.setflags(write=False)
+    """Store a trace's times and values as read-only float arrays, copies
+    of any writeable array the caller passed; check the times, and return
+    the values."""
+    times = read_only_floats(trace.times)
+    values = read_only_floats(trace.values)
     object.__setattr__(trace, "times", times)
     object.__setattr__(trace, "values", values)
     if times.size == 0:
@@ -48,9 +46,6 @@ def _freeze_series(trace: Any, kind: str) -> np.ndarray:
     # not larger, so this is ``np.diff(times) <= 0`` without the differences.
     if (times[1:] <= times[:-1]).any():
         raise ConfigurationError(f"{kind} trace timestamps must strictly increase")
-    grid = times.tolist()
-    object.__setattr__(trace, "grid", grid)
-    object.__setattr__(trace, "span", (grid[0], grid[-1]))
     return values
 
 
@@ -60,8 +55,6 @@ class StressTrace:
 
     times: np.ndarray
     values: np.ndarray
-    grid: list[float] = field(init=False, compare=False, repr=False)
-    span: tuple[float, float] = field(init=False, compare=False, repr=False)
     # stressed[k]: number of stressed samples among the first k.
     stressed: np.ndarray = field(init=False, compare=False, repr=False)
 
@@ -89,7 +82,7 @@ def stress_to_condition(
     if window < 1:
         raise ConfigurationError("moving-average window must be >= 1")
     times = np.asarray(t, dtype=float)
-    lo, hi = trace.span
+    lo, hi = trace.times[0], trace.times[-1]
     inside = (lo <= times) & (times <= hi)
     if not inside.all():
         raise ConfigurationError(f"time {times[~inside][0]} outside trace span [{lo}, {hi}]")
@@ -100,23 +93,6 @@ def stress_to_condition(
     # correctly rounded one of the two integers.
     held = 1.0 - (trace.stressed[end] - trace.stressed[end - samples]) / samples
     return held if held.ndim else float(held)
-
-
-def _next_change_times(grid: list[float], held: np.ndarray) -> list[float]:
-    """Entry ``k``, for ``k`` from 0 to ``len(grid)``, is the first sample
-    time of ``grid`` at which a trace's value changes once ``k`` of its
-    samples have passed, or ``inf`` if it never does.  ``held[j]`` is the
-    value from sample ``j`` on; ``held[0]`` is also the value before the
-    first sample.  The entries are ``grid``'s own float objects, so the list
-    costs only its references."""
-    n = len(grid)
-    # ``first[k]``: index of the first change at or after ``k``, ``n`` if none
-    # (``n`` also indexes the ``inf`` after ``grid``).
-    first = np.full(n + 1, n)
-    changes = np.flatnonzero(held[1:] != held[:-1]) + 1
-    first[changes] = changes
-    first = np.minimum.accumulate(first[::-1])[::-1]
-    return list(itemgetter(*first.tolist())([*grid, math.inf]))
 
 
 def discrete_stress_to_condition(level: str) -> float:
@@ -133,8 +109,6 @@ class ScriptedTrace:
 
     times: np.ndarray
     values: np.ndarray
-    grid: list[float] = field(init=False, compare=False, repr=False)
-    span: tuple[float, float] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         _freeze_series(self, "scripted")
@@ -218,18 +192,6 @@ PROFILE_KEYS = {
 }
 
 
-_JSON_TYPES = {
-    type(None): "null", bool: "boolean", int: "number", float: "number",
-    str: "string", list: "array", tuple: "array", dict: "object",
-}
-
-
-def json_type(value: Any) -> str:
-    """The JSON word for the type of ``value`` (``null``, ``boolean``,
-    ``number``, ``string``, ``array`` or ``object``), for error lines."""
-    return _JSON_TYPES.get(type(value), type(value).__name__)
-
-
 def check_profile(profile: dict[str, Any], target: Any) -> None:
     """Raise ``ConfigurationError`` naming ``target`` (formatted only then)
     unless ``profile`` is a JSON object with the keys of its type
@@ -242,7 +204,7 @@ def check_profile(profile: dict[str, Any], target: Any) -> None:
     kind = profile.get("type")
     keys = PROFILE_KEYS.get(kind) if isinstance(kind, str) else None
     if keys is None:
-        raise ConfigurationError(f"unknown event profile type {kind!r} for {target}")
+        raise ConfigurationError(f"unknown event profile type {json_text(kind)} for {target}")
     if not profile.keys() <= keys:
         key = next(key for key in profile if key not in keys)
         raise ConfigurationError(
@@ -252,17 +214,24 @@ def check_profile(profile: dict[str, Any], target: Any) -> None:
     if kind in ("trace", "stress_trace"):
         path = profile.get("path")
         if not (isinstance(path, str) and path):
-            raise ConfigurationError(f"{kind} for {target} needs a file path, got {path!r}")
+            raise ConfigurationError(
+                f"{kind} for {target} needs a file path, got {json_text(path)}"
+            )
     elif not (is_finite_number(value := profile.get("value")) and 0.0 <= value <= 1.0):
         raise ConfigurationError(
-            f"{kind} profile for {target} needs a value in [0, 1], got {value!r}"
+            f"{kind} profile for {target} needs a value in [0, 1], got {json_text(value)}"
         )
     elif kind == "ramp" and not (
         is_finite_number(duration := profile.get("duration")) and duration > 0.0
     ):
         raise ConfigurationError(
-            f"ramp profile needs a finite positive duration for {target}, got {duration!r}"
+            f"ramp profile needs a finite positive duration for {target}, got {json_text(duration)}"
         )
+
+
+#: A step's change points: its value holds from its time on, and it changes
+#: no more (see ``ConditionTimeline.at``).
+_STEP_OFFSETS = (-math.inf, math.inf)
 
 
 class ConditionTimeline:
@@ -273,19 +242,26 @@ class ConditionTimeline:
     objects of that metric: a ``time_s`` and a ``profile`` that
     :func:`check_profile` has passed each.  A binary 0/1 trace file is a
     human-stress source, averaged over ``window`` samples; a level trace is a
-    scripted or robot-health one.  Each trace is read once, into its value
-    at every sample and the times at which that value next changes.
-    Relative trace paths are read from ``base_dir``."""
+    scripted or robot-health one.  Each step and trace is held as one
+    change-point table: the offsets from its time at which its value changes,
+    from ``-inf`` to ``inf``, and its value from each offset on.  A trace is
+    read once, into its value at every sample, and its offsets are the
+    sample times at which that value changes; a step's only offset is
+    ``-inf``.  Relative trace paths are read from ``base_dir``."""
 
     def __init__(self, events: Iterable[Any], window: int, base_dir: Optional[Path] = None):
         self.events = sorted(events, key=lambda e: e.time_s)
-        # Event index -> the trace's sample times, its value from each sample
-        # on, and, per count of passed samples, the sample time at which that
-        # value next changes (see ``at``).
-        self._traces: dict[int, tuple[list[float], list[float], list[float]]] = {}
-        for i, ev in enumerate(self.events):
+        # Per event, in time order: its time and either a ramp's ``None`` and
+        # (value, duration), or a step's or trace's change-point table.
+        self._tables: list[tuple[float, Optional[Sequence[float]], Sequence[float]]] = []
+        for ev in self.events:
             kind = ev.profile["type"]
-            if kind in ("step", "ramp"):
+            if kind == "ramp":
+                ramp = float(ev.profile["value"]), float(ev.profile["duration"])
+                self._tables.append((ev.time_s, None, ramp))
+                continue
+            if kind == "step":
+                self._tables.append((ev.time_s, _STEP_OFFSETS, (float(ev.profile["value"]),)))
                 continue
             # An absolute path ignores ``base_dir``.
             path = Path(base_dir or ".", ev.profile["path"])
@@ -301,39 +277,37 @@ class ConditionTimeline:
                 held = stress_to_condition(trace, window, trace.times)
             else:
                 held = trace.values
-            self._traces[i] = (trace.grid, held.tolist(), _next_change_times(trace.grid, held))
+            changes = np.flatnonzero(held[1:] != held[:-1]) + 1
+            offsets = [-math.inf, *trace.times[changes].tolist(), math.inf]
+            self._tables.append((ev.time_s, offsets, [float(held[0]), *held[changes].tolist()]))
 
     def at(self, t: float) -> tuple[float, float]:
-        """The metric at time ``t``, and a time before which it keeps that value.
+        """The metric at a finite time ``t``, and a time before which it keeps
+        that value.
 
-        The time is the next event time, or sooner the first later sample at
-        which the trace in force changes its value, or ``t`` itself while a
-        ramp is still moving; ``inf`` when the value can no longer change.  A
-        ramp blends in the value before it, so the changes of an earlier
-        trace still bound the value after the ramp ends; a step or a trace
-        replaces everything before it.  A trace holds the value of its most
-        recent sample, and before its first sample the value of that sample,
-        so the bound is the first later sample with another value.
+        The time is the next event time, or sooner the next change point of
+        the step or trace in force, or ``t`` itself while a ramp is still
+        moving; ``inf`` when the value can no longer change.  A ramp blends
+        in the value before it, so the changes of an earlier trace still
+        bound the value after the ramp ends; a step or a trace replaces
+        everything before it.  A trace holds the value of its most recent
+        sample, and before its first sample the value of that sample, so the
+        bound is the first later sample with another value.
         """
         # Comparisons, not ``min``: this runs for every timeline of every evaluation.
         value, until = 1.0, math.inf
-        for i, ev in enumerate(self.events):
-            if t < ev.time_s:
-                return value, ev.time_s if ev.time_s < until else until
-            kind = ev.profile["type"]
-            if kind == "step":
-                value, until = float(ev.profile["value"]), math.inf
-            elif kind == "ramp":
-                target = float(ev.profile["value"])
-                frac = (t - ev.time_s) / float(ev.profile["duration"])
+        for time_s, offsets, values in self._tables:
+            if t < time_s:
+                return value, time_s if time_s < until else until
+            if offsets is None:
+                target, duration = values
+                frac = (t - time_s) / duration
                 if frac < 1.0:
                     until = t
                 else:
                     frac = 1.0
                 value = value + (target - value) * frac
             else:
-                grid, held, next_change = self._traces[i]
-                k = bisect_right(grid, t - ev.time_s)
-                until = ev.time_s + next_change[k]
-                value = held[k - 1 if k else 0]
+                k = bisect_right(offsets, t - time_s)
+                value, until = values[k - 1], time_s + offsets[k]
         return value, until

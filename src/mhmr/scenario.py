@@ -21,14 +21,20 @@ from typing import Any, Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .allocation import propose_allocation
-from .errors import ConfigurationError, MetricDomainError, NoCapableAgentError
+from .errors import (
+    ConfigurationError,
+    MetricDomainError,
+    NoCapableAgentError,
+    json_text,
+    json_type,
+)
 from .geometry import (
     GlobalWorkspace,
     is_finite_number,
     is_finite_point,
     strips,
 )
-from .metrics import DEFAULT_STRESS_WINDOW, ConditionTimeline, check_profile, json_type
+from .metrics import DEFAULT_STRESS_WINDOW, ConditionTimeline, check_profile
 from .patrol import (
     PatrolFleet,
     RobotKinematicState,
@@ -75,11 +81,13 @@ class Event:
 
     def __post_init__(self):
         if self.target_kind not in ("robot", "operator"):
-            raise ConfigurationError(f"unknown event target kind {self.target_kind!r}")
+            raise ConfigurationError(f"unknown event target kind {json_text(self.target_kind)}")
         if self.metric not in VALID_METRICS:
-            raise ConfigurationError(f"unknown event metric {self.metric!r}")
+            raise ConfigurationError(f"unknown event metric {json_text(self.metric)}")
         if not is_finite_number(self.time_s):
-            raise ConfigurationError(f"{self} event needs a finite time_s, got {self.time_s!r}")
+            raise ConfigurationError(
+                f"{self} event needs a finite time_s, got {json_text(self.time_s)}"
+            )
         check_profile(self.profile, self)
 
     def __str__(self) -> str:
@@ -108,11 +116,13 @@ class ScenarioParams:
             value = getattr(self, name)
             if not (is_finite_number(value) and value > 0):
                 raise ConfigurationError(
-                    f"params.{name} must be a finite number > 0, got {value!r}"
+                    f"params.{name} must be a finite number > 0, got {json_text(value)}"
                 )
         window = self.window
         if not (_is_integer(window) and window >= 1):
-            raise ConfigurationError(f"params.window must be an integer >= 1, got {window!r}")
+            raise ConfigurationError(
+                f"params.window must be an integer >= 1, got {json_text(window)}"
+            )
         steps = self.tau / self.sim_dt
         if round(steps) < 1 or abs(steps - round(steps)) > TAU_STEP_TOL:
             raise ConfigurationError(
@@ -152,15 +162,15 @@ class ScenarioScript:
                 "and without '/', '\\' or a NUL character"
             )
         if self.mode not in VALID_MODES:
-            raise ConfigurationError(f"unknown mode {self.mode!r}")
+            raise ConfigurationError(f"unknown mode {json_text(self.mode)}")
         for name in ("allocation_enabled", "record_trajectory"):
             if not isinstance(getattr(self, name), bool):
                 raise ConfigurationError(
-                    f"{name} must be true or false, got {getattr(self, name)!r}"
+                    f"{name} must be true or false, got {json_text(getattr(self, name))}"
                 )
         if not (is_finite_number(self.duration_s) and self.duration_s > 0):
             raise ConfigurationError(
-                f"duration_s must be a finite number > 0, got {self.duration_s!r}"
+                f"duration_s must be a finite number > 0, got {json_text(self.duration_s)}"
             )
         object.__setattr__(self, "duration_s", float(self.duration_s))
         if self.duration_s < self.params.sim_dt:
@@ -209,7 +219,7 @@ class ScenarioScript:
                         f"placement entry {point!r} is not an (x, y) pair of finite numbers"
                     )
         elif self.placement not in VALID_PLACEMENTS:
-            raise ConfigurationError(f"unknown placement {self.placement!r}")
+            raise ConfigurationError(f"unknown placement {json_text(self.placement)}")
 
     # -- serialization ------------------------------------------------------
 
@@ -244,7 +254,7 @@ class ScenarioScript:
         args = dict(_section(data, "a scenario script", *_SCRIPT_KEYS))
         version = args.pop("schema_version", SCHEMA_VERSION)
         if not (_is_integer(version) and version == SCHEMA_VERSION):
-            raise ConfigurationError(f"unsupported schema_version {version!r}")
+            raise ConfigurationError(f"unsupported schema_version {json_text(version)}")
         try:
             if "events" in args:
                 events = args["events"]
@@ -344,7 +354,8 @@ def build_topology(spec: dict[str, Any]) -> TeamTopology:
             isinstance(e, (list, tuple)) and len(e) == 2 and all(map(_is_integer, e)) for e in edges
         ):
             raise ConfigurationError(
-                f"topology.edges must be a list of [robot, operator] integer pairs, got {edges!r}"
+                "topology.edges must be a list of [robot, operator] integer pairs, "
+                f"got {json_text(edges)}"
             )
         if "h" in spec:
             operator_ids = tuple(range(1, _topology_count(spec, "h", 0) + 1))
@@ -358,13 +369,15 @@ def build_topology(spec: dict[str, Any]) -> TeamTopology:
         return TeamTopology.build(robot_ids, operator_ids, edges)
     if pattern == "none":
         return TeamTopology.build(robot_ids)
-    raise ConfigurationError(f"unknown topology pattern {pattern!r}")
+    raise ConfigurationError(f"unknown topology pattern {json_text(pattern)}")
 
 
 def _topology_count(spec: dict[str, Any], key: str, least: int) -> int:
     value = spec.get(key)
     if not (_is_integer(value) and value >= least):
-        raise ConfigurationError(f"topology.{key} must be an integer >= {least}, got {value!r}")
+        raise ConfigurationError(
+            f"topology.{key} must be an integer >= {least}, got {json_text(value)}"
+        )
     return value
 
 

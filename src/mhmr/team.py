@@ -15,6 +15,7 @@ from itertools import chain
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .errors import ConfigurationError, MetricDomainError
 
@@ -348,6 +349,18 @@ class ConditionColumns(NamedTuple):
     kappa: np.ndarray
 
 
+def read_only_floats(values: ArrayLike) -> np.ndarray:
+    """``values`` as a read-only float array: a read-only float array as it
+    is, anything else as a read-only copy, so that the caller may go on
+    writing an array it passed."""
+    if isinstance(values, np.ndarray) and not values.flags.writeable:
+        arr = np.asarray(values, dtype=float)
+    else:
+        arr = np.array(values, dtype=float)
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class WorkloadVector:
     """Per-robot workload fractions, index-aligned with the topology.
@@ -361,12 +374,7 @@ class WorkloadVector:
     shares: np.ndarray
 
     def __post_init__(self):
-        shares = self.shares
-        if isinstance(shares, np.ndarray) and not shares.flags.writeable:
-            arr = np.asarray(shares, dtype=float)
-        else:
-            arr = np.array(shares, dtype=float)
-        arr.setflags(write=False)
+        arr = read_only_floats(self.shares)
         object.__setattr__(self, "shares", arr)
         if arr.ndim != 1:
             raise ConfigurationError("workload shares must be a flat vector")

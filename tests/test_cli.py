@@ -441,7 +441,7 @@ class TestFlagsCheckedAtLoad:
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert "valid=true" not in captured.out
-        assert captured.err.startswith(f"error: {field} must be true or false, got 'false'")
+        assert captured.err.startswith(f'error: {field} must be true or false, got "false"')
         assert not (tmp_path / "out").exists()
 
     def test_string_flag_override(self, s3_script, tmp_path, capsys):

@@ -75,7 +75,7 @@ class TestStressCondition:
     )
     def test_prefix_count_matches_mean_of_window(self, values, window, period, data):
         trace = make_trace(values, period)
-        lo, hi = trace.span
+        lo, hi = trace.times[[0, -1]].tolist()
         t = data.draw(st.one_of(st.sampled_from(trace.times.tolist()), st.floats(lo, hi)))
         end = int(np.searchsorted(trace.times, t, side="right"))
         recent = trace.values[max(0, end - window) : end]
@@ -90,8 +90,8 @@ class TestStressCondition:
     )
     def test_array_of_times_matches_the_scalar_calls(self, values, window, period, data):
         trace = make_trace(values, period)
-        lo, hi = trace.span
-        grid = trace.grid
+        grid = trace.times.tolist()
+        lo, hi = grid[0], grid[-1]
         midpoints = [(a + b) / 2 for a, b in zip(grid, grid[1:])] or [lo]
         time = st.one_of(
             st.sampled_from(grid),  # at samples
@@ -358,6 +358,29 @@ def test_two_faults_report_the_earlier_row(tmp_path, long_row_first):
         assert outcome == (ValueError, "could not convert string to float: 'x'")
 
 
+@pytest.mark.parametrize(
+    "cls, values", [(StressTrace, [0.0, 1.0, 1.0, 0.0]), (ScriptedTrace, [0.75, 0.25, 0.25, 0.5])]
+)
+def test_trace_keeps_its_own_copy_of_the_callers_arrays(monkeypatch, cls, values):
+    times, values = np.arange(4.0), np.array(values)
+    trace = cls(times, values)
+    assert times.flags.writeable and values.flags.writeable
+    assert not (trace.times.flags.writeable or trace.values.flags.writeable)
+    fresh = cls(times.copy(), values.copy())
+    times += 10.0
+    values[:] = 1.0 - values
+    assert trace.times.tolist() == fresh.times.tolist()
+    assert trace.values.tolist() == fresh.values.tolist()
+    event = Event(0.0, "operator", 1, "operator_condition", {"type": "trace", "path": "op.csv"})
+    queries = [-1.0, 0.0, 0.5, 1.0, 2.5, 3.0, 4.0]
+    readings = []
+    for loaded in (trace, fresh):
+        monkeypatch.setattr("mhmr.metrics.load_stress_trace", lambda path: loaded)
+        timeline = ConditionTimeline([event], 2)
+        readings.append([timeline.at(t) for t in queries])
+    assert readings[0] == readings[1]
+
+
 def write_trace_csv(path, values, period=1.0):
     """A ``time_s,stress`` file with the samples of ``make_trace(values, period)``."""
     trace = make_trace(values, period)
@@ -393,12 +416,21 @@ def test_load_prepares_what_the_scalar_path_gives(tmp_path_factory, values, wind
     path = tmp_path_factory.mktemp("trace") / "op.csv"
     write_trace_csv(path, values, period)
     timeline = stress_timeline(path, window)
-    (grid, held, next_change), = timeline._traces.values()
     trace = load_stress_trace(path)
-    assert grid == trace.grid
+    grid = trace.times.tolist()
     conditions = [stress_to_condition(trace, window, t) for t in grid]
-    assert [c.hex() for c in held] == [c.hex() for c in conditions]
-    assert next_change == next_change_reference(grid, conditions)
+    next_change = next_change_reference(grid, conditions)
+    # The table holds each change the forward scan finds, once, and the
+    # condition from it on.
+    (_, offsets, held), = timeline._tables
+    changes = sorted(set(next_change) - {math.inf})
+    assert [o.hex() for o in offsets] == [o.hex() for o in [-math.inf, *changes, math.inf]]
+    expected = [conditions[0], *(conditions[grid.index(c)] for c in changes)]
+    assert [c.hex() for c in held] == [c.hex() for c in expected]
+    # So ``at`` gives each sample's condition until the next change.
+    for j, t in enumerate(grid):
+        value, until = timeline.at(t)
+        assert (value.hex(), until) == (conditions[j].hex(), next_change[j + 1])
 
 
 class TestConditionTimeline:

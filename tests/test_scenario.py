@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mhmr.scenario
-from mhmr.errors import ConfigurationError, MetricDomainError
+from mhmr.errors import ConfigurationError, MetricDomainError, json_text
 from mhmr.geometry import partition_from_workload, strips
 from mhmr.patrol import REGION_CHANGE_TOL, assign_region, change_regions
 from mhmr.scenario import (
@@ -193,6 +193,39 @@ class TestSerialization:
         data["events"][0][key] = value
         with pytest.raises(ConfigurationError, match=rf"^event {key} must be a JSON string, not {word}$"):
             ScenarioScript.from_dict(data)
+
+    # A bad script value, and the error line, which writes it as the script does.
+    @pytest.mark.parametrize(
+        "edit, line",
+        [
+            (lambda d: d["params"].update(K=None), "params.K must be a finite number > 0, got null"),
+            (lambda d: d["params"].update(K=True), "params.K must be a finite number > 0, got true"),
+            (lambda d: d.update(mode=None), "unknown mode null"),
+            (
+                lambda d: d["workspace"].update(width="20"),
+                'workspace.width must be a finite number, got "20"',
+            ),
+            (
+                lambda d: d.update(duration_s={"x": 1}),
+                'duration_s must be a finite number > 0, got {"x": 1}',
+            ),
+            (lambda d: d["topology"].update(m=None), "topology.m must be an integer >= 1, got null"),
+            (
+                lambda d: d["events"][0]["profile"].update(value=None),
+                "step profile for operator 3 operator_condition needs a value in [0, 1], got null",
+            ),
+        ],
+    )
+    def test_a_bad_value_is_named_by_its_json_text(self, edit, line):
+        data = builtin_script("s3").to_dict()
+        edit(data)
+        with pytest.raises(ConfigurationError) as exc:
+            ScenarioScript.from_dict(data)
+        assert str(exc.value) == line
+
+    def test_json_text_of_a_value_that_is_not_json_is_its_repr(self):
+        assert json_text((1, None, "a")) == '[1, null, "a"]'
+        assert json_text({1j}) == "{1j}"
 
     @pytest.mark.parametrize("name", ["", ".", "..", "../escape", "a/b", "/abs", "a\\b", "..\\up", "a\0b"])
     def test_a_name_must_be_one_directory_name(self, name):
