@@ -25,7 +25,7 @@ from pathlib import Path
 from .errors import MhmrError, ConfigurationError
 from .scenario import (
     BUILTIN_SCRIPT_NAMES,
-    RunRecord,
+    SWEEP_AXES,
     ScenarioRunner,
     ScenarioScript,
     builtin_script,
@@ -136,10 +136,6 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _run_sweep_worker(data: dict, base_dir: Path) -> RunRecord:
-    return run_scenario(ScenarioScript.from_dict(data), base_dir=base_dir)
-
-
 def _sweep_value(text: str) -> float:
     try:
         value = float(text)
@@ -151,29 +147,23 @@ def _sweep_value(text: str) -> float:
 
 
 def _cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ConfigurationError(f"--jobs must be >= 1, got {args.jobs}")
     script = _load_script(args)
     values = [_sweep_value(v) for v in args.values.split(",") if v.strip()]
-    if not values:
-        raise ConfigurationError("no sweep values given")
     outroot = Path(args.out) if args.out else _default_out(f"{script.name}_sweep_{args.axis}")
 
     scripts = sweep_scripts(script, args.axis, values)
-    base_dir = Path(args.script).parent
+    base_dirs = [Path(args.script).parent] * len(scripts)
     # A process pool may start all its workers at once, so start no idle ones.
-    jobs = max(1, min(args.jobs, len(scripts)))
+    jobs = min(args.jobs, len(scripts))
     if jobs > 1:
-        # Runs are independent and deterministic, so parallel execution
-        # gives the same records as the sequential path.
+        # A checked script pickles whole, so the workers run the very scripts
+        # that ``sweep_scripts`` returned, as the sequential path does.
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(
-                pool.map(
-                    _run_sweep_worker,
-                    [s.to_dict() for s in scripts],
-                    [base_dir] * len(scripts),
-                )
-            )
+            records = list(pool.map(run_scenario, scripts, base_dirs))
     else:
-        records = [run_scenario(s, base_dir=base_dir) for s in scripts]
+        records = list(map(run_scenario, scripts, base_dirs))
     for record in records:
         record.write(outroot / record.summary["name"])
 
@@ -267,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep_p = sub.add_parser("sweep", help="run a parameter sweep over K or m")
     sweep_p.add_argument("--script", required=True)
-    sweep_p.add_argument("--axis", required=True, choices=("K", "m"))
+    sweep_p.add_argument("--axis", required=True, choices=SWEEP_AXES)
     sweep_p.add_argument("--values", required=True, help="comma-separated values")
     sweep_p.add_argument("--out")
     sweep_p.add_argument(

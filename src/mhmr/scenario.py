@@ -946,12 +946,18 @@ SWEEP_AXES = ("K", "m")
 def sweep_scripts(
     base: ScenarioScript, axis: str, values: Sequence[float]
 ) -> list[ScenarioScript]:
-    """Script variants for a sweep: one per value, everything else shared."""
+    """Script variants for a sweep: one per value, everything else shared.
+
+    Each variant is named for its run, and two values may share a run name
+    only when they give equal scripts (``m`` = 20 and 20.0), so that no run's
+    record overwrites another's.
+    """
     if axis not in SWEEP_AXES:
         raise ConfigurationError(f"unknown sweep axis {axis!r}; use one of {SWEEP_AXES}")
     if not values:
         raise ConfigurationError("sweep needs at least one value")
     scripts = []
+    named = {}
     for value in values:
         if axis == "K":
             label = "%.12g" % value
@@ -966,12 +972,18 @@ def sweep_scripts(
         try:
             if axis == "K":
                 params = replace(base.params, K=float(value))
-                scripts.append(replace(base, name=f"{base.name}_K{label}", params=params))
+                script = replace(base, name=f"{base.name}_K{label}", params=params)
             else:
                 topology = {**base.topology, "m": int(value)}
-                scripts.append(replace(base, name=f"{base.name}_m{label}", topology=topology))
+                script = replace(base, name=f"{base.name}_m{label}", topology=topology)
         except ConfigurationError as exc:
             raise ConfigurationError(f"sweep {axis} = {label}: {exc}") from exc
+        first, named_script = named.setdefault(script.name, (value, script))
+        if named_script != script:
+            raise ConfigurationError(
+                f"sweep {axis} = {first!r} and {value!r} both name the run {script.name!r}"
+            )
+        scripts.append(script)
     return scripts
 
 

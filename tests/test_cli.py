@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from mhmr import cli
 from mhmr.cli import main
 from mhmr.errors import MhmrError
-from mhmr.scenario import ScenarioScript, builtin_script, run_scenario
+from mhmr.scenario import ScenarioScript, builtin_script, run_scenario, sweep_scripts
 
 
 @pytest.fixture
@@ -557,6 +557,8 @@ class TestSweep:
     def test_jobs_never_exceed_scripts(self, s3_script, tmp_path, capsys, monkeypatch):
         # A process pool may start all ``max_workers`` processes up front.
         started = []
+        mapped = []
+        swept = []
 
         class InProcessPool:
             def __init__(self, max_workers):
@@ -569,12 +571,25 @@ class TestSweep:
                 return False
 
             def map(self, fn, *iterables):
-                return map(fn, *iterables)
+                mapped.append((fn, *map(list, iterables)))
+                return map(fn, *mapped[-1][1:])
+
+        def recorded_sweep_scripts(*args):
+            swept.append(sweep_scripts(*args))
+            return swept[-1]
 
         monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(cli, "sweep_scripts", recorded_sweep_scripts)
         argv = ["sweep", "--script", str(s3_script), "--axis", "K", "--values", "1,5"]
         assert main(argv + ["--out", str(tmp_path / "j64"), "--jobs", "64"]) == 0
         assert started == [2]
+        # The workers run the checked scripts themselves, not a copy rebuilt
+        # from their dictionaries.
+        [(fn, scripts, base_dirs)] = mapped
+        assert fn is run_scenario
+        assert all(isinstance(s, ScenarioScript) for s in scripts)
+        assert [id(s) for s in scripts] == [id(s) for s in swept[0]]
+        assert base_dirs == [s3_script.parent] * 2
         assert main(argv + ["--out", str(tmp_path / "j1"), "--jobs", "1"]) == 0
         assert started == [2]
         summary = "sweep_summary.csv"
@@ -605,6 +620,44 @@ class TestSweep:
         assert (
             main(["sweep", "--script", str(s3_script), "--axis", "K", "--values", ","]) == 1
         )
+        assert capsys.readouterr().err == "error: sweep needs at least one value\n"
+
+    def test_jobs_give_byte_identical_outputs(self, s3_script, tmp_path, capsys):
+        # ``--jobs 2`` runs a real process pool.
+        argv = ["sweep", "--script", str(s3_script), "--axis", "K", "--values", "1,5"]
+        assert main(argv + ["--out", str(tmp_path / "j1"), "--jobs", "1"]) == 0
+        assert main(argv + ["--out", str(tmp_path / "j2"), "--jobs", "2"]) == 0
+        files = sorted(p.relative_to(tmp_path / "j1") for p in (tmp_path / "j1").rglob("*"))
+        assert sorted(p.relative_to(tmp_path / "j2") for p in (tmp_path / "j2").rglob("*")) == files
+        assert len([f for f in files if f.name == "cycles.csv"]) == 2
+        for name in files:
+            if (tmp_path / "j1" / name).is_file():
+                assert (tmp_path / "j1" / name).read_bytes() == (tmp_path / "j2" / name).read_bytes()
+
+    @pytest.mark.parametrize("jobs", ["0", "-5"])
+    def test_jobs_below_one_fails_before_any_run(
+        self, s3_script, tmp_path, capsys, monkeypatch, jobs
+    ):
+        monkeypatch.setattr(cli, "run_scenario", lambda *args, **kwargs: pytest.fail("ran"))
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--script", str(s3_script), "--axis", "K", "--values", "1,5",
+                "--out", str(out), "--jobs", jobs]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: --jobs must be >= 1, got {jobs}\n"
+        assert not out.exists()
+
+    def test_values_naming_one_run_fail_before_any_run(
+        self, s3_script, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(cli, "run_scenario", lambda *args, **kwargs: pytest.fail("ran"))
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--script", str(s3_script), "--axis", "K",
+                "--values", "0.1,0.1000000000001", "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: sweep K = 0.1 and 0.1000000000001 both name the run 's3_K0.1'\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "axis, values, message",

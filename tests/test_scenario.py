@@ -1012,6 +1012,21 @@ class TestSweeps:
         with pytest.raises(ConfigurationError, match="nonexistent operator 5"):
             sweep_scripts(builtin_script("s3"), "m", [10, 4])
 
+    @pytest.mark.parametrize(
+        "values, run",
+        [([0.1, 0.1000000000001], "s3_K0.1"), ([1.0, 5.0, 1.0 + 1e-13], "s3_K1")],
+    )
+    def test_values_naming_one_run_must_give_equal_scripts(self, values, run):
+        # Both values print as the same 12-digit label but give different K.
+        first, last = values[0], values[-1]
+        with pytest.raises(ConfigurationError) as excinfo:
+            sweep_scripts(builtin_script("s3"), "K", values)
+        assert str(excinfo.value) == f"sweep K = {first!r} and {last!r} both name the run {run!r}"
+        # Equal values share their run, as m = 20 and 20.0 do.
+        scripts = sweep_scripts(builtin_script("s3"), "K", [first, 5.0, first])
+        assert [scripts[0].name, scripts[2].name] == [run, run]
+        assert scripts[0] == scripts[2]
+
     @pytest.mark.parametrize("value", [8.7, 0, -1.0, 0.5, math.nan, math.inf, True, "20"])
     def test_m_sweep_rejects_non_whole_values(self, value):
         with pytest.raises(ConfigurationError, match="whole number"):
